@@ -32,12 +32,7 @@ from typing import Optional, Union
 from repro.analysis import build_table1
 from repro.core import MevDataset, MevInspector, PriceService
 from repro.engine import RunConfig, resolve_config
-from repro.faults import (
-    FaultPlan,
-    FaultyArchiveNode,
-    FaultyFlashbotsApi,
-    FaultyMempoolObserver,
-)
+from repro.faults import FaultPlan
 from repro.reliability import CheckpointStore, RetryPolicy, shield
 from repro.sim import ScenarioConfig, SimulationResult, World, \
     build_paper_scenario
@@ -84,11 +79,10 @@ def run_inspector(result: SimulationResult,
                   config: Optional[RunConfig] = None) -> MevDataset:
     """Run the full measurement pipeline over a simulation result.
 
-    ``fault_plan`` interposes the chaos transports of :mod:`repro.faults`
-    between the pipeline and the three data sources; either way every
-    source is shielded by :func:`repro.reliability.shield` (retries +
-    circuit breakers), and the returned dataset carries a ``quality``
-    report.  ``checkpoint``/``resume`` make the run restartable after a
+    Every data source is shielded by :func:`repro.reliability.shield`
+    (retries + circuit breakers), with ``fault_plan``'s faults injected
+    inside each source's query chain when a plan is given; the returned
+    dataset carries a ``quality`` report.  ``checkpoint``/``resume`` make the run restartable after a
     crash; ``workers``/``cache_dir`` select the execution strategy (see
     :mod:`repro.engine`) without changing any output bit.  A
     :class:`RunConfig` may be passed instead of the loose keyword
@@ -99,15 +93,11 @@ def run_inspector(result: SimulationResult,
                             checkpoint=checkpoint, resume=resume,
                             workers=workers, cache_dir=cache_dir,
                             cache_key=cache_key)
-    node, observer, api = (result.node, result.observer,
-                           result.flashbots_api)
     if fault_plan is None:
-        fault_plan = _plan_from_config(config, node)
-    if fault_plan is not None:
-        node = FaultyArchiveNode(node, fault_plan)
-        observer = FaultyMempoolObserver(observer, fault_plan)
-        api = FaultyFlashbotsApi(api, fault_plan)
-    node, observer, api = shield(node, observer, api, retry=retry)
+        fault_plan = _plan_from_config(config, result.node)
+    node, observer, api = shield(result.node, result.observer,
+                                 result.flashbots_api, retry=retry,
+                                 plan=fault_plan)
     inspector = MevInspector(node, PriceService(result.oracle),
                              api, observer)
     return inspector.run(config=config)
@@ -127,7 +117,7 @@ def follow_inspector(result: SimulationResult,
     feed into :class:`repro.stream.StreamEngine`, which folds detection
     incrementally behind a ``confirm_depth`` watermark.  With a
     ``fault_plan`` the feed injects the plan's reorgs/delays/duplicates
-    (and the label sources degrade through the usual chaos transports);
+    (and the shielded label sources degrade under the same plan);
     either way the engine's output converges bit-for-bit on the batch
     pipeline over the final canonical chain.  ``checkpoint``/``resume``
     make the follower crash-restartable mid-stream.  A
@@ -147,10 +137,8 @@ def follow_inspector(result: SimulationResult,
     observer, api = result.observer, result.flashbots_api
     feed = ChainFeed(result.blockchain)
     if fault_plan is not None:
-        observer = FaultyMempoolObserver(observer, fault_plan)
-        api = FaultyFlashbotsApi(api, fault_plan)
         _, observer, api = shield(result.node, observer, api,
-                                  retry=retry)
+                                  retry=retry, plan=fault_plan)
         feed = FaultyFeed(result.blockchain, fault_plan)
     engine = StreamEngine(
         PriceService(result.oracle),

@@ -510,7 +510,7 @@ def run_bench(bpm: int = 60, seed: int = 7,
     # chunk-isolated exactly as the pipeline runs them (resilience
     # shield included) — the number an operator's --workers 1 run pays.
     node, _, _ = shield(result.node)
-    runner = ChunkRunner.for_pipeline(node, prices)
+    runner = ChunkRunner(node=node, prices=prices)
     runner.warm_index()
     started = _clock()
     detection_results = profiler.run(

@@ -53,6 +53,7 @@ from repro.engine.merge import (
 from repro.engine.runner import CHUNK_FAILURES, ChunkRunner
 from repro.flashbots.api import FlashbotsBlocksApi
 from repro.reliability.checkpoint import CheckpointError, CheckpointStore
+from repro.reliability.circuit import CircuitBreaker
 from repro.reliability.quality import DataQualityReport, SourceQuality
 
 __all__ = ["CHUNK_FAILURES", "MevInspector", "apply_joins",
@@ -186,7 +187,7 @@ def _coverage_gaps(api: FlashbotsBlocksApi) -> List[BlockRange]:
 
 
 def _apply_caller_stats(entry: SourceQuality, source: object) -> None:
-    """Copy retry/breaker counters off a ``Reliable*`` wrapper."""
+    """Copy retry/breaker counters off an armed source's caller."""
     caller = getattr(source, "caller", None)
     if caller is None:
         return
@@ -262,7 +263,7 @@ class MevInspector:
         chunk_stats: Dict[str, ChunkStats] = {}
         pending = [chunk for chunk in chunks
                    if chunk_key(chunk) not in state]
-        runner = ChunkRunner.for_pipeline(self.node, self.prices)
+        runner = ChunkRunner(node=self.node, prices=self.prices)
         if pending:
             # Build the chain's read index once, before any fan-out, so
             # forked workers inherit it instead of rebuilding per
@@ -296,12 +297,14 @@ class MevInspector:
                   runner: ChunkRunner) -> Executor:
         digest = None
         if config.cache_dir is not None:
-            retry = None if runner.retry is None else \
-                asdict(runner.retry)
+            # An unarmed node digests as no retry and default breaker.
+            caller = getattr(runner.node, "caller", None)
+            breaker = CircuitBreaker("archive") if caller is None \
+                else caller.breaker
             digest = config.artifact_digest(extra={
-                "retry": retry,
-                "breaker": [runner.failure_threshold,
-                            runner.cooldown_calls]})
+                "retry": None if caller is None else asdict(caller.retry),
+                "breaker": [breaker.failure_threshold,
+                            breaker.cooldown_calls]})
         return make_executor(workers=config.workers,
                              cache_dir=config.cache_dir, digest=digest)
 

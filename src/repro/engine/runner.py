@@ -1,32 +1,33 @@
 """The unit of work executors schedule: one chunk's detections.
 
 ``ChunkRunner`` owns everything a worker process needs to detect MEV in
-one block range: the (possibly fault-wrapped) archive surface, the
-price service, and the retry/breaker parameters.  It is picklable by
-construction — plain data, no open handles, no lambdas — so the
-parallel executor can ship one copy to each worker.
+one block range: the archive surface and the price service.  It is
+picklable by construction — plain data, no open handles, no lambdas —
+so the parallel executor can ship one copy to each worker.
 
-**Chunk isolation.**  Every chunk runs against a *fresh*
-``ReliableArchiveNode`` (fresh breaker, fresh stats ledger, the same
-frozen retry policy).  Injected faults are pure in ``(seed, source,
-op, key)`` and every operation key is chunk-local, so a chunk's result
-— rows, flash-loan transactions, resilience counters, or a permanent
-failure — is a pure function of ``(world, fault plan, chunk)``.  That
-is what makes execution order irrelevant and parallel runs bit-identical
-to serial ones; it also scopes a blackout's breaker trips to the chunks
-the blackout actually covers.
+**Chunk isolation.**  When ``node`` is an
+:class:`~repro.reliability.ArchiveSource`, every chunk runs against a
+fresh copy of it (fresh breaker, fresh stats ledger, fresh
+fault-attempt counters, the same frozen retry policy and fault plan).
+Injected faults are pure in ``(seed, source, op, key)`` and every
+operation key is chunk-local, so a chunk's result — rows, flash-loan
+transactions, resilience counters, or a permanent failure — is a pure
+function of ``(world, fault plan, chunk)``, however often and in
+whatever order the chunk runs.  That is what makes execution order
+irrelevant and parallel runs bit-identical to serial ones; it also
+scopes a blackout's breaker trips to the chunks the blackout actually
+covers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 from repro.engine.executors import ChunkResult, ChunkStats
 from repro.faults.errors import DataSourceError
-from repro.reliability.circuit import CircuitBreaker
-from repro.reliability.retry import RetryExhaustedError, RetryPolicy
-from repro.reliability.sources import ReliableArchiveNode
+from repro.reliability.retry import RetryExhaustedError
+from repro.reliability.sources import ArchiveSource
 
 BlockRange = Tuple[int, int]
 
@@ -38,49 +39,24 @@ CHUNK_FAILURES = (DataSourceError, RetryExhaustedError)
 class ChunkRunner:
     """Detect MEV in one chunk with chunk-isolated resilience state.
 
-    ``node`` is the *unshielded* archive surface (real or
-    fault-injected); when ``retry`` is set, each chunk wraps it in a
-    fresh ``ReliableArchiveNode`` so retries/breaker trips are counted
-    per chunk.  ``retry=None`` reproduces the bare-node behaviour of a
-    pipeline built without :func:`repro.reliability.shield`.
+    ``node`` is the archive surface the pipeline reads: a bare node,
+    or an :class:`~repro.reliability.ArchiveSource` (fault plan and/or
+    retry/breaker armor), which each chunk copies fresh.
     """
 
     node: Any
     prices: Any
-    retry: Optional[RetryPolicy] = None
-    failure_threshold: int = 5
-    cooldown_calls: int = 10
-
-    @classmethod
-    def for_pipeline(cls, node: Any, prices: Any) -> "ChunkRunner":
-        """A runner matching how the pipeline's node is armored.
-
-        A ``ReliableArchiveNode`` is unwrapped to its inner transport
-        plus the retry/breaker parameters it was built with; anything
-        else runs bare, exactly as it would have in-process.
-        """
-        caller = getattr(node, "caller", None)
-        inner = getattr(node, "inner", None)
-        if caller is None or inner is None:
-            return cls(node=node, prices=prices, retry=None)
-        breaker = caller.breaker
-        return cls(node=inner, prices=prices, retry=caller.retry,
-                   failure_threshold=breaker.failure_threshold,
-                   cooldown_calls=breaker.cooldown_calls)
 
     def _chunk_node(self) -> Any:
-        if self.retry is None:
-            return self.node
-        breaker = CircuitBreaker(
-            "archive", failure_threshold=self.failure_threshold,
-            cooldown_calls=self.cooldown_calls)
-        return ReliableArchiveNode(self.node, self.retry, breaker)
+        if isinstance(self.node, ArchiveSource):
+            return self.node.fresh()
+        return self.node
 
     def warm_index(self) -> None:
         """Build the chain's read index once, here in the parent,
         before any fan-out: forked workers inherit the built index
         copy-on-write instead of each paying the first-query build.
-        Walks wrapper facades (``.inner``) down to whatever exposes
+        Walks wrapping sources (``.inner``) down to whatever exposes
         ``warm_index``; a no-op for surfaces that don't."""
         node = self.node
         while node is not None:
@@ -93,8 +69,8 @@ class ChunkRunner:
     def _read_index(self) -> Any:
         """The chain's shared read index, when the underlying archive
         surface is an indexed ``ArchiveNode``; ``None`` for linear
-        surfaces (then the scan walks receipts directly).  Wrappers
-        (fault transports, facades) are unwrapped via ``.inner``."""
+        surfaces (then the scan walks receipts directly).  A wrapping
+        source is unwrapped via ``.inner``."""
         node = self.node
         while node is not None:
             chain = getattr(node, "chain", None)

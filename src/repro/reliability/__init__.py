@@ -14,12 +14,12 @@ survive it:
 * :class:`DataQualityReport` — per-source coverage, retries, breaker
   trips and gap ranges, attached to every :class:`MevDataset` so
   degraded runs are *visibly* degraded, never silently wrong;
-* ``Reliable*`` source wrappers — the retry/breaker plumbing applied to
-  the archive node, mempool observer and Flashbots API surfaces;
-* :class:`DataSource` — the unified protocol (``name``, ``fetch(op,
-  key)``, ``coverage_gaps()``) all three sources adapt to, so the armor
-  above composes against one surface via :class:`ReliableSource`
-  instead of three ad-hoc ones.
+* :class:`ArchiveSource`, :class:`MempoolSource`,
+  :class:`FlashbotsSource` — the three typed sources.  Each query runs
+  one ``fetch(op, *args)`` chain: a :class:`ResilientCaller` (retry,
+  breaker, stats) around the fault plan's transient decision, the
+  plan's unrecoverable degradation, and the inner call.
+  :func:`shield` builds all three.
 """
 
 from repro.reliability.checkpoint import CheckpointError, CheckpointStore
@@ -30,42 +30,29 @@ from repro.reliability.circuit import (
     STATE_HALF_OPEN,
     STATE_OPEN,
 )
-from repro.reliability.datasource import (
-    ArchiveNodeSource,
-    DataSource,
-    FlashbotsApiSource,
-    MempoolObserverSource,
-    OpKey,
-    ReliableSource,
-    ResilientCaller,
-    SourceStats,
-    adapt,
-    render_key,
-)
 from repro.reliability.quality import DataQualityReport, SourceQuality
 from repro.reliability.retry import RetryExhaustedError, RetryPolicy
 from repro.reliability.sources import (
-    ReliableArchiveNode,
-    ReliableFlashbotsApi,
-    ReliableMempoolObserver,
+    ArchiveSource,
+    FlashbotsSource,
+    MempoolSource,
+    OpKey,
+    ResilientCaller,
+    SourceStats,
+    render_key,
     shield,
 )
 
 __all__ = [
-    "ArchiveNodeSource",
+    "ArchiveSource",
     "CheckpointError",
     "CheckpointStore",
     "CircuitBreaker",
     "CircuitOpenError",
     "DataQualityReport",
-    "DataSource",
-    "FlashbotsApiSource",
-    "MempoolObserverSource",
+    "FlashbotsSource",
+    "MempoolSource",
     "OpKey",
-    "ReliableArchiveNode",
-    "ReliableFlashbotsApi",
-    "ReliableMempoolObserver",
-    "ReliableSource",
     "ResilientCaller",
     "RetryExhaustedError",
     "RetryPolicy",
@@ -74,7 +61,6 @@ __all__ = [
     "STATE_OPEN",
     "SourceQuality",
     "SourceStats",
-    "adapt",
     "render_key",
     "shield",
 ]

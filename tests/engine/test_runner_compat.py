@@ -18,7 +18,7 @@ import pytest
 from repro.core.profit import PriceService
 from repro.engine import ChunkRunner
 from repro.engine.runner import CHUNK_FAILURES
-from repro.faults import FaultPlan, FaultyArchiveNode
+from repro.faults import FaultPlan
 from repro.faults.errors import SourceGapError
 from repro.reliability import shield
 
@@ -68,15 +68,8 @@ def _chunks(span, size=25):
 
 
 def _runner(cls, sim_result, fault_plan=None):
-    node = sim_result.node
-    if fault_plan is not None:
-        # Each runner gets its own fault wrapper: injected faults are
-        # pure in (seed, source, op, key) but the gate's attempt
-        # counters live on the wrapper, so sharing one instance would
-        # let the first runner consume the other's faults.
-        node = FaultyArchiveNode(node, fault_plan)
-    shielded, _, _ = shield(node)
-    return cls.for_pipeline(shielded, PriceService(sim_result.oracle))
+    shielded, _, _ = shield(sim_result.node, plan=fault_plan)
+    return cls(node=shielded, prices=PriceService(sim_result.oracle))
 
 
 def _runners(sim_result, fault_plan=None):
@@ -135,3 +128,21 @@ class TestSinglePassMatchesLegacy:
         assert got.failed and want.failed
         assert got.payload == want.payload == None  # noqa: E711
         assert got.stats == want.stats
+
+
+class TestChunkRerunPurity:
+    """A chunk's result is a pure function of (world, plan, chunk):
+    re-running it on the same runner replays the same faults, retries
+    and breaker trips, because each run gets a fresh copy of the
+    shielded source."""
+
+    @pytest.mark.parametrize("profile", ["chaos", "transient"])
+    def test_rerun_on_one_runner_is_identical(self, sim_result, span,
+                                              profile):
+        plan = FaultPlan.from_profile(profile, 1, *span)
+        runner = _runner(ChunkRunner, sim_result, plan)
+        chunks = _chunks(span)
+        first = [runner.run_chunk(chunk) for chunk in chunks]
+        again = [runner.run_chunk(chunk) for chunk in chunks]
+        assert again == first
+        assert any(result.stats.retries for result in first)

@@ -5,9 +5,24 @@ definition, import (with or without an alias), attribute access, bare
 reference, and string smuggling through ``__all__``/``getattr``.
 """
 
+import pytest
+
 from tests.lint.conftest import run_lint, rule_ids
 
 BANNED = "shield" "_sources"  # avoid the literal token in one piece
+
+#: the source wrapper classes folded into the three typed sources
+REMOVED_SOURCE_CLASSES = (
+    "FaultyArchiveNode", "FaultyMempoolObserver", "FaultyFlashbotsApi",
+    "ReliableArchiveNode", "ReliableMempoolObserver",
+    "ReliableFlashbotsApi", "ReliableSource", "ArchiveNodeSource",
+    "MempoolObserverSource", "FlashbotsApiSource")
+
+
+def repo_config():
+    from repro.lint.config import load_config
+    from tests.lint.conftest import REPO_ROOT
+    return load_config(pyproject=REPO_ROOT / "pyproject.toml")
 
 
 class TestPositive:
@@ -26,6 +41,16 @@ class TestPositive:
             from repro.reliability import {BANNED}
             """, module="repro.core.userx", rules=["R007"])
         assert rule_ids(findings) == ["R007"]
+
+    @pytest.mark.parametrize("name", REMOVED_SOURCE_CLASSES)
+    def test_removed_source_classes_flagged(self, name):
+        findings = run_lint(
+            f"""
+            from repro.reliability import {name}
+            """, module="repro.core.userx", rules=["R007"],
+            config=repo_config())
+        assert rule_ids(findings) == ["R007"]
+        assert name in findings[0].message
 
     def test_aliased_import_flagged(self):
         findings = run_lint(
@@ -66,7 +91,11 @@ class TestNegative:
 
             def shielded_sources(sources):
                 return shield(sources)
-            """, module="repro.reliability.srcx", rules=["R007"])
+
+            def adapt(source):
+                return ArchiveSource(source)
+            """, module="repro.reliability.srcx", rules=["R007"],
+            config=repo_config())
         assert findings == []
 
     def test_lint_package_is_exempt(self):

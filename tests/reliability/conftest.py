@@ -1,7 +1,7 @@
 """Shared world + baseline for the chaos suite.
 
 The simulated study window is built once per session; every chaos test
-re-measures it through fault-injecting transports and compares against
+re-measures it through fault-injecting sources and compares against
 the fault-free ``baseline`` dataset.  ``REPRO_CHAOS_SEED`` (CI runs the
 suite across several values) seeds the *fault plans only* — the world
 itself stays fixed so baselines are comparable across seeds.

@@ -90,8 +90,8 @@ class TestFlashbotsGap:
 
     def test_gap_blocks_report_no_coverage(self, sim_result, span):
         plan = FaultPlan.from_profile("gaps", CHAOS_SEED, *span)
-        from repro.faults import FaultyFlashbotsApi
-        api = FaultyFlashbotsApi(sim_result.flashbots_api, plan)
+        from repro.reliability import FlashbotsSource
+        api = FlashbotsSource(sim_result.flashbots_api, plan)
         (lo, hi), = plan.flashbots_gaps
         assert not api.has_block_data(lo)
         assert not api.has_block_data(hi)
@@ -192,9 +192,9 @@ class TestObserverAccounting:
 
     def test_downtime_facade_keeps_the_ledger_reconciled(
             self, sim_result, span):
-        from repro.faults import FaultyMempoolObserver
+        from repro.reliability import MempoolSource
         plan = outage_plan(sim_result, span)
-        faulty = FaultyMempoolObserver(sim_result.observer, plan)
+        faulty = MempoolSource(sim_result.observer, plan)
         assert faulty.observed_count + faulty.missed_count \
             == faulty.gossiped_total
         assert faulty.observed_count < sim_result.observer.observed_count
