@@ -2,11 +2,13 @@
 
 Each case below measures one fixed world (12 blocks/month, seed 7)
 through the shielded, fault-injected sources and reduces the result to
-a sha256 of its canonical rows and ``DataQualityReport``.  A run that
-raises is pinned by its exception type and message instead.  The
-digests live in ``golden_ledger.json`` next to this file; any change to
-fault injection, retry/breaker accounting, the join traffic or the
-chunk runner's archive-op sequence shows up here as a changed digest.
+two sha256 digests: ``rows`` (the canonical detection rows) and
+``ledger`` (the ``DataQualityReport``).  A run that raises is pinned by
+its exception type and message instead (``raises``).  The digests live
+in ``golden_ledger.json`` next to this file; a change to fault
+injection, retry/breaker accounting, the join traffic or the chunk
+runner's archive-op sequence moves ``ledger``, and a mismatch names
+every changed case and which half of it moved.
 
 Regenerate the fixture (only for an intended ledger change) with::
 
@@ -14,7 +16,6 @@ Regenerate the fixture (only for an intended ledger change) with::
 """
 
 import hashlib
-import inspect
 import json
 from pathlib import Path
 
@@ -41,16 +42,15 @@ def _digest(value):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _dataset_digest(dataset):
-    return _digest([dataset.to_rows(), dataset.quality.to_dict()])
-
-
 def _outcome(run):
-    """The digest of ``run()``'s dataset, or its exception."""
+    """The rows and ledger digests of ``run()``'s dataset, or its
+    exception."""
     try:
-        return _dataset_digest(run())
+        dataset = run()
     except Exception as error:  # noqa: BLE001 — the raise is pinned
-        return f"raises {type(error).__name__}: {error}"
+        return {"raises": f"{type(error).__name__}: {error}"}
+    return {"rows": _digest(dataset.to_rows()),
+            "ledger": _digest(dataset.quality.to_dict())}
 
 
 def _plan(result, profile, seed):
@@ -79,30 +79,12 @@ def _canon(value):
     return repr(value)
 
 
-def _shielded(result, plan):
-    """``shield`` over the three sources with ``plan``'s faults.
-
-    Where ``shield`` takes no ``plan`` (trees from before the sources
-    carried the plan themselves), the ``repro.faults`` fault wrappers
-    are interposed instead, so this pin runs unchanged on both sides of
-    that refactor.
-    """
-    if "plan" in inspect.signature(shield).parameters:
-        return shield(result.node, result.observer,
-                      result.flashbots_api, plan=plan)
-    import repro.faults as faults
-    wrap = {name: getattr(faults, f"Faulty{name}")
-            for name in ("ArchiveNode", "MempoolObserver",
-                         "FlashbotsApi")}
-    return shield(wrap["ArchiveNode"](result.node, plan),
-                  wrap["MempoolObserver"](result.observer, plan),
-                  wrap["FlashbotsApi"](result.flashbots_api, plan))
-
-
 def _surface_digest(result, profile, seed):
-    """Every method of the three shielded sources, then their stats."""
+    """Every method of the three shielded sources (``rows``), then
+    their caller stats (``ledger``)."""
     plan = _plan(result, profile, seed)
-    node, observer, api = _shielded(result, plan)
+    node, observer, api = shield(result.node, result.observer,
+                                 result.flashbots_api, plan=plan)
     first = result.node.earliest_block_number()
     last = result.node.latest_block_number()
     heights = list(range(first, last + 1, 7))
@@ -172,11 +154,10 @@ def _surface_digest(result, profile, seed):
             answers[name] = _canon(call())
         except Exception as error:  # noqa: BLE001 — the raise is pinned
             answers[name] = f"raises {type(error).__name__}: {error}"
-    for source in (node, observer, api):
-        caller = source.caller
-        answers[f"stats.{caller.source}"] = [
-            vars(caller.stats), caller.breaker_trips]
-    return _digest(answers)
+    stats = {source.caller.source: [vars(source.caller.stats),
+                                    source.caller.breaker_trips]
+             for source in (node, observer, api)}
+    return {"rows": _digest(answers), "ledger": _digest(stats)}
 
 
 def _cases():
@@ -228,9 +209,15 @@ def test_ledger_matches_golden(world):
     expected = json.loads(GOLDEN.read_text())
     actual = compute_golden(world)
     assert sorted(actual) == sorted(expected)
-    changed = [case_id for case_id in expected
-               if actual[case_id] != expected[case_id]]
-    assert changed == [], f"{len(changed)} pinned cases changed"
+    changed = []
+    for case_id, want in expected.items():
+        got = actual[case_id]
+        halves = sorted(half for half in set(want) | set(got)
+                        if want.get(half) != got.get(half))
+        if halves:
+            changed.append(f"{case_id}: {'+'.join(halves)}")
+    assert changed == [], \
+        f"{len(changed)} pinned cases changed:\n" + "\n".join(changed)
 
 
 if __name__ == "__main__":
