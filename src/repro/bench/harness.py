@@ -524,7 +524,6 @@ def run_bench(bpm: int = 60, seed: int = 7,
     # detectors re-walking the chain linearly.  The gap between these
     # two stages is what the index buys.
     indexed_node = ArchiveNode(result.blockchain)
-    indexed_node.warm_index()
     indexed_rows: List[str] = []
 
     def _indexed_pass() -> None:

@@ -144,15 +144,6 @@ class ArchiveNode:
         #: segment reader instead of the in-memory index tiers.
         self.segmented = bool(getattr(chain, "spilled", False))
 
-    def warm_index(self) -> None:
-        """Build the read index eagerly (both block positions and log
-        postings) — e.g. once in the parent process before worker
-        fan-out, so forked workers inherit it instead of each paying
-        the first-query build.  Segment-backed chains have no in-memory
-        index to warm; their reads bisect the segment manifest."""
-        if self.indexed and not self.segmented:
-            self.chain.index.warm()
-
     # Block-level queries -----------------------------------------------------
 
     def latest_block_number(self) -> Optional[int]:

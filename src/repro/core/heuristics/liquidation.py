@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro.chain.block import Block
 from repro.chain.events import LiquidationEvent
 from repro.chain.node import ArchiveNode
+from repro.chain.receipt import Receipt
 from repro.chain.types import Address
 from repro.core.datasets import LiquidationRecord
 from repro.core.profit import PriceService, transaction_cost
@@ -28,27 +30,30 @@ class LiquidationVisitor:
     """Per-block liquidation detector for
     :class:`~repro.core.scan.BlockScan`.
 
-    ``visit`` collects the platform-covered liquidation events;
-    ``finalize`` builds the records — price checks, then the liquidating
-    transaction's receipt — in discovery order, the same archive-fetch
-    order the standalone scan performed.
+    ``visit`` collects the platform-covered liquidation events with
+    the liquidating transaction's receipt from the view's block;
+    ``finalize`` builds the records — price checks and gas accounting —
+    in discovery order.  No archive access.
     """
 
     def __init__(self, prices: PriceService,
                  platforms: Sequence[str] = DEFAULT_PLATFORMS) -> None:
         self.prices = prices
         self.platforms = platforms
-        self._pending: List[Tuple[LiquidationEvent, Address]] = []
+        self._pending: List[Tuple[LiquidationEvent, Address,
+                                  Optional[Receipt]]] = []
 
     def visit(self, view: BlockView) -> None:
+        block = view.block
         for event in view.liquidations:
             if event.platform in self.platforms:
-                self._pending.append((event, view.block.miner))
+                self._pending.append((event, block.miner,
+                                      _receipt_of(block, event)))
 
-    def finalize(self, node: ArchiveNode) -> List[LiquidationRecord]:
+    def finalize(self) -> List[LiquidationRecord]:
         records: List[LiquidationRecord] = []
-        for event, miner in self._pending:
-            record = _build_record(node, self.prices, miner, event)
+        for event, miner, receipt in self._pending:
+            record = _build_record(self.prices, miner, event, receipt)
             if record is not None:
                 records.append(record)
         return records
@@ -67,21 +72,26 @@ def detect_liquidations(node: ArchiveNode, prices: PriceService,
     visitor = LiquidationVisitor(prices, platforms)
     for block in node.iter_blocks(from_block, to_block):
         visitor.visit(BlockView.of(block))
-    return visitor.finalize(node)
+    return visitor.finalize()
 
 
-def _build_record(node: ArchiveNode, prices: PriceService, miner: str,
-                  event: LiquidationEvent,
+def _receipt_of(block: Block,
+                event: LiquidationEvent) -> Optional[Receipt]:
+    """The receipt in ``block`` of the transaction that emitted
+    ``event``."""
+    return next((receipt for receipt in block.receipts
+                 if receipt.tx_hash == event.tx_hash), None)
+
+
+def _build_record(prices: PriceService, miner: str,
+                  event: LiquidationEvent, receipt: Optional[Receipt],
                   ) -> Optional[LiquidationRecord]:
     gain_wei = prices.value_in_eth(event.collateral_token,
                                    event.collateral_seized,
                                    event.block_number)
     debt_wei = prices.value_in_eth(event.debt_token, event.debt_repaid,
                                    event.block_number)
-    if gain_wei is None or debt_wei is None:
-        return None
-    receipt = node.get_receipt(event.tx_hash)
-    if receipt is None:
+    if gain_wei is None or debt_wei is None or receipt is None:
         return None
     cost_wei = transaction_cost([receipt]) + debt_wei
     return LiquidationRecord(

@@ -22,6 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.chain.block import Block
 from repro.chain.events import SwapEvent
 from repro.chain.node import ArchiveNode
+from repro.chain.receipt import Receipt
+from repro.chain.types import Hash32
 from repro.core.datasets import SandwichRecord
 from repro.core.profit import PriceService, transaction_cost
 from repro.core.scan import BlockView
@@ -113,10 +115,9 @@ class SandwichVisitor:
     """Per-block sandwich detector for :class:`~repro.core.scan.BlockScan`.
 
     ``visit`` finds the (front, victim, back) triples from the view's
-    pre-bucketed swaps; ``finalize`` builds the records — the price
-    checks plus the two attacker-receipt lookups — in discovery order,
-    which is exactly the archive-fetch order the standalone scan
-    performed.
+    pre-bucketed swaps, keeping the two attacker receipts the view
+    already holds; ``finalize`` builds the records — price checks and
+    gas accounting — in discovery order.  No archive access.
     """
 
     def __init__(self, prices: PriceService,
@@ -125,7 +126,7 @@ class SandwichVisitor:
         self.venues = venues
         self._venue_set = frozenset(venues)
         self._pending: List[Tuple[Block, str, SwapEvent, SwapEvent,
-                                  SwapEvent]] = []
+                                  SwapEvent, List[Receipt]]] = []
 
     def visit(self, view: BlockView) -> None:
         venues = self._venue_set
@@ -141,18 +142,25 @@ class SandwichVisitor:
         grouped: Dict[str, List[SwapEvent]] = defaultdict(list)
         for log in matched:
             grouped[log.address].append(log)
+        receipt_of: Optional[Dict[Hash32, Receipt]] = None
         for pool_address, swaps in grouped.items():
             if len(swaps) < 3:
                 continue
             for front, victim, back in _find_in_pool(swaps):
-                self._pending.append((view.block, pool_address, front,
-                                      victim, back))
+                if receipt_of is None:
+                    receipt_of = {log.tx_hash: receipt
+                                  for receipt, logs in view.swap_receipts
+                                  for log in logs}
+                self._pending.append((
+                    view.block, pool_address, front, victim, back,
+                    [receipt_of[front.tx_hash], receipt_of[back.tx_hash]]))
 
-    def finalize(self, node: ArchiveNode) -> List[SandwichRecord]:
+    def finalize(self) -> List[SandwichRecord]:
         records: List[SandwichRecord] = []
-        for block, pool_address, front, victim, back in self._pending:
-            record = _build_record(node, self.prices, block,
-                                   pool_address, front, victim, back)
+        for block, pool_address, front, victim, back, receipts \
+                in self._pending:
+            record = _build_record(self.prices, block, pool_address,
+                                   front, victim, back, receipts)
             if record is not None:
                 records.append(record)
         return records
@@ -171,22 +179,18 @@ def detect_sandwiches(node: ArchiveNode, prices: PriceService,
     visitor = SandwichVisitor(prices, venues)
     for block in node.iter_blocks(from_block, to_block):
         visitor.visit(BlockView.of(block))
-    return visitor.finalize(node)
+    return visitor.finalize()
 
 
-def _build_record(node: ArchiveNode, prices: PriceService, block: Block,
-                  pool_address: str, front: SwapEvent, victim: SwapEvent,
-                  back: SwapEvent) -> Optional[SandwichRecord]:
+def _build_record(prices: PriceService, block: Block, pool_address: str,
+                  front: SwapEvent, victim: SwapEvent, back: SwapEvent,
+                  receipts: List[Receipt]) -> Optional[SandwichRecord]:
     # Gain: what the backrun recovered minus what the frontrun spent,
     # valued in ETH at this block (paper Section 3.1.1).
     gain_raw = back.amount_out - front.amount_in
     gain_wei = prices.value_in_eth(front.token_in, gain_raw,
                                    block.number)
     if gain_wei is None:
-        return None
-    receipts = [node.get_receipt(front.tx_hash),
-                node.get_receipt(back.tx_hash)]
-    if any(receipt is None for receipt in receipts):
         return None
     cost_wei = transaction_cost(receipts)
     miner_revenue = sum(receipt.total_miner_payment

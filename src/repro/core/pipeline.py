@@ -55,6 +55,7 @@ from repro.flashbots.api import FlashbotsBlocksApi
 from repro.reliability.checkpoint import CheckpointError, CheckpointStore
 from repro.reliability.circuit import CircuitBreaker
 from repro.reliability.quality import DataQualityReport, SourceQuality
+from repro.reliability.sources import fresh_source
 
 __all__ = ["CHUNK_FAILURES", "MevInspector", "apply_joins",
            "finish_quality", "plan_chunks"]
@@ -89,6 +90,17 @@ def _clip_ranges(ranges: Any, first_block: int,
         if lo <= hi:
             clipped.append((lo, hi))
     return tuple(sorted(clipped))
+
+
+def _resolve_range(node: ArchiveNode, from_block: Optional[int],
+                   to_block: Optional[int]) -> Optional[BlockRange]:
+    first = from_block if from_block is not None else \
+        node.earliest_block_number()
+    last = to_block if to_block is not None else \
+        node.latest_block_number()
+    if first is None or last is None or last < first:
+        return None
+    return (first, last)
 
 
 def _blocks_in(ranges: Tuple[BlockRange, ...]) -> int:
@@ -243,8 +255,14 @@ class MevInspector:
             resume=resume, workers=workers,
             cache_dir=cache_dir, cache_key=cache_key)
 
+        # Each run reads through fresh copies of armed sources (fresh
+        # breakers, stats and fault-attempt counters), so a run's
+        # quality ledger covers that run alone.
+        node = fresh_source(self.node)
+        flashbots_api = fresh_source(self.flashbots_api)
+        observer = fresh_source(self.observer)
         store = self._store(config.checkpoint)
-        bounds = self._resolve_range(config.from_block, config.to_block)
+        bounds = _resolve_range(node, config.from_block, config.to_block)
         if bounds is None:
             dataset = MevDataset()
             dataset.quality = DataQualityReport()
@@ -263,7 +281,7 @@ class MevInspector:
         chunk_stats: Dict[str, ChunkStats] = {}
         pending = [chunk for chunk in chunks
                    if chunk_key(chunk) not in state]
-        runner = ChunkRunner(node=self.node, prices=self.prices)
+        runner = ChunkRunner(node=node, prices=self.prices)
         if pending:
             # Build the chain's read index once, before any fan-out, so
             # forked workers inherit it instead of rebuilding per
@@ -283,11 +301,13 @@ class MevInspector:
                                  state)
 
         dataset = merge_rows(MevDataset(), chunks, state)
-        self._apply_joins(dataset, chunks, state, quality)
+        apply_joins(dataset, merge_flash_txs(chunks, state), quality,
+                    flashbots_api, observer)
         # Quality is finalized after the joins so the snapshot of each
         # source's retry/breaker counters includes the join traffic.
-        self._finish_quality(quality, chunks, state, failed,
-                             sum_chunk_stats(chunks, chunk_stats))
+        finish_quality(quality, chunks, state, failed,
+                       sum_chunk_stats(chunks, chunk_stats), node,
+                       flashbots_api, observer)
         dataset.quality = quality
         return dataset
 
@@ -314,17 +334,6 @@ class MevInspector:
         if checkpoint is None or isinstance(checkpoint, CheckpointStore):
             return checkpoint
         return CheckpointStore(checkpoint)
-
-    def _resolve_range(self, from_block: Optional[int],
-                       to_block: Optional[int],
-                       ) -> Optional[BlockRange]:
-        first = from_block if from_block is not None else \
-            self.node.earliest_block_number()
-        last = to_block if to_block is not None else \
-            self.node.latest_block_number()
-        if first is None or last is None or last < first:
-            return None
-        return (first, last)
 
     @staticmethod
     def _load_state(store: Optional[CheckpointStore], first: int,
@@ -353,18 +362,3 @@ class MevInspector:
                     state: Dict[str, Any]) -> None:
         store.save({"from_block": first, "to_block": last,
                     "chunk_size": chunk_size, "chunks": state})
-
-    # Joins & quality (delegating to the shared module functions) ---------
-
-    def _apply_joins(self, dataset: MevDataset,
-                     chunks: List[BlockRange], state: Dict[str, Any],
-                     quality: DataQualityReport) -> None:
-        apply_joins(dataset, merge_flash_txs(chunks, state), quality,
-                    self.flashbots_api, self.observer)
-
-    def _finish_quality(self, quality: DataQualityReport,
-                        chunks: List[BlockRange], state: Dict[str, Any],
-                        failed: List[BlockRange],
-                        detection_stats: ChunkStats) -> None:
-        finish_quality(quality, chunks, state, failed, detection_stats,
-                       self.node, self.flashbots_api, self.observer)

@@ -1,20 +1,25 @@
-"""Single-pass detection: one walk of a block range feeds every heuristic.
+"""Single-pass detection: one ranged block read feeds every heuristic.
 
-Historically each heuristic (sandwich, arbitrage, liquidation, flash
-loan) made its own full pass over the range, so a chunk cost four scans.
-:class:`BlockScan` walks the blocks exactly once: every block is
+:class:`BlockScan` walks a block range exactly once: every block is
 bucketed into a :class:`BlockView` (swaps per successful receipt,
 liquidation events, flash-loan events) and each registered visitor
 consumes that view.  The per-heuristic visitors live next to their
 standalone entry points in :mod:`repro.core.heuristics`; the standalone
-``detect_*`` functions are now thin wrappers over them.
+``detect_*`` functions are thin wrappers over them and stay as the
+linear reference the indexed scan is checked against.
 
 **Scan contract.**  Visitors see blocks in ascending order, exactly
-once each, and must not fetch from the archive during ``visit`` — any
-follow-up archive reads (e.g. the attacker receipts a sandwich record
-needs) belong in ``finalize``, in discovery order, so the scan itself
-stays one pure pass and the resulting archive-fetch sequence is
-deterministic.
+once each, and never touch the archive: everything a record needs —
+the attacker receipts behind a sandwich's gas accounting, the
+liquidating transaction's receipt — is already in the view's block.
+A scanned range therefore costs one archive op, the ranged
+``iter_blocks(lo, hi)`` that :func:`read_views` issues, and extra
+detection definitions plug in as further visitors at no read cost.
+
+:func:`read_views` is also the one read-path policy: on an indexed
+in-memory ``ArchiveNode`` (possibly wrapped by sources exposing
+``.inner``) the views come from the chain index's postings; on a
+linear or segment-backed node they come from walking the receipts.
 
 Bucketing mirrors the heuristics' historical filters bit for bit:
 swap and liquidation events are taken from *successful* receipts only,
@@ -25,21 +30,20 @@ visitor — the buckets are shared, the coverage policies are not.
 
 from __future__ import annotations
 
-from typing import (Dict, Iterable, List, Optional, Protocol, Sequence, Set,
-                    Tuple)
+from typing import (Any, Dict, Iterable, List, Optional, Protocol, Sequence,
+                    Set, Tuple)
 
 from repro.chain.block import Block
 from repro.chain.events import (EventLog, FlashLoanEvent, LiquidationEvent,
                                 SwapEvent)
 from repro.chain.index import ChainIndex
-from repro.chain.node import ArchiveNode
 from repro.chain.receipt import Receipt
 from repro.chain.types import Hash32
 from repro.core.datasets import MevDataset
 from repro.core.profit import PriceService
 
-__all__ = ["BlockScan", "BlockView", "BlockVisitor", "scan_range",
-           "views_from_index"]
+__all__ = ["BlockScan", "BlockView", "BlockVisitor", "read_index",
+           "read_views", "scan_range", "views_from_index"]
 
 # Log classification, memoized per concrete event class: the bucketing
 # below is the scan's innermost loop, and one dict probe beats a chain
@@ -191,6 +195,40 @@ def views_from_index(index: ChainIndex,
     return views
 
 
+def read_index(node: Any) -> Optional[ChainIndex]:
+    """The chain index the scan may bucket from, or ``None``.
+
+    Walks wrapping sources down ``.inner`` to the object holding the
+    chain.  Only an indexed, in-memory ``ArchiveNode`` qualifies: a
+    linear node is the reference path, and a segment-backed chain keeps
+    only a bounded tail resident, so its reads go through the segment
+    reader instead of an in-memory index.
+    """
+    while node is not None:
+        chain = getattr(node, "chain", None)
+        if chain is not None:
+            if getattr(node, "segmented", False) or \
+                    not getattr(node, "indexed", False):
+                return None
+            return chain.index
+        node = getattr(node, "inner", None)
+    return None
+
+
+def read_views(node: Any, from_block: Optional[int] = None,
+               to_block: Optional[int] = None) -> Iterable[BlockView]:
+    """One ranged ``iter_blocks`` read, bucketed for the visitors.
+
+    The only archive op a scan issues.  Reading the chain index (see
+    :func:`read_index`) is local and issues none.
+    """
+    blocks = node.iter_blocks(from_block, to_block)
+    index = read_index(node)
+    if index is None:
+        return map(BlockView.of, blocks)
+    return views_from_index(index, list(blocks))
+
+
 class BlockVisitor(Protocol):
     """A per-block heuristic consumer fed by :class:`BlockScan`."""
 
@@ -203,21 +241,16 @@ class BlockScan:
     def __init__(self, visitors: Sequence[BlockVisitor]) -> None:
         self.visitors = list(visitors)
 
-    def scan(self, blocks: Iterable[Block]) -> None:
-        """One pass: each block is bucketed once and offered to every
-        visitor in registration order."""
-        self.scan_views(BlockView.of(block) for block in blocks)
-
     def scan_views(self, views: Iterable[BlockView]) -> None:
-        """Feed pre-built views (e.g. from :func:`views_from_index`) to
-        every visitor, in order, each exactly once."""
+        """Feed views (e.g. from :func:`read_views`) to every visitor in
+        registration order, each view exactly once."""
         visitors = self.visitors
         for view in views:
             for visitor in visitors:
                 visitor.visit(view)
 
 
-def scan_range(node: ArchiveNode, prices: PriceService,
+def scan_range(node: Any, prices: PriceService,
                from_block: Optional[int] = None,
                to_block: Optional[int] = None,
                ) -> Tuple[MevDataset, Set[Hash32]]:
@@ -225,8 +258,7 @@ def scan_range(node: ArchiveNode, prices: PriceService,
 
     Returns the partial dataset (sandwiches, arbitrages, liquidations —
     no joins applied) and the flash-loan transaction hashes.  The only
-    archive traffic is one ranged block read plus the per-record receipt
-    lookups the sandwich/liquidation records require.
+    archive traffic is the one ranged block read of :func:`read_views`.
     """
     # Imported here, not at module top: the heuristics import this
     # module for BlockView/BlockScan, so the one-stop helper reaches
@@ -240,18 +272,11 @@ def scan_range(node: ArchiveNode, prices: PriceService,
     arbitrage = ArbitrageVisitor(prices)
     liquidation = LiquidationVisitor(prices)
     flash = FlashLoanVisitor()
-    scan = BlockScan([sandwich, arbitrage, liquidation, flash])
-    chain = getattr(node, "chain", None)
-    if chain is not None and getattr(node, "indexed", False):
-        # Indexed surface: bucket from the shared postings lists so the
-        # pass never touches a non-MEV log.
-        scan.scan_views(views_from_index(
-            chain.index, list(node.iter_blocks(from_block, to_block))))
-    else:
-        scan.scan(node.iter_blocks(from_block, to_block))
+    BlockScan([sandwich, arbitrage, liquidation, flash]).scan_views(
+        read_views(node, from_block, to_block))
     dataset = MevDataset(
-        sandwiches=sandwich.finalize(node),
+        sandwiches=sandwich.finalize(),
         arbitrages=arbitrage.finalize(),
-        liquidations=liquidation.finalize(node),
+        liquidations=liquidation.finalize(),
     )
     return dataset, flash.finalize()

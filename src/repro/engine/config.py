@@ -42,8 +42,10 @@ from typing import Any, Dict, Optional, Union
 
 from repro.reliability.checkpoint import CheckpointStore
 
-#: Bumped whenever the cached chunk-artifact layout changes.
-CACHE_VERSION = 1
+#: Bumped whenever the cached chunk-artifact layout or content changes
+#: (2: a chunk's stats count its one ranged read, not a replayed
+#: four-scan op sequence).
+CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)

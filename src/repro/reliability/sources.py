@@ -59,7 +59,8 @@ BlockRange = Tuple[int, int]
 OpKey = Tuple[Any, ...]
 
 __all__ = ["ArchiveSource", "FlashbotsSource", "MempoolSource", "OpKey",
-           "ResilientCaller", "SourceStats", "render_key", "shield"]
+           "ResilientCaller", "SourceStats", "fresh_source", "render_key",
+           "shield"]
 
 _ERROR_CLASSES = {
     KIND_TIMEOUT: TransportTimeout,
@@ -199,6 +200,12 @@ class _Source:
     def _read(self, op: str, args: OpKey) -> Any:
         """The inner answer under the plan's unrecoverable faults."""
         return getattr(self.inner, op)(*args)
+
+
+def fresh_source(source: T) -> T:
+    """``source.fresh()`` for one of the three sources; any other
+    object (a bare node, ``None``) is returned as is."""
+    return source.fresh() if isinstance(source, _Source) else source
 
 
 class ArchiveSource(_Source):

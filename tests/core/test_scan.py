@@ -2,7 +2,8 @@
 
 The fused pass must be a pure refactor of the four standalone
 detectors: same records, same order, same flash-loan transaction set —
-on surgical harness chains and on a full simulated study window alike.
+on surgical harness chains and on a full simulated study window alike,
+over every read path (indexed, linear, segment-backed).
 """
 
 from repro.chain.events import (
@@ -11,7 +12,8 @@ from repro.chain.events import (
     LiquidationEvent,
     SwapEvent,
 )
-from repro.chain.node import ArchiveNode
+from repro.chain.node import ArchiveNode, Blockchain
+from repro.chain.segments import SegmentStore
 from repro.core.heuristics import (
     detect_arbitrages,
     detect_flash_loan_txs,
@@ -152,7 +154,7 @@ class TestBlockScanDispatch:
 
         first, second = Recorder(), Recorder()
         blocks = [make_block(n) for n in (1, 2, 3)]
-        BlockScan([first, second]).scan(blocks)
+        BlockScan([first, second]).scan_views(map(BlockView.of, blocks))
         assert first.seen == [1, 2, 3]
         assert second.seen == [1, 2, 3]
 
@@ -184,19 +186,29 @@ class TestScanRangeEquivalence:
         assert dataset.all_records() == []
         assert flash_txs == set()
 
-    def test_on_simulated_study_window(self):
+    def test_on_simulated_study_window(self, tmp_path):
         from repro.chain.transaction import reset_tx_counter
         reset_tx_counter()
-        config = ScenarioConfig(blocks_per_month=8, seed=11)
-        result = build_paper_scenario(config).run()
+        config = ScenarioConfig(blocks_per_month=8, seed=11,
+                                epoch_blocks=8)
+        world = build_paper_scenario(config)
+        world.attach_segment_store(SegmentStore.create(str(tmp_path)),
+                                   max_resident_epochs=2)
+        result = world.run()
         prices = PriceService(result.oracle)
-        first = result.node.earliest_block_number()
-        last = result.node.latest_block_number()
-        dataset = self.assert_equivalent(result.node, prices,
+        # The spilled chain keeps only a resident tail in memory; read
+        # it back whole for the in-memory read paths.
+        spilled = ArchiveNode(result.blockchain)
+        assert spilled.segmented
+        chain = Blockchain()
+        for block in result.blockchain.iter_range():
+            chain.append(block)
+        first, last = chain.blocks[0].number, chain.height
+        dataset = self.assert_equivalent(ArchiveNode(chain), prices,
                                          first, last)
-        # Both read paths, too: a linear node must scan to the same
-        # records as the indexed one.
-        linear = ArchiveNode(result.blockchain, indexed=False)
-        linear_set = self.assert_equivalent(linear, prices, first, last)
-        assert dataset.records_equal(linear_set)
+        # Every read path scans to the same records: indexed, linear,
+        # and segment-backed.
+        for node in (ArchiveNode(chain, indexed=False), spilled):
+            other = self.assert_equivalent(node, prices, first, last)
+            assert dataset.records_equal(other)
         assert dataset.all_records()  # the window actually has MEV

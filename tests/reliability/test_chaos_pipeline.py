@@ -14,7 +14,9 @@ import random
 
 import pytest
 
-from repro import FaultPlan, run_inspector
+from repro import FaultPlan, RunConfig, run_inspector
+from repro.core import MevInspector, PriceService
+from repro.reliability import shield
 
 from tests.reliability.conftest import CHAOS_SEED
 
@@ -173,6 +175,24 @@ class TestChaosProfile:
             1 for r in dataset.all_records()
             if r.privacy == "unobserved")
         assert not quality.healthy
+
+    def test_repeated_runs_on_one_inspector_are_identical(self,
+                                                          sim_result,
+                                                          span):
+        """Each run reads through fresh copies of the shielded sources,
+        so a second run replays the same faults and reports the same
+        ledger instead of adding to the first run's counters."""
+        plan = FaultPlan.from_profile("chaos", CHAOS_SEED, *span)
+        node, observer, api = shield(sim_result.node, sim_result.observer,
+                                     sim_result.flashbots_api, plan=plan)
+        inspector = MevInspector(node, PriceService(sim_result.oracle),
+                                 api, observer)
+        config = RunConfig(chunk_size=25)
+        first = inspector.run(config=config)
+        second = inspector.run(config=config)
+        assert second.to_rows() == first.to_rows()
+        assert second.quality.to_dict() == first.quality.to_dict()
+        assert first.quality.total_retries > 0
 
 
 class TestObserverAccounting:
