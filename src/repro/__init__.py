@@ -31,9 +31,9 @@ from typing import Optional, Union
 
 from repro.analysis import build_table1
 from repro.core import MevDataset, MevInspector, PriceService
-from repro.engine import RunConfig, resolve_config
+from repro.engine import RunConfig
 from repro.faults import FaultPlan
-from repro.reliability import CheckpointStore, RetryPolicy, shield
+from repro.reliability import RetryPolicy, shield
 from repro.sim import ScenarioConfig, SimulationResult, World, \
     build_paper_scenario
 
@@ -56,10 +56,10 @@ class Study:
         return build_table1(self.dataset)
 
 
-def _plan_from_config(config: Optional[RunConfig],
+def _plan_from_config(config: RunConfig,
                       node: object) -> Optional[FaultPlan]:
     """The fault plan a run configuration implies, if any."""
-    if config is None or config.fault_profile == "none":
+    if config.fault_profile == "none":
         return None
     return FaultPlan.from_profile(
         config.fault_profile, config.fault_seed,
@@ -69,30 +69,22 @@ def _plan_from_config(config: Optional[RunConfig],
 def run_inspector(result: SimulationResult,
                   fault_plan: Optional[FaultPlan] = None,
                   retry: Optional[RetryPolicy] = None,
-                  chunk_size: Optional[int] = None,
-                  checkpoint: Union[CheckpointStore, str, Path,
-                                    None] = None,
-                  resume: bool = False,
-                  workers: int = 1,
-                  cache_dir: Union[str, Path, None] = None,
-                  cache_key: Optional[str] = None,
                   config: Optional[RunConfig] = None) -> MevDataset:
     """Run the full measurement pipeline over a simulation result.
 
     Every data source is shielded by :func:`repro.reliability.shield`
     (retries + circuit breakers), with ``fault_plan``'s faults injected
     inside each source's query chain when a plan is given; the returned
-    dataset carries a ``quality`` report.  ``checkpoint``/``resume`` make the run restartable after a
-    crash; ``workers``/``cache_dir`` select the execution strategy (see
-    :mod:`repro.engine`) without changing any output bit.  A
-    :class:`RunConfig` may be passed instead of the loose keyword
-    arguments; its ``fault_profile``/``fault_seed`` build the fault plan
-    when ``fault_plan`` is not given explicitly.
+    dataset carries a ``quality`` report.  ``config`` carries every run
+    setting (``None`` means ``RunConfig()``): its ``checkpoint``/
+    ``resume`` make the run restartable after a crash, its
+    ``workers``/``cache_dir`` select the execution strategy (see
+    :mod:`repro.engine`) without changing any output bit, and its
+    ``fault_profile``/``fault_seed`` build the fault plan when
+    ``fault_plan`` is not given explicitly.
     """
-    config = resolve_config(config, warn=False, chunk_size=chunk_size,
-                            checkpoint=checkpoint, resume=resume,
-                            workers=workers, cache_dir=cache_dir,
-                            cache_key=cache_key)
+    if config is None:
+        config = RunConfig()
     if fault_plan is None:
         fault_plan = _plan_from_config(config, result.node)
     node, observer, api = shield(result.node, result.observer,
@@ -105,33 +97,27 @@ def run_inspector(result: SimulationResult,
 
 def follow_inspector(result: SimulationResult,
                      fault_plan: Optional[FaultPlan] = None,
-                     confirm_depth: int = 3,
-                     checkpoint: Union[CheckpointStore, str, Path,
-                                       None] = None,
-                     resume: bool = False,
                      retry: Optional[RetryPolicy] = None,
                      config: Optional[RunConfig] = None) -> MevDataset:
     """Measure a simulation result in *follow* (streaming) mode.
 
     Instead of one batch pass, the chain is replayed through a block
     feed into :class:`repro.stream.StreamEngine`, which folds detection
-    incrementally behind a ``confirm_depth`` watermark.  With a
-    ``fault_plan`` the feed injects the plan's reorgs/delays/duplicates
-    (and the shielded label sources degrade under the same plan);
-    either way the engine's output converges bit-for-bit on the batch
-    pipeline over the final canonical chain.  ``checkpoint``/``resume``
-    make the follower crash-restartable mid-stream.  A
-    :class:`RunConfig` may be passed instead of the loose keyword
-    arguments; its ``confirm_depth`` and fault profile apply here the
-    same way they do in batch mode.
+    incrementally behind the ``config.confirm_depth`` watermark.  With
+    a ``fault_plan`` the feed injects the plan's
+    reorgs/delays/duplicates (and the shielded label sources degrade
+    under the same plan); either way the engine's output converges
+    bit-for-bit on the batch pipeline over the final canonical chain.
+    ``config`` (``None`` means ``RunConfig()``) carries the run
+    settings: its ``checkpoint``/``resume`` make the follower
+    crash-restartable mid-stream, and its fault profile applies here
+    the same way it does in batch mode.
     """
     from repro.faults.feed import ChainFeed, FaultyFeed
     from repro.stream import StreamEngine
 
-    config = resolve_config(
-        config, warn=False, checkpoint=checkpoint, resume=resume,
-        confirm_depth=None if confirm_depth == 3 else confirm_depth)
-    depth = 3 if config.confirm_depth is None else config.confirm_depth
+    if config is None:
+        config = RunConfig()
     if fault_plan is None:
         fault_plan = _plan_from_config(config, result.node)
     observer, api = result.observer, result.flashbots_api
@@ -143,18 +129,14 @@ def follow_inspector(result: SimulationResult,
     engine = StreamEngine(
         PriceService(result.oracle),
         first_block=result.node.earliest_block_number(),
-        confirm_depth=depth, flashbots_api=api,
+        confirm_depth=config.confirm_depth, flashbots_api=api,
         observer=observer, checkpoint=config.checkpoint,
         resume=config.resume)
     return engine.run(feed)
 
 
 def follow_study(blocks_per_month: int = 60, seed: int = 7,
-                 confirm_depth: int = 3,
                  fault_plan: Optional[FaultPlan] = None,
-                 checkpoint: Union[CheckpointStore, str, Path,
-                                   None] = None,
-                 resume: bool = False,
                  run_config: Optional[RunConfig] = None,
                  **config_overrides) -> Study:
     """Simulate the study window and measure it in follow mode."""
@@ -162,21 +144,12 @@ def follow_study(blocks_per_month: int = 60, seed: int = 7,
                             **config_overrides)
     result = build_paper_scenario(config).run()
     dataset = follow_inspector(result, fault_plan=fault_plan,
-                               confirm_depth=confirm_depth,
-                               checkpoint=checkpoint, resume=resume,
                                config=run_config)
     return Study(result=result, dataset=dataset)
 
 
 def quick_study(blocks_per_month: int = 60, seed: int = 7,
                 fault_plan: Optional[FaultPlan] = None,
-                chunk_size: Optional[int] = None,
-                checkpoint: Union[CheckpointStore, str, Path,
-                                  None] = None,
-                resume: bool = False,
-                workers: int = 1,
-                cache_dir: Union[str, Path, None] = None,
-                cache_key: Optional[str] = None,
                 run_config: Optional[RunConfig] = None,
                 blocks: Optional[int] = None,
                 max_resident_epochs: Optional[int] = None,
@@ -214,9 +187,6 @@ def quick_study(blocks_per_month: int = 60, seed: int = 7,
         if flat_gc is not None:
             flat_gc.uninstall()
     dataset = run_inspector(result, fault_plan=fault_plan,
-                            chunk_size=chunk_size, checkpoint=checkpoint,
-                            resume=resume, workers=workers,
-                            cache_dir=cache_dir, cache_key=cache_key,
                             config=run_config)
     return Study(result=result, dataset=dataset)
 

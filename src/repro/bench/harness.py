@@ -566,8 +566,8 @@ def run_bench(bpm: int = 60, seed: int = 7,
     started = _clock()
     serial_dataset = profiler.run(
         "joins",
-        lambda: run_inspector(result, chunk_size=chunk_size,
-                              workers=1))
+        lambda: run_inspector(
+            result, config=RunConfig(chunk_size=chunk_size)))
     serial_s = _clock() - started
     detection_s = next(s["elapsed_s"] for s in stages
                        if s["stage"] == "detection")
@@ -582,8 +582,8 @@ def run_bench(bpm: int = 60, seed: int = 7,
             elapsed, identical = serial_s, True
         else:
             started = _clock()
-            dataset = run_inspector(result, chunk_size=chunk_size,
-                                    workers=count)
+            dataset = run_inspector(result, config=RunConfig(
+                chunk_size=chunk_size, workers=count))
             elapsed = _clock() - started
             identical = _fingerprint(dataset) == serial_print
             parallel_identical = parallel_identical and identical

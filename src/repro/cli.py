@@ -296,7 +296,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         fault_seed=getattr(args, "fault_seed", 0),
         workers=getattr(args, "workers", 1),
         cache_dir=cache_dir,
-        cache_key=cache_key)
+        cache_key=cache_key,
+        confirm_depth=getattr(args, "confirm_depth", 3))
 
 
 def _study(args: argparse.Namespace) -> Study:
@@ -317,11 +318,9 @@ def _study(args: argparse.Namespace) -> Study:
                   "not --follow", file=sys.stderr)
             raise SystemExit(2)
         print(f"Following the chain head (streaming mode, "
-              f"confirm depth {args.confirm_depth}) …", file=sys.stderr)
+              f"confirm depth {config.confirm_depth}) …", file=sys.stderr)
         return follow_study(blocks_per_month=args.bpm, seed=args.seed,
-                            confirm_depth=args.confirm_depth,
-                            checkpoint=config.checkpoint,
-                            resume=config.resume, run_config=config)
+                            run_config=config)
     if config.workers > 1:
         print(f"Running chunks across {config.workers} workers …",
               file=sys.stderr)

@@ -21,13 +21,7 @@ identical :class:`~repro.reliability.quality.DataQualityReport` —
 ``--workers 4`` buys wall-clock time, never different numbers.
 """
 
-from repro.engine.config import (
-    CACHE_VERSION,
-    RunConfig,
-    config_from_kwargs,
-    ensure_unmixed,
-    resolve_config,
-)
+from repro.engine.config import CACHE_VERSION, RunConfig
 from repro.engine.executors import (
     CachedExecutor,
     ChunkResult,
@@ -61,13 +55,10 @@ __all__ = [
     "SerialExecutor",
     "SupportsRunChunk",
     "chunk_key",
-    "config_from_kwargs",
     "effective_workers",
-    "ensure_unmixed",
     "failed_ranges",
     "make_executor",
     "merge_flash_txs",
     "merge_rows",
-    "resolve_config",
     "sum_chunk_stats",
 ]

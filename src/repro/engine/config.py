@@ -18,25 +18,23 @@ configure an execution surface — ``MevInspector.run``,
     dataset = MevInspector(node, prices, api, observer).run(
         config=config)
 
-The loose keyword arguments on ``MevInspector.run`` remain accepted as
-a thin compatibility layer: :func:`resolve_config` folds them into a
-``RunConfig`` and emits a :class:`DeprecationWarning`.  A config and
-non-default loose kwargs must never be mixed — the run takes exactly
-one source of truth, and :func:`ensure_unmixed` rejects the ambiguity
-with a :class:`ValueError`.
+``config=None`` means ``RunConfig()``.  There is no second spelling:
+the loose keyword arguments these entry points also used to accept
+(deprecated since 1.5.0) are gone, and the names of the helpers that
+resolved them are banned by lint rule R007.
 
 The cache digest lives here too: a :class:`CachedExecutor` artifact is
 only valid for the exact source configuration that produced it, so the
-digest folds in the caller-declared ``cache_key`` (world identity), the
-fault profile/seed, and the retry/breaker parameters.
+digest folds in the caller-declared ``cache_key`` (world identity) and
+the fault plan, retry policy and breaker parameters the archive source
+actually runs under.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -68,18 +66,16 @@ class RunConfig:
     workers: int = 1
     cache_dir: Union[str, Path, None] = None
     cache_key: Optional[str] = field(default=None)
-    #: follow-mode confirmation watermark depth; ``None`` leaves the
-    #: streaming engine's default in force (batch runs ignore it)
-    confirm_depth: Optional[int] = None
+    #: follow-mode confirmation watermark depth (batch runs ignore it)
+    confirm_depth: int = 3
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(
                 f"workers must be >= 1, got {self.workers}")
-        if self.confirm_depth is not None and self.confirm_depth < 0:
+        if self.confirm_depth < 0:
             raise ValueError(
-                f"confirm_depth must be >= 0 or None, got "
-                f"{self.confirm_depth}")
+                f"confirm_depth must be >= 0, got {self.confirm_depth}")
         if self.chunk_size is not None and self.chunk_size < 0:
             raise ValueError(
                 f"chunk_size must be >= 0 or None, got "
@@ -96,70 +92,14 @@ class RunConfig:
         """Digest keying cached chunk artifacts to this configuration.
 
         ``extra`` carries run-time fingerprints the config cannot know
-        statically (the retry policy and breaker parameters actually
-        wrapped around the archive source).
+        statically (the fault plan, retry policy and breaker parameters
+        actually armed on the archive source).
         """
         material: Dict[str, Any] = {
             "cache_version": CACHE_VERSION,
             "cache_key": self.cache_key,
-            "fault_profile": self.fault_profile,
-            "fault_seed": self.fault_seed,
         }
         if extra:
             material.update(extra)
         canonical = json.dumps(material, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def config_from_kwargs(**overrides: Any) -> RunConfig:
-    """A :class:`RunConfig` from the historical loose-kwarg surface."""
-    return RunConfig(**overrides)
-
-
-def ensure_unmixed(config: Optional[RunConfig],
-                   **loose: Any) -> None:
-    """Reject calls that pass both a config and loose kwargs.
-
-    ``loose`` maps kwarg name → value as the caller received it; any
-    non-default value alongside an explicit ``config`` is ambiguous and
-    refused rather than silently ignored.
-    """
-    if config is None:
-        return
-    defaults = {f.name: f.default for f in fields(RunConfig)}
-    clashes = [name for name, value in sorted(loose.items())
-               if value != defaults.get(name)]
-    if clashes:
-        raise ValueError(
-            "pass either a RunConfig or loose keyword arguments, not "
-            f"both (loose values given for: {', '.join(clashes)})")
-
-
-def resolve_config(config: Optional[RunConfig], warn: bool = True,
-                   stacklevel: int = 3, **loose: Any) -> RunConfig:
-    """The single funnel from any call surface to one ``RunConfig``.
-
-    Every execution entry point routes here: an explicit ``config``
-    passes through untouched (after :func:`ensure_unmixed` rejects any
-    clashing loose values); otherwise the loose kwargs build the
-    config.  With ``warn=True`` a non-default loose kwarg draws a
-    :class:`DeprecationWarning` — the loose surface is the historical
-    compat layer, and ``RunConfig`` (see the module docstring) is the
-    canonical construction.  Internal wrappers whose own signatures
-    are the supported convenience surface pass ``warn=False``.
-    """
-    ensure_unmixed(config, **loose)
-    if config is not None:
-        return config
-    if warn:
-        defaults = {f.name: f.default for f in fields(RunConfig)}
-        given = [name for name, value in sorted(loose.items())
-                 if value != defaults.get(name)]
-        if given:
-            warnings.warn(
-                "loose keyword arguments "
-                f"({', '.join(given)}) are deprecated; pass "
-                "config=RunConfig(...) instead (see "
-                "repro.engine.config for the canonical construction)",
-                DeprecationWarning, stacklevel=stacklevel)
-    return RunConfig(**loose)

@@ -90,8 +90,7 @@ def batch_service(node: ArchiveNode, prices: PriceService,
                   ) -> MevQueryService:
     """Run the batch pipeline over ``node`` and serve its dataset."""
     inspector = MevInspector(node, prices, flashbots_api, observer)
-    dataset = inspector.run(
-        config=config if config is not None else RunConfig())
+    dataset = inspector.run(config=config)
     return service_from_dataset(dataset)
 
 
@@ -111,8 +110,8 @@ def stream_service(prices: PriceService, first_block: int,
     """
     if config is None:
         config = RunConfig()
-    depth = 3 if config.confirm_depth is None else config.confirm_depth
-    engine = StreamEngine(prices, first_block, confirm_depth=depth,
+    engine = StreamEngine(prices, first_block,
+                          confirm_depth=config.confirm_depth,
                           flashbots_api=flashbots_api,
                           observer=observer,
                           checkpoint=config.checkpoint,

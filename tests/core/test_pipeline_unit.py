@@ -5,6 +5,7 @@ import pytest
 from repro.core.pipeline import MevInspector
 from repro.core.profit import PriceService
 from repro.chain.types import ether
+from repro.engine import RunConfig
 from repro.flashbots.api import FlashbotsBlocksApi
 
 from tests.core.conftest import ChainHarness
@@ -29,8 +30,10 @@ class TestInspector:
         harness.mine_sandwich()
         harness.mine_sandwich()
         inspector = MevInspector(harness.node, harness.prices)
-        assert len(inspector.run(from_block=2).sandwiches) == 1
-        assert len(inspector.run(to_block=1).sandwiches) == 1
+        assert len(inspector.run(
+            config=RunConfig(from_block=2)).sandwiches) == 1
+        assert len(inspector.run(
+            config=RunConfig(to_block=1)).sandwiches) == 1
         assert len(inspector.run().sandwiches) == 2
 
     def test_flashbots_join_applied(self, harness):

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro import run_inspector
+from repro import RunConfig, run_inspector
 from repro.sim import ScenarioConfig, build_paper_scenario
 
 
@@ -38,4 +38,4 @@ def span(sim_result):
 @pytest.fixture(scope="session")
 def serial_baseline(sim_result):
     """The serial chunked run every executor is compared against."""
-    return run_inspector(sim_result, chunk_size=25, workers=1)
+    return run_inspector(sim_result, config=RunConfig(chunk_size=25))

@@ -114,3 +114,18 @@ class TestPipelineCaching:
         # artifacts: its retry counters prove it actually re-fetched.
         assert faulted.quality.source("archive").retries > 0
         assert clean.quality.source("archive").retries == 0
+
+    def test_faulted_artifacts_never_replay_into_a_clean_run(
+            self, sim_result, span, tmp_path, serial_baseline):
+        """The digest keys the plan armed on the archive source, so a
+        run handed a plan explicitly (the config still says "none")
+        cannot leave artifacts a fault-free run would replay."""
+        from repro.faults import FaultPlan
+        plan = FaultPlan.from_profile("chaos", 1, *span)
+        config = RunConfig(chunk_size=25, cache_dir=tmp_path,
+                           cache_key="w")
+        faulted = run_inspector(sim_result, fault_plan=plan,
+                                config=config)
+        assert faulted.quality.source("archive").retries > 0
+        clean = run_inspector(sim_result, config=config)
+        assert fingerprint(clean) == fingerprint(serial_baseline)

@@ -8,7 +8,7 @@ never different numbers.
 
 import pytest
 
-from repro import run_inspector
+from repro import RunConfig, run_inspector
 from repro.engine import (
     CachedExecutor,
     ParallelExecutor,
@@ -34,8 +34,8 @@ class TestParallelIdentity:
     def test_parallel_matches_serial_bit_for_bit(self, sim_result,
                                                  serial_baseline,
                                                  workers, many_cpus):
-        dataset = run_inspector(sim_result, chunk_size=25,
-                                workers=workers)
+        dataset = run_inspector(sim_result, config=RunConfig(
+            chunk_size=25, workers=workers))
         assert fingerprint(dataset) == fingerprint(serial_baseline)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -43,9 +43,10 @@ class TestParallelIdentity:
                                          workers, many_cpus):
         plan = FaultPlan.from_profile("transient", 3, *span)
         serial = run_inspector(sim_result, fault_plan=plan,
-                               chunk_size=25, workers=1)
+                               config=RunConfig(chunk_size=25))
         dataset = run_inspector(sim_result, fault_plan=plan,
-                                chunk_size=25, workers=workers)
+                                config=RunConfig(chunk_size=25,
+                                                 workers=workers))
         assert fingerprint(dataset) == fingerprint(serial)
         assert dataset.quality.source("archive").retries > 0
 
@@ -53,9 +54,10 @@ class TestParallelIdentity:
                                                many_cpus):
         plan = FaultPlan.from_profile("outage", 2, *span)
         serial = run_inspector(sim_result, fault_plan=plan,
-                               chunk_size=10, workers=1)
+                               config=RunConfig(chunk_size=10))
         parallel = run_inspector(sim_result, fault_plan=plan,
-                                 chunk_size=10, workers=4)
+                                 config=RunConfig(chunk_size=10,
+                                                  workers=4))
         assert fingerprint(parallel) == fingerprint(serial)
         assert parallel.quality.failed_ranges == \
             serial.quality.failed_ranges

@@ -1,14 +1,16 @@
-"""``RunConfig``: one frozen execution contract, no kwarg mixing."""
+"""``RunConfig``: one frozen execution contract, the only run surface."""
 
 import dataclasses
 
 import pytest
 
-from repro import run_inspector
+from repro import (follow_inspector, follow_study, quick_study,
+                   run_inspector)
 from repro.core.pipeline import MevInspector
 from repro.core.profit import PriceService
-from repro.engine import (RunConfig, config_from_kwargs,
-                          ensure_unmixed, resolve_config)
+from repro.engine import RunConfig
+from repro.faults import FaultPlan
+from repro.reliability import shield
 
 from tests.engine.conftest import fingerprint
 
@@ -31,74 +33,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="cache_key"):
             RunConfig(cache_dir="/tmp/cache")
 
-    def test_config_from_kwargs(self):
-        config = config_from_kwargs(chunk_size=10, workers=2)
-        assert config == RunConfig(chunk_size=10, workers=2)
-
     def test_confirm_depth_validated(self):
+        assert RunConfig().confirm_depth == 3
         assert RunConfig(confirm_depth=0).confirm_depth == 0
         with pytest.raises(ValueError, match="confirm_depth"):
             RunConfig(confirm_depth=-1)
-
-
-class TestResolveConfig:
-    def test_config_passes_through_untouched(self):
-        config = RunConfig(chunk_size=10)
-        assert resolve_config(config) is config
-
-    def test_loose_kwargs_warn_and_resolve(self):
-        with pytest.warns(DeprecationWarning, match="chunk_size"):
-            config = resolve_config(None, chunk_size=10, workers=2)
-        assert config == RunConfig(chunk_size=10, workers=2)
-
-    def test_default_loose_values_do_not_warn(self, recwarn):
-        config = resolve_config(None, chunk_size=None, workers=1)
-        assert config == RunConfig()
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_internal_callers_can_silence_the_warning(self, recwarn):
-        config = resolve_config(None, warn=False, chunk_size=10)
-        assert config == RunConfig(chunk_size=10)
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_mixing_still_raises(self):
-        with pytest.raises(ValueError, match="RunConfig"):
-            resolve_config(RunConfig(), chunk_size=10)
-
-    def test_inspector_loose_kwargs_are_deprecated(self, sim_result):
-        inspector = MevInspector(sim_result.node,
-                                 PriceService(sim_result.oracle),
-                                 sim_result.flashbots_api,
-                                 sim_result.observer)
-        with pytest.warns(DeprecationWarning, match="chunk_size"):
-            loose = inspector.run(chunk_size=50)
-        quiet = inspector.run(config=RunConfig(chunk_size=50))
-        assert fingerprint(loose) == fingerprint(quiet)
-
-
-class TestMixing:
-    def test_loose_kwargs_alongside_config_rejected(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            ensure_unmixed(RunConfig(), chunk_size=10)
-
-    def test_default_loose_values_are_fine(self):
-        ensure_unmixed(RunConfig(chunk_size=10), chunk_size=None,
-                       workers=1)
-
-    def test_no_config_accepts_anything(self):
-        ensure_unmixed(None, chunk_size=10, workers=4)
-
-    def test_run_rejects_mixed_call(self, sim_result):
-        from repro.reliability import shield
-        node, observer, api = shield(sim_result.node,
-                                     sim_result.observer,
-                                     sim_result.flashbots_api)
-        inspector = MevInspector(node, PriceService(sim_result.oracle),
-                                 api, observer)
-        with pytest.raises(ValueError, match="RunConfig"):
-            inspector.run(chunk_size=10, config=RunConfig())
 
 
 class TestEquivalence:
@@ -108,12 +47,45 @@ class TestEquivalence:
         dataset = run_inspector(sim_result, config=config)
         assert fingerprint(dataset) == fingerprint(serial_baseline)
 
-    def test_digest_changes_with_fault_seed(self):
-        one = RunConfig(cache_dir="/tmp/c", cache_key="k", fault_seed=1)
-        two = RunConfig(cache_dir="/tmp/c", cache_key="k", fault_seed=2)
-        assert one.artifact_digest() != two.artifact_digest()
+    def test_digest_changes_with_fault_seed(self, sim_result, span,
+                                            tmp_path):
+        """The digest follows the plan armed on the archive source."""
+        config = RunConfig(chunk_size=25, cache_dir=tmp_path,
+                           cache_key="k")
+        for seed in (1, 2):
+            plan = FaultPlan.from_profile("transient", seed, *span)
+            run_inspector(sim_result, fault_plan=plan, config=config)
+        assert len(list(tmp_path.iterdir())) == 2
 
     def test_digest_folds_in_extra_material(self):
         config = RunConfig(cache_dir="/tmp/c", cache_key="k")
         assert config.artifact_digest({"retry": 1}) != \
             config.artifact_digest({"retry": 2})
+
+
+def _inspector_run(sim_result, **loose):
+    node, observer, api = shield(sim_result.node, sim_result.observer,
+                                 sim_result.flashbots_api)
+    return MevInspector(node, PriceService(sim_result.oracle), api,
+                        observer).run(**loose)
+
+
+class TestNoLooseKwargs:
+    """Run settings travel only inside a ``RunConfig``."""
+
+    @pytest.mark.parametrize("loose", [{"chunk_size": 25},
+                                       {"confirm_depth": 5}],
+                             ids=["chunk_size", "confirm_depth"])
+    @pytest.mark.parametrize("entry", [
+        _inspector_run,
+        run_inspector,
+        follow_inspector,
+        lambda sim_result, **loose: follow_study(
+            blocks_per_month=12, **loose),
+        lambda sim_result, **loose: quick_study(
+            blocks_per_month=12, **loose),
+    ], ids=["MevInspector.run", "run_inspector", "follow_inspector",
+            "follow_study", "quick_study"])
+    def test_loose_setting_rejected(self, sim_result, entry, loose):
+        with pytest.raises(TypeError, match=next(iter(loose))):
+            entry(sim_result, **loose)

@@ -18,6 +18,11 @@ REMOVED_SOURCE_CLASSES = (
     "ReliableFlashbotsApi", "ReliableSource", "ArchiveNodeSource",
     "MempoolObserverSource", "FlashbotsApiSource")
 
+#: the loose-kwarg helpers deleted once ``RunConfig`` became the only
+#: run surface
+REMOVED_CONFIG_HELPERS = (
+    "resolve_config", "ensure_unmixed", "config_from_kwargs")
+
 
 def repo_config():
     from repro.lint.config import load_config
@@ -42,7 +47,8 @@ class TestPositive:
             """, module="repro.core.userx", rules=["R007"])
         assert rule_ids(findings) == ["R007"]
 
-    @pytest.mark.parametrize("name", REMOVED_SOURCE_CLASSES)
+    @pytest.mark.parametrize(
+        "name", REMOVED_SOURCE_CLASSES + REMOVED_CONFIG_HELPERS)
     def test_removed_source_classes_flagged(self, name):
         findings = run_lint(
             f"""
@@ -94,6 +100,9 @@ class TestNegative:
 
             def adapt(source):
                 return ArchiveSource(source)
+
+            def run_config(args):
+                return RunConfig(chunk_size=args.chunk_size)
             """, module="repro.reliability.srcx", rules=["R007"],
             config=repo_config())
         assert findings == []

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import follow_inspector, run_inspector
+from repro import RunConfig, follow_inspector, run_inspector
 from repro.chain.block import Block
 from repro.chain.events import FlashLoanEvent, SwapEvent
 from repro.chain.receipt import Receipt
@@ -169,14 +169,16 @@ def _cases():
                 cases.append((
                     f"batch/{profile}/seed{seed}/chunk{size}",
                     lambda r, p=profile, s=seed, c=size: _outcome(
-                        lambda: run_inspector(r, fault_plan=_plan(r, p, s),
-                                              chunk_size=c))))
+                        lambda: run_inspector(
+                        r, fault_plan=_plan(r, p, s),
+                        config=RunConfig(chunk_size=c)))))
             cases.append((
                 f"batch-retry2/{profile}/seed{seed}/chunk25",
                 lambda r, p=profile, s=seed: _outcome(
                     lambda: run_inspector(
-                        r, fault_plan=_plan(r, p, s), chunk_size=25,
-                        retry=RetryPolicy(max_attempts=2, seed=s)))))
+                        r, fault_plan=_plan(r, p, s),
+                        retry=RetryPolicy(max_attempts=2, seed=s),
+                        config=RunConfig(chunk_size=25)))))
     for profile in FOLLOW_PROFILES:
         for seed in (1, 2):
             cases.append((

@@ -74,7 +74,8 @@ def make_inspector(sim_result, node=None):
 
 class TestChunking:
     def test_chunked_run_equals_one_shot_run(self, sim_result, baseline):
-        dataset = run_inspector(sim_result, chunk_size=CHUNK)
+        dataset = run_inspector(sim_result,
+                                config=RunConfig(chunk_size=CHUNK))
         assert dataset.records_equal(baseline)
         assert dataset.quality.chunks_total == 10
         assert dataset.quality.chunks_completed == 10
@@ -82,8 +83,8 @@ class TestChunking:
     def test_checkpointed_run_equals_plain_run(self, sim_result,
                                                baseline, tmp_path):
         store = CheckpointStore(tmp_path / "full.json")
-        dataset = run_inspector(sim_result, chunk_size=CHUNK,
-                                checkpoint=store)
+        dataset = run_inspector(sim_result, config=RunConfig(
+            chunk_size=CHUNK, checkpoint=store))
         assert dataset.records_equal(baseline)
         assert len(store.load()["chunks"]) == 10
 
@@ -122,7 +123,8 @@ class TestCrashResume:
     def test_resume_of_a_finished_run_recomputes_nothing(
             self, sim_result, baseline, tmp_path):
         store = CheckpointStore(tmp_path / "done.json")
-        run_inspector(sim_result, chunk_size=CHUNK, checkpoint=store)
+        run_inspector(sim_result, config=RunConfig(
+            chunk_size=CHUNK, checkpoint=store))
 
         counter = CountingProxy(sim_result.node)
         dataset = make_inspector(sim_result, counter).run(config=RunConfig(
@@ -137,17 +139,19 @@ class TestCrashResume:
         """A checkpoint written for one (range, chunk_size) must never
         silently seed a different run."""
         store = CheckpointStore(tmp_path / "mismatch.json")
-        run_inspector(sim_result, chunk_size=CHUNK, checkpoint=store)
+        run_inspector(sim_result, config=RunConfig(
+            chunk_size=CHUNK, checkpoint=store))
         with pytest.raises(CheckpointError):
-            run_inspector(sim_result, chunk_size=CHUNK // 2,
-                          checkpoint=store, resume=True)
+            run_inspector(sim_result, config=RunConfig(
+                chunk_size=CHUNK // 2, checkpoint=store, resume=True))
 
     def test_without_resume_flag_checkpoint_is_ignored(
             self, sim_result, baseline, tmp_path):
         store = CheckpointStore(tmp_path / "cold.json")
-        run_inspector(sim_result, chunk_size=CHUNK, checkpoint=store)
+        run_inspector(sim_result, config=RunConfig(
+            chunk_size=CHUNK, checkpoint=store))
         # A fresh run (no --resume) recomputes and overwrites cleanly.
-        dataset = run_inspector(sim_result, chunk_size=CHUNK,
-                                checkpoint=store)
+        dataset = run_inspector(sim_result, config=RunConfig(
+            chunk_size=CHUNK, checkpoint=store))
         assert dataset.records_equal(baseline)
         assert not dataset.quality.resumed

@@ -85,6 +85,21 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["run", "--follow", "--blocks", "10"] + BPM)
 
+    def test_follow_with_confirm_depth(self, capsys):
+        from repro.chain.transaction import reset_tx_counter
+        reset_tx_counter()
+        assert main(["run", "--follow"] + BPM) == 0
+        default_depth = capsys.readouterr().out
+        reset_tx_counter()
+        assert main(["run", "--follow", "--confirm-depth", "5"]
+                    + BPM) == 0
+        assert capsys.readouterr().out == default_depth
+
+    def test_follow_with_checkpoint(self, tmp_path):
+        checkpoint = tmp_path / "ck.json"
+        assert main(["run", "--follow", "--checkpoint", str(checkpoint)]
+                    + BPM) == 0
+
     def test_export_round_trips(self, tmp_path, capsys):
         target = tmp_path / "mev.jsonl"
         assert main(["export", str(target)] + BPM) == 0
