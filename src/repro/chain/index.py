@@ -16,16 +16,18 @@ range.  :class:`ChainIndex` turns both into O(result):
   matches: querying a base type returns every subclass's logs, exactly
   as ``isinstance`` filtering did).
 
-**Invalidation contract.**  :class:`Blockchain` only grows, one
-contiguous block at a time, and sealed blocks are immutable — so the
-index never rebuilds.  Every query calls :meth:`refresh`, which folds
+**Invalidation contract.**  :class:`Blockchain` grows one contiguous
+block at a time and sealed blocks are immutable, so appends never
+rebuild the index.  Every query calls :meth:`refresh`, which folds
 only the blocks appended since the last fold; an append therefore
 *invalidates* the index only in the sense that the next query first
-consumes the new tail.  Blocks are folded into the position index
-eagerly on any query, but logs are folded only once a log query
-arrives, so pure block-range readers never pay for postings.
+consumes the new tail.  ``Blockchain.rollback`` discards the index
+instead, and the next query builds a fresh one.  Blocks are folded
+into the position index eagerly on any query, but logs are folded only
+once a log query arrives, so pure block-range readers never pay for
+postings.
 
-The index is built once per :class:`Blockchain` (see
+The index is built lazily per :class:`Blockchain` (see
 ``Blockchain.index``) and shared read-only by every reader — chunks,
 workers (fork-inherited), and joins all bisect the same structure.
 """
@@ -114,34 +116,6 @@ class ChainIndex:
                     ordinal += 1
         self._next_ordinal = ordinal
         self._logs_consumed = len(blocks)
-
-    # Rollback (the reorg seam) -------------------------------------------
-
-    def rollback(self, to_height: int) -> None:
-        """Truncate both tiers to blocks numbered ``<= to_height``.
-
-        The inverse of :meth:`refresh` for a chain that just rolled
-        back: block positions and every event type's postings are cut at
-        the fork point by bisect, and the consumption cursors rewind so
-        the next query folds the replacement tail incrementally.  The
-        global traversal ordinal is *not* rewound — re-appended logs get
-        fresh, larger ordinals, which preserves relative order within
-        the surviving postings and the new tail (only relative order
-        matters to the merge).  Never rebuilds.
-        """
-        cut = bisect_right(self._numbers, to_height)
-        if cut == len(self._numbers):
-            return
-        del self._numbers[cut:]
-        self._blocks_consumed = cut
-        if self._logs_consumed > cut:
-            self._logs_consumed = cut
-            for cls, block_keys in self._log_blocks.items():
-                keep = bisect_right(block_keys, to_height)
-                if keep < len(block_keys):
-                    del block_keys[keep:]
-                    del self._logs[cls][keep:]
-                    del self._log_order[cls][keep:]
 
     # Introspection -------------------------------------------------------
 

@@ -34,9 +34,9 @@ class Blockchain:
     def index(self) -> ChainIndex:
         """The chain's read index (see :mod:`repro.chain.index`).
 
-        Built lazily, exactly once per chain, and shared by every
-        reader; appends are folded in incrementally on the next query,
-        so the index is never stale and never rebuilt.
+        Built lazily and shared by every reader; appends are folded in
+        incrementally on the next query, so the index is never stale.
+        Only a :meth:`rollback` drops it, and the next query rebuilds.
         """
         if self._index is None:
             self._index = ChainIndex(self)
@@ -76,11 +76,11 @@ class Blockchain:
 
         Returns the removed blocks, oldest first, and keeps every
         derived structure consistent: transaction locations for removed
-        blocks are dropped and the read index truncates its position and
-        postings tiers to the fork point (cursor rewind — never a
-        rebuild).  Rolling back to at-or-above the tip is a no-op;
-        rolling back past the first stored block raises, because this
-        store cannot represent an empty-but-started chain.
+        blocks are dropped and the read index is discarded, to be
+        rebuilt by the next query.  Rolling back to at-or-above the tip
+        is a no-op; rolling back past the first stored block raises,
+        because this store cannot represent an empty-but-started chain
+        (for a spilling chain, the first *resident* block).
         """
         if not self.blocks or to_height >= self.blocks[-1].number:
             return []
@@ -94,8 +94,7 @@ class Blockchain:
         for block in removed:
             for tx in block.transactions:
                 self._tx_index.pop(tx.hash, None)
-        if self._index is not None:
-            self._index.rollback(to_height)
+        self._index = None
         return removed
 
     def __len__(self) -> int:

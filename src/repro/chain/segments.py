@@ -564,17 +564,6 @@ class SpillingBlockchain(Blockchain):
                 self._tx_index.pop(tx.hash, None)
         del self.blocks[:offset]
 
-    def rollback(self, to_height: int):
-        """Reorgs deeper than the resident window cannot be represented
-        once blocks have spilled; the stream engine's confirm-depth
-        watermark keeps real reorgs far shallower than an epoch."""
-        if self.blocks and to_height < self.blocks[0].number \
-                and to_height >= 0:
-            raise ValueError(
-                f"cannot roll back to {to_height}: below the resident "
-                f"window (starts at {self.blocks[0].number})")
-        return super().rollback(to_height)
-
     def block_by_number(self, number: int) -> Optional[Block]:
         block = super().block_by_number(number)
         if block is not None:

@@ -44,14 +44,6 @@ def _cycle_of(swaps: List[SwapEvent]) -> Optional[List[SwapEvent]]:
     return swaps
 
 
-def _record_from_receipt(receipt: Receipt, prices: PriceService,
-                         miner: str,
-                         venues: Sequence[str],
-                         ) -> Optional[ArbitrageRecord]:
-    swaps = [log for log in receipt.logs if isinstance(log, SwapEvent)]
-    return _record_from_swaps(receipt, swaps, prices, miner, venues)
-
-
 def _record_from_swaps(receipt: Receipt, swaps: List[SwapEvent],
                        prices: PriceService, miner: str,
                        venues: Container[str],

@@ -45,19 +45,6 @@ def _amounts_match(bought: int, sold: int,
     return abs(bought - sold) * 1_000 <= tolerance_permille * bought
 
 
-def _swaps_by_pool(block: Block,
-                   venues: Sequence[str]) -> Dict[str, List[SwapEvent]]:
-    """Successful swap events in the block, grouped by pool address."""
-    grouped: Dict[str, List[SwapEvent]] = defaultdict(list)
-    for receipt in block.receipts:
-        if not receipt.status:
-            continue
-        for log in receipt.logs:
-            if isinstance(log, SwapEvent) and log.venue in venues:
-                grouped[log.address].append(log)
-    return grouped
-
-
 def _find_in_pool(swaps: List[SwapEvent]) -> List[Tuple[SwapEvent,
                                                         SwapEvent,
                                                         SwapEvent]]:

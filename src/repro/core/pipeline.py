@@ -145,13 +145,16 @@ def _join_flash_loans(dataset: MevDataset, flash_txs: Set[str]) -> None:
 
 def finish_quality(quality: DataQualityReport, chunks: List[BlockRange],
                    state: Dict[str, Any], failed: List[BlockRange],
-                   detection_stats: ChunkStats, node: ArchiveNode,
+                   detection_stats: ChunkStats,
+                   node: Optional[ArchiveNode],
                    flashbots_api: Optional[FlashbotsBlocksApi],
                    observer: Optional[MempoolObserver]) -> None:
     """Finalize the quality ledger for one completed run.
 
     Like :func:`apply_joins`, this is the single implementation both
-    the batch and streaming pipelines finish through.
+    the batch and streaming pipelines finish through.  ``node`` is the
+    archive surface whose retry counters land in the ``archive`` entry;
+    the stream engine reads no archive and passes ``None``.
     """
     first, last = quality.from_block, quality.to_block
     total_blocks = last - first + 1

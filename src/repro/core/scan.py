@@ -15,6 +15,8 @@ liquidating transaction's receipt — is already in the view's block.
 A scanned range therefore costs one archive op, the ranged
 ``iter_blocks(lo, hi)`` that :func:`read_views` issues, and extra
 detection definitions plug in as further visitors at no read cost.
+:func:`scan_block` runs the same visitors over a block already in hand
+(the stream engine's) and costs no archive op at all.
 
 :func:`read_views` is also the one read-path policy: on an indexed
 in-memory ``ArchiveNode`` (possibly wrapped by sources exposing
@@ -43,7 +45,7 @@ from repro.core.datasets import MevDataset
 from repro.core.profit import PriceService
 
 __all__ = ["BlockScan", "BlockView", "BlockVisitor", "read_index",
-           "read_views", "scan_range", "views_from_index"]
+           "read_views", "scan_block", "scan_range", "views_from_index"]
 
 # Log classification, memoized per concrete event class: the bucketing
 # below is the scan's innermost loop, and one dict probe beats a chain
@@ -250,15 +252,14 @@ class BlockScan:
                 visitor.visit(view)
 
 
-def scan_range(node: Any, prices: PriceService,
-               from_block: Optional[int] = None,
-               to_block: Optional[int] = None,
-               ) -> Tuple[MevDataset, Set[Hash32]]:
-    """All four heuristics over a block range in one pass.
+def _detect(views: Iterable[BlockView], prices: PriceService,
+            ) -> Tuple[MevDataset, Set[Hash32]]:
+    """All four heuristics over ascending block views in one pass.
 
     Returns the partial dataset (sandwiches, arbitrages, liquidations —
-    no joins applied) and the flash-loan transaction hashes.  The only
-    archive traffic is the one ranged block read of :func:`read_views`.
+    no joins applied) and the flash-loan transaction hashes.  The one
+    visitor set and finalize step behind both :func:`scan_range` and
+    :func:`scan_block`, so batch and stream detection cannot drift.
     """
     # Imported here, not at module top: the heuristics import this
     # module for BlockView/BlockScan, so the one-stop helper reaches
@@ -272,11 +273,29 @@ def scan_range(node: Any, prices: PriceService,
     arbitrage = ArbitrageVisitor(prices)
     liquidation = LiquidationVisitor(prices)
     flash = FlashLoanVisitor()
-    BlockScan([sandwich, arbitrage, liquidation, flash]).scan_views(
-        read_views(node, from_block, to_block))
+    BlockScan([sandwich, arbitrage, liquidation, flash]).scan_views(views)
     dataset = MevDataset(
         sandwiches=sandwich.finalize(),
         arbitrages=arbitrage.finalize(),
         liquidations=liquidation.finalize(),
     )
     return dataset, flash.finalize()
+
+
+def scan_range(node: Any, prices: PriceService,
+               from_block: Optional[int] = None,
+               to_block: Optional[int] = None,
+               ) -> Tuple[MevDataset, Set[Hash32]]:
+    """All four heuristics over a block range of ``node`` in one pass.
+
+    The only archive traffic is the one ranged block read of
+    :func:`read_views`.
+    """
+    return _detect(read_views(node, from_block, to_block), prices)
+
+
+def scan_block(block: Block, prices: PriceService,
+               ) -> Tuple[MevDataset, Set[Hash32]]:
+    """All four heuristics over one block already in hand, with no
+    archive read (the stream engine's per-announcement path)."""
+    return _detect((BlockView.of(block),), prices)

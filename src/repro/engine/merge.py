@@ -26,6 +26,12 @@ def chunk_key(chunk: BlockRange) -> str:
     return f"{chunk[0]}-{chunk[1]}"
 
 
+def chunk_payload(partial: Any, flash_txs: Iterable[str]) -> Dict[str, Any]:
+    """One chunk's checkpointable detection artifact, the shape
+    :func:`merge_rows` and :func:`merge_flash_txs` read back."""
+    return {"rows": partial.to_rows(), "flash_txs": sorted(flash_txs)}
+
+
 def merge_rows(dataset: Any, chunks: Iterable[BlockRange],
                state: Dict[str, Any]) -> Any:
     """Append every completed chunk's rows to ``dataset``, block order."""

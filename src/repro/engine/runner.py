@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Tuple
 
 from repro.engine.executors import ChunkResult, ChunkStats
+from repro.engine.merge import chunk_payload
 from repro.faults.errors import DataSourceError
 from repro.reliability.retry import RetryExhaustedError
 from repro.reliability.sources import fresh_source
@@ -80,9 +81,8 @@ class ChunkRunner:
         except CHUNK_FAILURES:
             return ChunkResult(chunk=chunk, payload=None,
                                stats=self._stats_of(node))
-        payload = {"rows": partial.to_rows(),
-                   "flash_txs": sorted(flash_txs)}
-        return ChunkResult(chunk=chunk, payload=payload,
+        return ChunkResult(chunk=chunk,
+                           payload=chunk_payload(partial, flash_txs),
                            stats=self._stats_of(node))
 
     @staticmethod

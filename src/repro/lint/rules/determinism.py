@@ -15,7 +15,7 @@ contract breaks silently.  This rule flags, across the whole package:
   it is bound to (``r = random.Random(); r.random()``) is exactly as
   nondeterministic as the module-level RNG;
 * wall-clock and OS entropy: ``time.time``/``time.time_ns``,
-  ``datetime.now``/``utcnow``/``today``, ``os.urandom``,
+  ``datetime.now``/``utcnow``/``today``, ``os.urandom``, ``os.getenv``,
   ``uuid.uuid1``/``uuid4``, ``random.SystemRandom``, ``secrets.*``;
 * iteration over a ``set`` expression (``for x in {…}``, ``for x in
   set(…)``, comprehensions over either) — set order varies with hash
@@ -29,17 +29,8 @@ from typing import Iterator, List, Set
 
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
+from repro.lint.flow.summary import NONDET_ATTRS
 from repro.lint.registry import Rule, register
-
-#: ``module.attr`` call targets that read ambient entropy or wall-clock.
-_FORBIDDEN_ATTRS = {
-    ("time", "time"), ("time", "time_ns"), ("time", "monotonic"),
-    ("time", "perf_counter"),
-    ("datetime", "now"), ("datetime", "utcnow"), ("datetime", "today"),
-    ("os", "urandom"),
-    ("uuid", "uuid1"), ("uuid", "uuid4"),
-    ("random", "SystemRandom"),
-}
 
 #: ``random`` module attributes that are fine to touch directly.
 _ALLOWED_RANDOM_ATTRS = {"Random"}
@@ -137,7 +128,7 @@ class _Visitor(ast.NodeVisitor):
             elif base in self.secrets_aliases:
                 self._emit(node, f"'secrets.{attr}' draws OS entropy; "
                                  "use an injected seeded random.Random")
-            elif (base, attr) in _FORBIDDEN_ATTRS:
+            elif (base, attr) in NONDET_ATTRS:
                 self._emit(node,
                            f"'{base}.{attr}' is nondeterministic "
                            "(wall-clock/OS entropy); derive values "

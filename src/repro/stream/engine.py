@@ -21,15 +21,16 @@ construction, not by luck — to everything a real feed does:
   ``(height, hash)`` still matches, reproducing the uninterrupted run's
   rows bit-for-bit.
 
-Detection itself is *not* reimplemented: every appended block runs
-through the batch pipeline's own :class:`~repro.engine.runner.ChunkRunner`
-as a single-block chunk, and :meth:`StreamEngine.finalize` assembles the
-dataset with the batch pipeline's own merge/join/quality functions over
-per-height chunks.  Convergence with
-``MevInspector.run(config=RunConfig(chunk_size=1))`` over the final
-canonical chain is therefore structural: both paths
-execute the same code over the same blocks — the stream just found out
-about them the hard way.
+Detection itself is *not* reimplemented: every appended block is
+scanned where it stands by :func:`~repro.core.scan.scan_block`, which
+runs the batch scan's own visitors and finalize step, and its payload
+has the batch chunk shape (:func:`~repro.engine.merge.chunk_payload`).
+:meth:`StreamEngine.finalize` assembles the dataset with the batch
+pipeline's own merge/join/quality functions over per-height chunks.
+Convergence with ``MevInspector.run(config=RunConfig(chunk_size=1))``
+over the final canonical chain is therefore structural: both paths
+execute the same detection code over the same blocks — the stream just
+found out about them the hard way.
 """
 
 from __future__ import annotations
@@ -39,19 +40,20 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.chain.block import Block
-from repro.chain.node import ArchiveNode, Blockchain
+from repro.chain.node import Blockchain
 from repro.chain.p2p import MempoolObserver
 from repro.chain.types import Hash32
 from repro.core.datasets import MevDataset
 from repro.core.pipeline import apply_joins, finish_quality
 from repro.core.profit import PriceService
+from repro.core.scan import scan_block
 from repro.engine.merge import (
     chunk_key,
+    chunk_payload,
     merge_flash_txs,
     merge_rows,
     sum_chunk_stats,
 )
-from repro.engine.runner import ChunkRunner
 from repro.faults.feed import FeedEvent
 from repro.flashbots.api import FlashbotsBlocksApi
 from repro.reliability.checkpoint import CheckpointError, CheckpointStore
@@ -172,12 +174,13 @@ class StreamEngine:
 
     The engine owns a private *follower* :class:`Blockchain` — its view
     of the canonical chain, grown one validated announcement at a time
-    and rolled back across reorgs — plus one detection payload per
-    appended height, computed by the batch pipeline's
-    :class:`ChunkRunner` as the single-block chunk ``(h, h)`` the moment
-    the block lands.  Heights at-or-below ``head - confirm_depth`` are
-    *confirmed*: their payloads are immutable (a reorg reaching them is
-    a :class:`StreamDivergenceError`) and checkpointed.
+    and rolled back across reorgs; it is never indexed, only kept for
+    contiguity and parent-hash checks — plus one detection payload per
+    appended height, computed by :func:`~repro.core.scan.scan_block`
+    over the block in hand the moment it lands.  Heights at-or-below
+    ``head - confirm_depth`` are *confirmed*: their payloads are
+    immutable (a reorg reaching them is a
+    :class:`StreamDivergenceError`) and checkpointed.
     """
 
     def __init__(self, prices: PriceService, first_block: int,
@@ -196,8 +199,6 @@ class StreamEngine:
         self.observer = observer
         self.report = StreamReport()
         self.follower = Blockchain()
-        self.node = ArchiveNode(self.follower, indexed=True)
-        self._runner = ChunkRunner(node=self.node, prices=self.prices)
         #: per appended height: the block's detection payload + hash
         self._payloads: Dict[int, Dict[str, Any]] = {}
         self._hashes: Dict[int, Hash32] = {}
@@ -294,7 +295,7 @@ class StreamEngine:
         else:
             self._append(block)
         self._drain_future()
-        self._advance_watermark()
+        self._advance_watermark(self.confirm_depth)
         self._save()
 
     def _append(self, block: Block) -> None:
@@ -306,11 +307,7 @@ class StreamEngine:
             payload = saved["payload"]
             self.report.payloads_reused += 1
         else:
-            result = self._runner.run_chunk((number, number))
-            payload = result.payload
-            if payload is None:  # pragma: no cover - bare node never fails
-                raise StreamDivergenceError(
-                    f"detection failed for streamed block {number}")
+            payload = chunk_payload(*scan_block(block, self.prices))
         self._payloads[number] = payload
         self._hashes[number] = block.hash
         for subscriber in self._subscribers:
@@ -348,9 +345,6 @@ class StreamEngine:
             # follower over (the chain store cannot hold zero blocks
             # once started).
             self.follower = Blockchain()
-            self.node = ArchiveNode(self.follower, indexed=True)
-            self._runner = ChunkRunner(node=self.node,
-                                       prices=self.prices)
         else:
             self.follower.rollback(number - 1)
         self._append(block)
@@ -372,11 +366,12 @@ class StreamEngine:
             self._append(self._future.pop(head + 1))
             head = self.follower.height
 
-    def _advance_watermark(self) -> None:
+    def _advance_watermark(self, depth: int) -> None:
+        """Confirm every height at-or-below ``head - depth``."""
         head = self.follower.height
         if head is None:
             return
-        target = head - self.confirm_depth
+        target = head - depth
         advanced = self._watermark < target
         while self._watermark < target:
             self._watermark += 1
@@ -412,14 +407,7 @@ class StreamEngine:
             for subscriber in self._subscribers:
                 subscriber.stream_finalized(dataset)
             return dataset
-        advanced = self._watermark < head
-        while self._watermark < head:
-            self._watermark += 1
-            self.report.confirmed += 1
-            self.report.confirmation_lags.append(head - self._watermark)
-        if advanced:
-            for subscriber in self._subscribers:
-                subscriber.watermark_advanced(self._watermark)
+        self._advance_watermark(0)
         self._save()
         first = self.follower.blocks[0].number
         chunks = [(height, height) for height in range(first, head + 1)]
@@ -435,7 +423,7 @@ class StreamEngine:
         apply_joins(dataset, merge_flash_txs(chunks, state), quality,
                     self.flashbots_api, self.observer)
         finish_quality(quality, chunks, state, [],
-                       sum_chunk_stats(chunks, {}), self.node,
+                       sum_chunk_stats(chunks, {}), None,
                        self.flashbots_api, self.observer)
         dataset.quality = quality
         for subscriber in self._subscribers:

@@ -116,16 +116,22 @@ class TestRollback:
         assert chain.locate_transaction(kept) is not None
         assert chain.locate_transaction(dropped) is None
 
-    def test_rollback_truncates_index_cursors(self):
+    def test_rollback_then_reappend_queries_current_chain(self):
         chain = chain_of([TransferEvent(POOL, amount=1)], [],
                          [TransferEvent(POOL, amount=2)])
         node = ArchiveNode(chain)
-        node.get_logs(TransferEvent)  # index everything
-        assert chain.index.logs_indexed_through == 3
-        chain.rollback(1)
-        assert chain.index.blocks_indexed == 1
-        assert chain.index.logs_indexed_through == 1
-        assert len(node.get_logs(TransferEvent)) == 1
+        assert [log.amount for log in node.get_logs(TransferEvent)] \
+            == [1, 2]  # index built over all three blocks
+        removed = chain.rollback(1)
+        assert [log.amount for log in node.get_logs(TransferEvent)] \
+            == [1]
+        assert node.get_logs(TransferEvent, 2, 3) == []
+        for block in removed:
+            chain.append(block)
+        assert [log.amount for log in node.get_logs(TransferEvent)] \
+            == [1, 2]
+        assert [log.block_number
+                for log in node.get_logs(TransferEvent, 2, 3)] == [3]
 
 
 class TestRollbackReplayEquivalence:

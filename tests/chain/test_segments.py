@@ -284,7 +284,7 @@ class TestSpillingBlockchain:
     def test_rollback_below_resident_window_raises(self, tmp_path):
         _, spilling = self.spilled_pair(tmp_path)
         resident_start = spilling.blocks[0].number
-        with pytest.raises(ValueError, match="resident window"):
+        with pytest.raises(ValueError, match="chain starts at"):
             spilling.rollback(resident_start - 2)
         # Shallow rollbacks inside the window still work.
         spilling.rollback(13)

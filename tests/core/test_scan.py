@@ -6,6 +6,8 @@ on surgical harness chains and on a full simulated study window alike,
 over every read path (indexed, linear, segment-backed).
 """
 
+import pytest
+
 from repro.chain.events import (
     AuctionSettledEvent,
     FlashLoanEvent,
@@ -24,9 +26,11 @@ from repro.core.profit import PriceService
 from repro.core.scan import (
     BlockScan,
     BlockView,
+    scan_block,
     scan_range,
     views_from_index,
 )
+from repro.engine.merge import chunk_payload
 from repro.sim import ScenarioConfig, build_paper_scenario
 
 from tests.chain.test_index import chain_of, make_block, make_receipt
@@ -212,3 +216,31 @@ class TestScanRangeEquivalence:
             other = self.assert_equivalent(node, prices, first, last)
             assert dataset.records_equal(other)
         assert dataset.all_records()  # the window actually has MEV
+
+
+@pytest.fixture(scope="module")
+def default_world():
+    from repro.chain.transaction import reset_tx_counter
+    reset_tx_counter()
+    return build_paper_scenario(
+        ScenarioConfig(blocks_per_month=20, seed=7)).run()
+
+
+class TestScanBlock:
+    """``scan_block`` over a block in hand is ``scan_range`` over that
+    block's one-block range: the stream detects exactly as batch does."""
+
+    @pytest.mark.parametrize("indexed", [True, False],
+                             ids=["indexed", "linear"])
+    def test_matches_one_block_scan_range(self, default_world, indexed):
+        prices = PriceService(default_world.oracle)
+        node = ArchiveNode(default_world.blockchain, indexed=indexed)
+        rows = flash_txs = 0
+        for block in default_world.blockchain.blocks:
+            number = block.number
+            payload = chunk_payload(*scan_block(block, prices))
+            assert payload == chunk_payload(
+                *scan_range(node, prices, number, number))
+            rows += len(payload["rows"])
+            flash_txs += len(payload["flash_txs"])
+        assert rows and flash_txs  # the window actually has MEV

@@ -52,6 +52,16 @@ class TestPositive:
             """, module="repro.flashbots.salt", rules=["R002"])
         assert rule_ids(findings) == ["R002"]
 
+    def test_os_getenv_flagged(self):
+        findings = run_lint(
+            """
+            import os
+
+            def seed() -> str:
+                return os.getenv("SEED", "0")
+            """, module="repro.sim.seed", rules=["R002"])
+        assert rule_ids(findings) == ["R002"]
+
     def test_set_iteration_flagged(self):
         findings = run_lint(
             """

@@ -8,6 +8,7 @@ to ``MevInspector.run(chunk_size=1)`` over the final canonical chain.
 
 import pytest
 
+from repro.chain.node import ArchiveNode
 from repro.faults import FaultPlan
 from repro.faults.feed import ChainFeed, FaultyFeed
 from repro.stream import StreamDivergenceError, StreamEngine
@@ -42,6 +43,22 @@ class TestConvergence:
         assert report.out_of_order > 0
         assert report.retracted_blocks > 0
         assert len(report.ledger) == report.retracted_blocks
+
+    def test_stream_detects_without_archive_reads(self, sim_result,
+                                                  prices, span,
+                                                  batch_baseline,
+                                                  monkeypatch):
+        """Each announced block is scanned in hand: a reorg-heavy
+        follow that can never read an archive node still converges."""
+        def no_archive(self, *args, **kwargs):
+            raise RuntimeError("the stream engine read an archive node")
+
+        monkeypatch.setattr(ArchiveNode, "iter_blocks", no_archive)
+        plan = FaultPlan.from_profile("reorg", CHAOS_SEED, *span)
+        engine = make_engine(sim_result, prices, span)
+        dataset = engine.run(FaultyFeed(sim_result.blockchain, plan))
+        assert fingerprint(dataset) == fingerprint(batch_baseline)
+        assert engine.report.reorgs > 0
 
     def test_clean_feed_matches_batch(self, sim_result, prices, span,
                                       batch_baseline):
