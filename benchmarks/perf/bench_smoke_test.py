@@ -10,8 +10,8 @@ import json
 from repro.bench import BENCH_VERSION, render_report, run_bench, \
     write_report
 
-EXPECTED_STAGES = {"simulate", "detection", "detection_indexed",
-                   "detection_linear", "joins", "stream"}
+EXPECTED_STAGES = {"simulate", "detection_indexed", "detection_linear",
+                   "stream"}
 
 
 class TestBenchSmoke:
@@ -22,7 +22,7 @@ class TestBenchSmoke:
         assert report["parallel_identical"] is True
         assert report["indexed_matches_linear"] is True
         assert report["machine"]["cpu_count"] >= 1
-        assert report["world_cache"] is None  # no cache configured
+        assert "world_cache" not in report  # deleted in v9
 
         scenario = report["scenario"]
         assert scenario["quick"] is True
@@ -48,20 +48,5 @@ class TestBenchSmoke:
         assert json.loads(out.read_text(encoding="utf-8")) == report
 
         summary = render_report(report)
-        assert "parallel identical to serial: yes" in summary
-        assert "indexed reads identical to linear: yes" in summary
-
-    def test_world_cache_round_trip(self, tmp_path):
-        cache = tmp_path / "worlds"
-        cold = run_bench(quick=True, workers=(1,), world_cache=cache)
-        assert cold["world_cache"]["hit"] is False
-        warm = run_bench(quick=True, workers=(1,), world_cache=cache)
-        assert warm["world_cache"]["hit"] is True
-        assert warm["world_cache"]["digest"] == \
-            cold["world_cache"]["digest"]
-        # A replayed world benchmarks the same workload and passes the
-        # same identity gates.
-        assert warm["scenario"] == cold["scenario"]
-        assert warm["parallel_identical"] is True
-        assert warm["indexed_matches_linear"] is True
-        assert "world cache: hit" in render_report(warm)
+        assert "parallel_identical: yes" in summary
+        assert "indexed_matches_linear: yes" in summary

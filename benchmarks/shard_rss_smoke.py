@@ -43,18 +43,14 @@ from repro.chain.transaction import reset_tx_counter
 from repro.sim import (
     ScenarioConfig,
     build_paper_scenario,
-    plan_epochs,
-    resimulate_epochs,
+    resimulate_and_splice,
 )
+from repro.sim.shard import block_sequence
 from repro.sim.world import activity_saturation_month
 
 #: Minimum fraction of the first saturated epoch's throughput every
 #: later epoch must hold (same margin as the bench ``scale_flat`` gate).
 FLATNESS = 0.8
-
-
-def sequence_of(blocks):
-    return [(block.hash, tuple(block.tx_hashes)) for block in blocks]
 
 
 def rss_mb():
@@ -178,18 +174,15 @@ def main(argv=None):
               f"linkage verified")
 
         # Sampled-prefix shard identity against the spilled reference.
-        plan = plan_epochs(config)[:prefix]
         resumed = time.time()
-        results = resimulate_epochs(config, seals, chunks=plan,
-                                    workers=args.workers)
-        for result in results:
-            lo, hi = result.chunk
-            stored = sequence_of(chain.iter_range(lo, hi))
-            assert sequence_of(result.blocks) == stored, \
-                f"epoch {result.epoch_index} diverged from the " \
-                f"spilled reference"
-        print(f"shard identity ok: {prefix} epoch(s) re-simulated "
-              f"from seals across {args.workers} worker(s) in "
+        spliced, info = resimulate_and_splice(
+            config, seals, workers=args.workers, prefix_epochs=prefix)
+        sharded = block_sequence(spliced.blockchain.blocks)
+        stored = block_sequence(chain.iter_range(1, len(sharded)))
+        assert sharded == stored, \
+            f"{info['scope']} diverged from the spilled reference"
+        print(f"shard identity ok: {info['scope']} re-simulated from "
+              f"seals across {info['workers_effective']} worker(s) in "
               f"{time.time() - resumed:.1f}s, bit-identical")
 
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

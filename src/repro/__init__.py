@@ -39,8 +39,7 @@ from repro.sim import ScenarioConfig, SimulationResult, World, \
 
 #: the single source of the package version — ``pyproject.toml``
 #: derives its ``[project] version`` from this attribute (dynamic
-#: metadata), and the world cache folds it into its digests, so
-#: bumping it here is the whole release step.
+#: metadata), so bumping it here is the whole release step.
 __version__ = "1.6.0"
 
 

@@ -9,23 +9,17 @@ bit) on every benchmark run.
 from repro.bench.harness import (
     BENCH_VERSION,
     DEFAULT_WORKERS,
-    WORLD_CACHE_FORMAT,
-    load_world,
+    GATES,
     render_report,
     run_bench,
-    store_world,
-    world_digest,
     write_report,
 )
 
 __all__ = [
     "BENCH_VERSION",
     "DEFAULT_WORKERS",
-    "WORLD_CACHE_FORMAT",
-    "load_world",
+    "GATES",
     "render_report",
     "run_bench",
-    "store_world",
-    "world_digest",
     "write_report",
 ]

@@ -2,9 +2,8 @@
 
 The harness builds one simulated study window, then times the layers
 the paper's crawl spends its time in — the world simulation itself
-(the ``simulate`` stage), detection heuristics (through the pipeline's
-chunk runner, and again as bare indexed vs. linear archive reads), the
-labelling joins, and the end-to-end pipeline — reporting each as
+(the ``simulate`` stage), detection heuristics as bare indexed vs.
+linear archive reads, and the end-to-end pipeline — reporting each as
 blocks/second.  The end-to-end stage runs at several
 worker counts and *verifies* (not just assumes) that every parallel
 run is bit-identical to the serial one before reporting a speedup; the
@@ -14,19 +13,13 @@ world is rebuilt on the naive reference paths
 (``build_paper_scenario(..., fast_paths=False)`` — full mempool
 re-sorts, no scan memoization) and the complete block-hash and
 transaction-hash sequence must match the optimized run before the
-``simulate`` number is trusted (``sim_identical``).
+``simulate`` number is trusted (``sim_identical``).  Every identity
+gate is listed once, in :data:`GATES`.
 
 Passing ``profile=True`` wraps each stage in :mod:`cProfile` and
 attaches top-25 cumulative-time tables under ``report["profile"]``.
 Profiling inflates wall times severalfold, so a profiled report is for
 reading *where* time goes, never for comparing *how much*.
-
-Because the simulated world dwarfs everything else (~98% of a quick
-run is ``build_paper_scenario``), the harness can snapshot it: pass
-``world_cache`` and the :class:`SimulationResult` is pickled under a
-scenario digest, then replayed on later runs after a content
-fingerprint check — a stale or corrupt snapshot silently falls back to
-a fresh simulation, never into wrong numbers.
 
 Wall-clock measurement is the one legitimate use of ambient time in
 this codebase: the numbers describe the machine, never the simulated
@@ -39,15 +32,11 @@ two runs on the same machine benchmark the same work.
 from __future__ import annotations
 
 import cProfile
-import dataclasses
-import hashlib
 import io
 import json
 import os
-import pickle
 import platform
 import pstats
-import sys
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, \
@@ -59,14 +48,13 @@ from repro.chain.transaction import reset_tx_counter
 from repro.core.datasets import MevDataset
 from repro.core.pipeline import MevInspector, plan_chunks
 from repro.core.profit import PriceService
-from repro.engine import ChunkRunner, RunConfig, SerialExecutor, \
-    effective_workers
+from repro.engine import RunConfig, effective_workers
 from repro.faults.feed import FaultyFeed
 from repro.faults.plan import FaultPlan
-from repro.reliability import shield
 from repro.stream import StreamEngine
 from repro.sim import ScenarioConfig, SimulationResult, \
     build_paper_scenario
+from repro.sim.shard import block_sequence
 
 #: Schema version of BENCH_pipeline.json.  Version 2 added the
 #: ``detection_indexed`` / ``detection_linear`` stages, per-entry
@@ -101,8 +89,33 @@ from repro.sim import ScenarioConfig, SimulationResult, \
 #: (earlier epochs still ride the traffic ramp, so they are not
 #: comparable baselines); ``null`` when fewer than two saturated
 #: epochs exist.  With ``--profile``, the shard seal pass now emits
-#: one ``shard_epoch[N]`` top-25 table per epoch.
-BENCH_VERSION = 8
+#: one ``shard_epoch[N]`` top-25 table per epoch.  Version 9 only
+#: removed keys: the ``detection`` and ``joins`` stage rows (the serial
+#: ``run_inspector`` pass is timed directly as
+#: ``end_to_end[workers=1]``), the world-snapshot cache with its
+#: ``world_cache`` block, and the ``simulate`` stage's ``fresh`` flag.
+BENCH_VERSION = 9
+
+#: The identity gates, in report order: ``(report key, failure
+#: message)``.  A gate that is ``False`` fails ``repro bench``; ``None``
+#: means its stage did not run.  ``shard.scale_flat`` is advisory and
+#: deliberately not listed.
+GATES: Tuple[Tuple[str, str], ...] = (
+    ("sim_identical",
+     "optimized simulation diverged from the reference paths"),
+    ("parallel_identical", "parallel run diverged from serial run"),
+    ("indexed_matches_linear",
+     "indexed read path diverged from linear scan"),
+    ("stream_identical",
+     "streamed dataset diverged from the batch pipeline over the "
+     "canonical chain"),
+    ("serve_identical",
+     "stream-built store served responses that diverged from the "
+     "batch-built store"),
+    ("shard_identical",
+     "sharded epoch splice diverged from the serial block/tx hash "
+     "sequence"),
+)
 
 #: ``scale_flat`` passes when the last epoch's seal-pass throughput is
 #: at least this fraction of the first saturated epoch's — the
@@ -156,21 +169,6 @@ class _StageProfiler:
             self.tables[label] = stream.getvalue()
 
 
-def _block_sequence(result: SimulationResult,
-                    ) -> List[Tuple[str, Tuple[str, ...]]]:
-    """The identity of a simulated world for the fast-vs-reference
-    gate: every block hash plus every included transaction hash, in
-    order.  The block hash pins header fields (number, miner,
-    timestamp, tx count); the tx-hash tuple pins exact inclusion and
-    ordering, and each tx hash commits to the process-wide uid counter,
-    so two runs can only match if they agreed on every transaction ever
-    *created* — every RNG draw, every searcher decision — not merely
-    the ones that landed."""
-    return [(block.hash,
-             tuple(tx.hash for tx in block.transactions))
-            for block in result.blockchain.blocks]
-
-
 def _timed(label: str, blocks: int, elapsed_s: float,
            workers_requested: int = 1) -> Dict[str, Any]:
     """One stage row.  Every stage reports both the worker count it
@@ -187,130 +185,20 @@ def _timed(label: str, blocks: int, elapsed_s: float,
     }
 
 
-# -- world-snapshot cache --------------------------------------------------
+def _simulate(config: ScenarioConfig, profiler: _StageProfiler,
+              ) -> Tuple[SimulationResult, float]:
+    """The world to benchmark and its simulation wall time.
 
-#: On-disk layout version of world snapshots.  Format 2 added the
-#: marker itself; snapshots without one were written by repro ≤ 1.5.0
-#: (the monolithic pre-segment layout) and are rejected with a clear
-#: message instead of a pickle/shape error.
-WORLD_CACHE_FORMAT = 2
-
-
-def world_digest(config: ScenarioConfig) -> str:
-    """Cache key for one scenario: every config field plus the package
-    version, so a calibration change or a release invalidates cleanly."""
-    from repro import __version__  # lazy: repro imports the engine
-
-    payload = json.dumps(dataclasses.asdict(config), sort_keys=True,
-                         default=repr)
-    digest = hashlib.sha256(
-        f"{__version__}:{payload}".encode("utf-8"))
-    return digest.hexdigest()[:16]
-
-
-def _world_fingerprint(result: SimulationResult) -> str:
-    """Content fingerprint of a simulated world: block numbers, header
-    hashes, and transaction counts.  Cheap to recompute on load, and
-    any truncated/bit-rotted snapshot that still unpickles will not
-    match it."""
-    digest = hashlib.sha256()
-    for block in result.blockchain.blocks:
-        digest.update(f"{block.number}:{block.hash}:"
-                      f"{len(block.transactions)};".encode("utf-8"))
-    return digest.hexdigest()
-
-
-def _world_path(cache_dir: Union[str, Path],
-                config: ScenarioConfig) -> Path:
-    return Path(cache_dir) / f"world-{world_digest(config)}.pkl"
-
-
-def store_world(cache_dir: Union[str, Path], config: ScenarioConfig,
-                result: SimulationResult) -> Path:
-    """Snapshot one simulated world under its scenario digest."""
-    path = _world_path(cache_dir, config)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    document = {"format": WORLD_CACHE_FORMAT,
-                "fingerprint": _world_fingerprint(result),
-                "result": result}
-    tmp_path = path.with_name(path.name + ".tmp")
-    with open(tmp_path, "wb") as stream:
-        pickle.dump(document, stream, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp_path, path)
-    return path
-
-
-def load_world(cache_dir: Union[str, Path],
-               config: ScenarioConfig) -> Optional[SimulationResult]:
-    """Replay a snapshotted world, or ``None`` for any kind of miss.
-
-    A missing file, an unreadable/unpicklable snapshot, a snapshot of
-    the wrong shape, and a fingerprint mismatch all count the same:
-    the caller re-simulates.  The cache can only save time, never
-    change what gets benchmarked.
+    Resets the process-wide transaction-uid counter first, so the timed
+    run produces the same world whether or not other scenarios were
+    built earlier in the process — and so the reference replay in
+    :func:`run_bench` compares like with like.
     """
-    path = _world_path(cache_dir, config)
-    try:
-        with open(path, "rb") as stream:
-            document = pickle.load(stream)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError):
-        return None
-    if not isinstance(document, dict):
-        return None
-    if "format" not in document:
-        print(f"world cache {path} has no format marker — it was "
-              f"written by an older repro (<= 1.5.0 monolithic "
-              f"layout); re-simulating", file=sys.stderr)
-        return None
-    if document["format"] != WORLD_CACHE_FORMAT:
-        print(f"world cache {path} is format {document['format']!r}; "
-              f"this repro reads format {WORLD_CACHE_FORMAT} — "
-              f"re-simulating", file=sys.stderr)
-        return None
-    result = document.get("result")
-    if not isinstance(result, SimulationResult):
-        return None
-    if document.get("fingerprint") != _world_fingerprint(result):
-        return None
-    return result
-
-
-# -- benchmark -------------------------------------------------------------
-
-
-def _simulate(config: ScenarioConfig,
-              world_cache: Union[str, Path, None],
-              profiler: _StageProfiler,
-              ) -> Tuple[SimulationResult, float, Optional[Dict[str, Any]]]:
-    """The world to benchmark, from snapshot when possible.
-
-    A fresh simulation resets the process-wide transaction-uid counter
-    first, so the timed run produces the same world whether or not
-    other scenarios were built earlier in the process — and so the
-    reference replay in :func:`run_bench` compares like with like.
-    """
-    cache_info: Optional[Dict[str, Any]] = None
-    if world_cache is not None:
-        cache_info = {"dir": str(world_cache),
-                      "digest": world_digest(config),
-                      "hit": False}
-        started = _clock()
-        cached = load_world(world_cache, config)
-        if cached is not None:
-            cache_info["hit"] = True
-            return cached, _clock() - started, cache_info
     reset_tx_counter()
     started = _clock()
     result = profiler.run(
         "simulate", lambda: build_paper_scenario(config).run())
-    elapsed = _clock() - started
-    if world_cache is not None:
-        try:
-            store_world(world_cache, config, result)
-        except OSError:
-            pass  # a read-only cache dir must not fail the benchmark
-    return result, elapsed, cache_info
+    return result, _clock() - started
 
 
 def _lint_self() -> float:
@@ -402,24 +290,26 @@ def _seal_pass_telemetry(config: ScenarioConfig,
     return seals, telemetry, _clock() - pass_started
 
 
-def _scale_flat_gate(telemetry: Sequence[Dict[str, Any]],
-                     config: ScenarioConfig) -> Optional[bool]:
-    """Whether per-epoch throughput held flat over total progress.
-
-    Baselines at the first epoch whose *first* block is past the
-    activity ramp's saturation month — earlier epochs carry less
-    traffic per block, so their higher blocks/s says nothing about
-    scale.  ``None`` (gate not judgeable, never faked) when fewer than
-    two saturated epochs ran.
-    """
+def _steady_epochs(telemetry: Sequence[Dict[str, Any]],
+                   epoch_blocks: int, blocks_per_month: int,
+                   ) -> List[Dict[str, Any]]:
+    """The telemetry rows the ``scale_flat`` gate judges: epochs whose
+    *first* block is past the activity ramp's saturation month.
+    Earlier epochs carry less traffic per block, so their higher
+    blocks/s says nothing about scale."""
     from repro.sim.world import activity_saturation_month
 
-    epoch_blocks = config.epoch_blocks or config.blocks_per_month
-    saturated_block = (activity_saturation_month()
-                       * config.blocks_per_month)
-    steady = [row for row in telemetry
-              if row["epoch"] * epoch_blocks >= saturated_block
-              and row["blocks_per_s"]]
+    saturated_block = activity_saturation_month() * blocks_per_month
+    return [row for row in telemetry
+            if row["epoch"] * epoch_blocks >= saturated_block
+            and row["blocks_per_s"]]
+
+
+def _scale_flat_gate(steady: Sequence[Dict[str, Any]],
+                     ) -> Optional[bool]:
+    """Whether per-epoch throughput held flat over total progress: the
+    last steady epoch against the first.  ``None`` (gate not judgeable,
+    never faked) when fewer than two saturated epochs ran."""
     if len(steady) < 2:
         return None
     return (steady[-1]["blocks_per_s"]
@@ -430,7 +320,6 @@ def run_bench(bpm: int = 60, seed: int = 7,
               workers: Sequence[int] = DEFAULT_WORKERS,
               chunk_size: Optional[int] = None,
               quick: bool = False,
-              world_cache: Union[str, Path, None] = None,
               profile: bool = False,
               serve: bool = False,
               serve_requests: int = 300,
@@ -442,11 +331,7 @@ def run_bench(bpm: int = 60, seed: int = 7,
 
     ``quick`` shrinks the scenario for CI smoke runs.  ``chunk_size``
     defaults to an eighth of the range so every worker count in the
-    sweep has chunks to parallelize over.  ``world_cache`` names a
-    directory of world snapshots (see :func:`store_world`); when the
-    scenario digest hits, simulation is replaced by an unpickle — the
-    ``simulate`` number then measures the unpickle and the
-    fast-vs-reference gate is skipped (``sim_identical: null``).
+    sweep has chunks to parallelize over.
     ``profile`` attaches per-stage cProfile tables (and inflates every
     wall time; never compare profiled numbers against plain ones).
     ``serve`` adds the query-service stage: a store fed live by the
@@ -454,10 +339,11 @@ def run_bench(bpm: int = 60, seed: int = 7,
     batch-built one (``serve_identical``), then ``serve_requests``
     seeded requests replay over real sockets into the ``serve`` block.
     ``shard`` adds the epoch-shard gate: a serial pass collects epoch
-    seals, every epoch (or the first ``shard_prefix_epochs``) is
-    re-simulated from its seal across ``shard_workers`` worker
-    processes, and the spliced chain must match the benchmarked world's
-    full block-hash + tx-hash sequence (``shard_identical``).
+    seals, every epoch (or the first ``shard_prefix_epochs``, which
+    must be at least 1) is re-simulated from its seal across
+    ``shard_workers`` worker processes, and the spliced chain must
+    match the benchmarked world's full block-hash + tx-hash sequence
+    (``shard_identical``).
     """
     from repro import run_inspector  # lazy: repro imports the engine
     from repro.core.heuristics import (
@@ -476,54 +362,31 @@ def run_bench(bpm: int = 60, seed: int = 7,
         chunk_size = max(1, total_blocks // 8)
 
     profiler = _StageProfiler(profile)
-    result, simulate_s, cache_info = _simulate(config, world_cache,
-                                               profiler)
+    result, simulate_s = _simulate(config, profiler)
     first = result.node.earliest_block_number()
     last = result.node.latest_block_number()
     blocks = last - first + 1
     chunks = plan_chunks(first, last, chunk_size)
     prices = PriceService(result.oracle)
-
-    stages: List[Dict[str, Any]] = []
-    cache_hit = bool(cache_info and cache_info["hit"])
-    simulate_stage = _timed("simulate", blocks, simulate_s)
-    simulate_stage["fresh"] = not cache_hit
-    stages.append(simulate_stage)
+    stages: List[Dict[str, Any]] = [_timed("simulate", blocks, simulate_s)]
 
     # Fast-vs-reference world gate: rebuild the same scenario on the
     # naive paths (full mempool re-sorts, no probe memoization) and
     # demand the identical block/tx hash sequence.  The optimized
-    # simulator's speed is only a result once this passes.  A cache
-    # hit skips the gate — there is no fresh fast run to compare.
-    sim_identical: Optional[bool] = None
-    sim_reference_s: Optional[float] = None
-    if not cache_hit:
-        reset_tx_counter()
-        started = _clock()
-        reference = build_paper_scenario(
-            config, fast_paths=False).run()
-        sim_reference_s = round(_clock() - started, 6)
-        sim_identical = (_block_sequence(reference)
-                         == _block_sequence(result))
-
-    # Detection only: the heuristics over every chunk, serial,
-    # chunk-isolated exactly as the pipeline runs them (resilience
-    # shield included) — the number an operator's --workers 1 run pays.
-    node, _, _ = shield(result.node)
-    runner = ChunkRunner(node=node, prices=prices)
-    runner.warm_index()
+    # simulator's speed is only a result once this passes.
+    reset_tx_counter()
     started = _clock()
-    detection_results = profiler.run(
-        "detection",
-        lambda: list(SerialExecutor().execute(runner, chunks)))
-    stages.append(_timed("detection", blocks, _clock() - started))
-    assert not any(r.failed for r in detection_results)
+    reference = build_paper_scenario(config, fast_paths=False).run()
+    sim_reference_s = round(_clock() - started, 6)
+    sim_identical = (block_sequence(reference.blockchain.blocks)
+                     == block_sequence(result.blockchain.blocks))
 
-    # The same chunks through the bare read paths, no shield: the
+    # The chunks through the bare read paths, no shield: the
     # single-pass scan over the warm index vs. the four standalone
     # detectors re-walking the chain linearly.  The gap between these
     # two stages is what the index buys.
     indexed_node = ArchiveNode(result.blockchain)
+    result.blockchain.index.warm()
     indexed_rows: List[str] = []
 
     def _indexed_pass() -> None:
@@ -559,21 +422,14 @@ def run_bench(bpm: int = 60, seed: int = 7,
                          _clock() - started))
     indexed_matches_linear = indexed_rows == linear_rows
 
-    # Joins: everything downstream of detection (merge, flash-loan /
-    # Flashbots / privacy labelling, quality accounting).  Timed as a
-    # serial end-to-end pass minus the detection stage above, so the
-    # two stage numbers decompose one and the same run.
+    # End to end: the full run_inspector pass (shielded detection,
+    # merge, flash-loan / Flashbots / privacy labelling, quality
+    # accounting) at every worker count, each verified bit-identical
+    # to the serial pass.
     started = _clock()
-    serial_dataset = profiler.run(
-        "joins",
-        lambda: run_inspector(
-            result, config=RunConfig(chunk_size=chunk_size)))
+    serial_dataset = run_inspector(
+        result, config=RunConfig(chunk_size=chunk_size))
     serial_s = _clock() - started
-    detection_s = next(s["elapsed_s"] for s in stages
-                       if s["stage"] == "detection")
-    stages.append(_timed("joins", blocks,
-                         max(serial_s - detection_s, 0.0)))
-
     serial_print = _fingerprint(serial_dataset)
     end_to_end: List[Dict[str, Any]] = []
     parallel_identical = True
@@ -675,47 +531,28 @@ def run_bench(bpm: int = 60, seed: int = 7,
     shard_identical: Optional[bool] = None
     shard_info: Optional[Dict[str, Any]] = None
     if shard:
-        from repro.sim.shard import plan_epochs, resimulate_epochs, \
-            splice_epochs
+        from repro.sim.shard import resimulate_and_splice
 
         started = _clock()
         seals, epoch_telemetry, seal_pass_s = \
             _seal_pass_telemetry(config, profiler)
-
-        def _shard_resim() -> Tuple[Any, str, int]:
-            plan = plan_epochs(config)
-            scope = "full"
-            if shard_prefix_epochs is not None:
-                plan = plan[:max(1, shard_prefix_epochs)]
-                scope = f"prefix[{len(plan)}]"
-            epoch_results = resimulate_epochs(
-                config, seals, chunks=plan, workers=shard_workers)
-            return (splice_epochs(config, epoch_results), scope,
-                    len(plan))
-
-        spliced, scope, resimulated = \
-            profiler.run("shard", _shard_resim)
+        spliced, shard_info = profiler.run(
+            "shard", lambda: resimulate_and_splice(
+                config, seals, workers=shard_workers,
+                prefix_epochs=shard_prefix_epochs))
         shard_s = _clock() - started
-        sharded_seq = _block_sequence(spliced)
-        reference_seq = _block_sequence(result)
-        if scope != "full":
+        sharded_seq = block_sequence(spliced.blockchain.blocks)
+        reference_seq = block_sequence(result.blockchain.blocks)
+        if shard_info["scope"] != "full":
             reference_seq = reference_seq[:len(sharded_seq)]
         shard_identical = bool(sharded_seq) \
             and sharded_seq == reference_seq
         stages.append(_timed("shard", len(sharded_seq), shard_s,
                              workers_requested=shard_workers))
-        shard_info = {
-            "epochs": len(plan_epochs(config)),
-            "epoch_blocks": config.epoch_blocks
-            or config.blocks_per_month,
-            "resimulated_epochs": resimulated,
-            "scope": scope,
-            "seal_pass_s": round(seal_pass_s, 6),
-            "epoch_telemetry": epoch_telemetry,
-            "scale_flat": _scale_flat_gate(epoch_telemetry, config),
-            "workers_requested": shard_workers,
-            "workers_effective": effective_workers(shard_workers),
-        }
+        shard_info["seal_pass_s"] = round(seal_pass_s, 6)
+        shard_info["epoch_telemetry"] = epoch_telemetry
+        shard_info["scale_flat"] = _scale_flat_gate(_steady_epochs(
+            epoch_telemetry, shard_info["epoch_blocks"], bpm))
 
     report: Dict[str, Any] = {
         "version": BENCH_VERSION,
@@ -736,7 +573,6 @@ def run_bench(bpm: int = 60, seed: int = 7,
         "lint_s": round(_lint_self(), 6),
         "sim_reference_s": sim_reference_s,
         "sim_identical": sim_identical,
-        "world_cache": cache_info,
         "stages": stages,
         "end_to_end": end_to_end,
         "parallel_identical": parallel_identical,
@@ -763,7 +599,8 @@ def write_report(report: Dict[str, Any],
 
 
 def render_report(report: Dict[str, Any]) -> str:
-    """A short human summary of one benchmark document."""
+    """A short human summary of one benchmark document: stage rows,
+    stage details, then one verdict line per entry of :data:`GATES`."""
     scenario = report["scenario"]
     lines = [
         f"pipeline benchmark — {scenario['blocks']} blocks "
@@ -771,11 +608,6 @@ def render_report(report: Dict[str, Any]) -> str:
         f"{scenario['chunks']} chunks of {scenario['chunk_size']}), "
         f"{report['machine']['cpu_count']} cpu(s)",
     ]
-    cache_info = report.get("world_cache")
-    if cache_info is not None:
-        state = "hit" if cache_info["hit"] else "miss"
-        lines.append(f"  world cache: {state} "
-                     f"(digest {cache_info['digest']})")
     for stage in report["stages"]:
         lines.append(f"  {stage['stage']:<18} "
                      f"{stage['elapsed_s']:>9.3f}s  "
@@ -785,37 +617,21 @@ def render_report(report: Dict[str, Any]) -> str:
         lines.append(f"  workers={entry['workers']:<4} "
                      f"{entry['elapsed_s']:>9.3f}s  "
                      f"{entry['speedup_vs_serial']:>5.2f}x  [{check}]")
-    sim_identical = report.get("sim_identical")
-    if sim_identical is None:
-        lines.append("  fast sim identical to reference: skipped "
-                     "(world cache hit)")
-    else:
-        verdict = "yes" if sim_identical else "NO"
-        reference_s = report.get("sim_reference_s")
-        if reference_s:
-            verdict += (f" (reference {reference_s:.3f}s vs "
-                        f"{report['simulate_s']:.3f}s, "
-                        f"{reference_s / report['simulate_s']:.2f}x)"
-                        if report["simulate_s"] > 0 else "")
-        lines.append("  fast sim identical to reference: " + verdict)
-    lines.append("  parallel identical to serial: "
-                 + ("yes" if report["parallel_identical"] else "NO"))
-    lines.append("  indexed reads identical to linear: "
-                 + ("yes" if report["indexed_matches_linear"] else "NO"))
-    stream_identical = report.get("stream_identical")
-    if stream_identical is not None:
-        verdict = "yes" if stream_identical else "NO"
-        stream_info = report.get("stream") or {}
-        verdict += (f" ({stream_info.get('reorgs', 0)} reorgs, "
-                    f"max depth {stream_info.get('max_reorg_depth', 0)}, "
-                    f"{stream_info.get('retracted_rows', 0)} rows "
-                    f"retracted, lag p50/p99 "
-                    f"{stream_info.get('lag_p50_blocks')}/"
-                    f"{stream_info.get('lag_p99_blocks')} blocks)")
-        lines.append("  streamed identical to batch: " + verdict)
-    serve_identical = report.get("serve_identical")
-    if serve_identical is not None:
-        serve_info = report.get("serve") or {}
+    reference_s = report.get("sim_reference_s")
+    if reference_s and report["simulate_s"] > 0:
+        lines.append(f"  reference sim: {reference_s:.3f}s vs "
+                     f"{report['simulate_s']:.3f}s, "
+                     f"{reference_s / report['simulate_s']:.2f}x")
+    stream_info = report.get("stream")
+    if stream_info:
+        lines.append(
+            f"  stream: {stream_info.get('reorgs', 0)} reorgs, "
+            f"max depth {stream_info.get('max_reorg_depth', 0)}, "
+            f"{stream_info.get('retracted_rows', 0)} rows retracted, "
+            f"lag p50/p99 {stream_info.get('lag_p50_blocks')}/"
+            f"{stream_info.get('lag_p99_blocks')} blocks")
+    serve_info = report.get("serve")
+    if serve_info:
         lines.append(
             f"  serve replay: {serve_info.get('requests', 0)} requests "
             f"over {serve_info.get('connections', 0)} conns, "
@@ -824,11 +640,8 @@ def render_report(report: Dict[str, Any]) -> str:
             f"{serve_info.get('p99_ms', 0.0):.3f} ms, "
             f"{serve_info.get('not_modified', 0)} not-modified, "
             f"{serve_info.get('errors', 0)} errors")
-        lines.append("  serve responses identical batch vs stream: "
-                     + ("yes" if serve_identical else "NO"))
-    shard_identical = report.get("shard_identical")
-    if shard_identical is not None:
-        shard_info = report.get("shard") or {}
+    shard_info = report.get("shard")
+    if shard_info:
         lines.append(
             f"  epoch shard: {shard_info.get('resimulated_epochs', 0)}"
             f"/{shard_info.get('epochs', 0)} epochs "
@@ -836,25 +649,35 @@ def render_report(report: Dict[str, Any]) -> str:
             f"epoch_blocks={shard_info.get('epoch_blocks')}, workers "
             f"{shard_info.get('workers_requested')}→"
             f"{shard_info.get('workers_effective')} effective)")
-        lines.append("  sharded splice identical to serial: "
-                     + ("yes" if shard_identical else "NO"))
-        scale_flat = shard_info.get("scale_flat")
-        telemetry = shard_info.get("epoch_telemetry") or []
-        if scale_flat is None:
-            lines.append("  seal-pass throughput scale-flat: skipped "
-                         "(fewer than two saturated epochs)")
+        lines.append(_scale_flat_line(shard_info,
+                                      scenario["blocks_per_month"]))
+    for key, message in GATES:
+        verdict = report.get(key)
+        if verdict is None:
+            lines.append(f"  {key}: not run")
         else:
-            first = telemetry[0] if telemetry else {}
-            last = telemetry[-1] if telemetry else {}
-            lines.append(
-                "  seal-pass throughput scale-flat: "
-                + ("yes" if scale_flat else "NO")
-                + f" (epoch {first.get('epoch')}: "
-                f"{first.get('blocks_per_s')} blocks/s → "
-                f"epoch {last.get('epoch')}: "
-                f"{last.get('blocks_per_s')} blocks/s, "
-                f"rss {last.get('rss_mb')} MB)")
+            lines.append(f"  {key}: " + ("yes" if verdict
+                                         else f"NO — {message}"))
     lint_s = report.get("lint_s")
     if lint_s is not None:
         lines.append(f"  syntactic lint of own tree: {lint_s:.3f}s")
     return "\n".join(lines)
+
+
+def _scale_flat_line(shard_info: Dict[str, Any],
+                     blocks_per_month: int) -> str:
+    """The advisory ``scale_flat`` verdict, quoting the baseline epoch
+    the gate actually compared against."""
+    scale_flat = shard_info.get("scale_flat")
+    if scale_flat is None:
+        return ("  seal-pass throughput scale-flat: skipped "
+                "(fewer than two saturated epochs)")
+    steady = _steady_epochs(shard_info.get("epoch_telemetry") or [],
+                            shard_info["epoch_blocks"], blocks_per_month)
+    base, last = steady[0], steady[-1]
+    return ("  seal-pass throughput scale-flat: "
+            + ("yes" if scale_flat else "NO")
+            + f" (epoch {base['epoch']}: {base['blocks_per_s']} "
+            f"blocks/s → epoch {last['epoch']}: "
+            f"{last['blocks_per_s']} blocks/s, "
+            f"rss {last.get('rss_mb')} MB)")

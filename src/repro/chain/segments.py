@@ -10,7 +10,7 @@ than O(world); :class:`SegmentReader` serves ranged reads over the
 spilled portion through a bounded LRU of resident segments (manifest
 bisect, never a directory scan).
 
-Integrity follows the PR-4 world-cache rule: *any* anomaly — missing or
+Integrity follows the fail-closed rule: *any* anomaly — missing or
 truncated file, fingerprint mismatch, unknown manifest format — raises
 :class:`SegmentIntegrityError` with a clear message, and callers respond
 by re-simulating from scratch (`SegmentStore.open_or_create`), never by

@@ -48,6 +48,14 @@ from repro.core.pool_attribution import attribute_private_pools
 from repro.faults import FAULT_PROFILES
 
 
+def _at_least_one(text: str) -> int:
+    """An integer option that must be >= 1 (a usage error otherwise)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bpm", type=int, default=60,
                         help="simulated blocks per month (default 60)")
@@ -201,9 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(export)
     _add_reliability(export)
     bench = sub.add_parser("bench",
-                           help="benchmark the pipeline (detection, "
-                                "joins, end-to-end at several worker "
-                                "counts) and write BENCH_pipeline.json")
+                           help="benchmark the pipeline (simulation, "
+                                "detection reads, end-to-end at "
+                                "several worker counts) under its "
+                                "identity gates and write "
+                                "BENCH_pipeline.json")
     _add_common(bench)
     bench.add_argument("--quick", action="store_true",
                        help="small scenario for CI smoke runs")
@@ -217,11 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="PATH",
                        help="where to write the JSON report "
                             "(default: BENCH_pipeline.json)")
-    bench.add_argument("--world-cache", default=None, metavar="DIR",
-                       help="directory of world snapshots keyed by "
-                            "scenario digest; hits skip the expensive "
-                            "simulation step (content-verified, falls "
-                            "back to a fresh sim on any mismatch)")
     bench.add_argument("--profile", action="store_true",
                        help="wrap each stage in cProfile and write "
                             "top-25 cumulative tables to "
@@ -248,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="worker count for the epoch "
                             "re-simulation fan-out (default 2)")
-    bench.add_argument("--shard-prefix", type=int, default=None,
+    bench.add_argument("--shard-prefix", type=_at_least_one,
+                       default=None,
                        metavar="K",
                        help="re-simulate only the first K epochs "
                             "(sampled-prefix gate for scenarios too "
@@ -686,20 +692,20 @@ async def _serve_until_interrupted(server) -> int:
 def run_bench_command(args: argparse.Namespace) -> int:
     """Run the wall-clock benchmark; nonzero exit on divergence.
 
-    A parallel run that is not bit-identical to the serial one — or an
-    optimized simulation whose block/tx hash sequence differs from the
-    naive reference paths — is a correctness failure, not a
-    performance number.  CI gates on all of them.
+    Every identity gate in :data:`repro.bench.GATES` that reads
+    ``False`` — a parallel run not bit-identical to the serial one, an
+    optimized simulation off the naive reference paths, and so on — is
+    a correctness failure, not a performance number.  Each failed gate
+    is named on stderr; CI gates on the exit code.
     """
-    from repro.bench import DEFAULT_WORKERS, render_report, run_bench, \
-        write_report
+    from repro.bench import DEFAULT_WORKERS, GATES, render_report, \
+        run_bench, write_report
     workers = tuple(args.workers) if args.workers else DEFAULT_WORKERS
     print(f"Benchmarking (bpm={args.bpm}, seed={args.seed}, "
           f"workers={list(workers)}"
           + (", quick" if args.quick else "") + ") …", file=sys.stderr)
     report = run_bench(bpm=args.bpm, seed=args.seed, workers=workers,
                        chunk_size=args.chunk_size, quick=args.quick,
-                       world_cache=args.world_cache,
                        profile=args.profile, serve=args.serve,
                        serve_requests=args.serve_requests,
                        shard=args.shard,
@@ -714,31 +720,11 @@ def run_bench_command(args: argparse.Namespace) -> int:
             for stage, table in report.get("profile", {}).items():
                 stream.write(f"===== {stage} =====\n{table}\n")
         print(f"wrote {profile_path}")
-    if report.get("sim_identical") is False:
-        print("ERROR: optimized simulation diverged from the "
-              "reference paths", file=sys.stderr)
-        return 1
-    if not report["parallel_identical"]:
-        print("ERROR: parallel run diverged from serial run",
-              file=sys.stderr)
-        return 1
-    if not report["indexed_matches_linear"]:
-        print("ERROR: indexed read path diverged from linear scan",
-              file=sys.stderr)
-        return 1
-    if report.get("stream_identical") is False:
-        print("ERROR: streamed dataset diverged from the batch "
-              "pipeline over the canonical chain", file=sys.stderr)
-        return 1
-    if report.get("serve_identical") is False:
-        print("ERROR: stream-built store served responses that "
-              "diverged from the batch-built store", file=sys.stderr)
-        return 1
-    if report.get("shard_identical") is False:
-        print("ERROR: sharded epoch splice diverged from the serial "
-              "block/tx hash sequence", file=sys.stderr)
-        return 1
-    return 0
+    failed = [(key, message) for key, message in GATES
+              if report.get(key) is False]
+    for key, message in failed:
+        print(f"ERROR: {key}: {message}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

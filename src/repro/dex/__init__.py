@@ -13,7 +13,6 @@ from repro.dex.arbitrage_math import (
     max_sandwich_frontrun,
     optimal_two_pool_arbitrage,
     plan_sandwich,
-    price_gap_ratio,
     simulate_two_pool_arbitrage,
 )
 from repro.dex.registry import (
@@ -44,7 +43,7 @@ from repro.dex.weighted import (
     integer_nth_root,
     weighted_amount_out,
 )
-from repro.dex.token import DEFAULT_TOKENS, WETH, Token, get_token
+from repro.dex.token import DEFAULT_TOKENS, WETH, Token
 
 __all__ = [
     "ARBITRAGE_VENUES", "ArbitrageIntent", "ArbitragePlan", "BALANCER",
@@ -54,9 +53,9 @@ __all__ = [
     "SandwichPlan", "StableSwapPool", "SwapIntent", "Token",
     "UNISWAP_V1", "UNISWAP_V2",
     "UNISWAP_V3", "VENUE_FEE_BPS", "WETH", "ZEROX", "compute_d",
-    "compute_y", "get_amount_in", "get_amount_out", "get_token",
+    "compute_y", "get_amount_in", "get_amount_out",
     "max_sandwich_frontrun", "optimal_two_pool_arbitrage", "plan_sandwich",
-    "price_gap_ratio", "route_tokens", "simulate_two_pool_arbitrage",
+    "route_tokens", "simulate_two_pool_arbitrage",
     "WeightedPool", "integer_nth_root", "weighted_amount_out",
     "SwapAllIntent",
 ]

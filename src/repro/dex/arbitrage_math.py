@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.dex.amm import FEE_DENOMINATOR, get_amount_out
 
@@ -239,12 +239,3 @@ def plan_sandwich(reserve_in: int, reserve_out: int, victim_in: int,
     if plan.expected_profit <= 0:
         return None
     return plan
-
-
-def price_gap_ratio(reserve_in_1: int, reserve_out_1: int,
-                    reserve_in_2: int, reserve_out_2: int,
-                    ) -> Tuple[float, float]:
-    """Spot prices of the traded token on both pools (diagnostics)."""
-    p1 = reserve_out_1 / reserve_in_1
-    p2 = reserve_in_2 / reserve_out_2
-    return p1, p2

@@ -52,8 +52,3 @@ DEFAULT_TOKENS: Dict[str, Token] = {
         Token("MKR", 18, "Maker"),
     )
 }
-
-
-def get_token(symbol: str) -> Token:
-    """Look up a token in the default universe, defaulting to 18 decimals."""
-    return DEFAULT_TOKENS.get(symbol, Token(symbol))

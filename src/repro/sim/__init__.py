@@ -20,8 +20,8 @@ from repro.sim.shard import (
     EpochResult,
     EpochRunner,
     plan_epochs,
+    resimulate_and_splice,
     resimulate_epochs,
-    simulate_sharded,
     splice_epochs,
 )
 from repro.sim.world import EpochSeal, SimulationResult, World, \
@@ -35,6 +35,6 @@ __all__ = [
     "STUDY_MONTHS", "ScenarioConfig", "SimulationResult",
     "StudyCalendar", "TAICHI_SHUTDOWN_MONTH", "TokenPriceProcess",
     "World", "build_paper_scenario", "epoch_stream_seed",
-    "plan_epochs", "resimulate_epochs", "restore_paper_scenario",
-    "scenario_frame", "simulate_sharded", "splice_epochs",
+    "plan_epochs", "resimulate_and_splice", "resimulate_epochs",
+    "restore_paper_scenario", "scenario_frame", "splice_epochs",
 ]

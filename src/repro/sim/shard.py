@@ -20,11 +20,10 @@ worker count is an optimization, never a semantic change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chain.block import Block
 from repro.chain.node import ArchiveNode, Blockchain
-from repro.chain.transaction import reset_tx_counter
 from repro.engine.executors import (
     BlockRange,
     ParallelExecutor,
@@ -33,11 +32,7 @@ from repro.engine.executors import (
 )
 from repro.sim.calendar import StudyCalendar
 from repro.sim.config import ScenarioConfig
-from repro.sim.scenario import (
-    build_paper_scenario,
-    restore_paper_scenario,
-    scenario_frame,
-)
+from repro.sim.scenario import restore_paper_scenario, scenario_frame
 from repro.sim.world import EpochSeal, SimulationResult
 
 
@@ -171,32 +166,33 @@ def splice_epochs(config: ScenarioConfig,
         flashbots_launch_block=launch)
 
 
-def block_sequence(result: SimulationResult,
+def block_sequence(blocks: Iterable[Block],
                    ) -> List[Tuple[str, Tuple[str, ...]]]:
-    """The identity the shard gate compares: every block's hash plus
-    its full transaction-hash tuple, in chain order."""
-    return [(block.hash, tuple(block.tx_hashes))
-            for block in result.blockchain.blocks]
+    """The identity every splice gate compares: each block's hash plus
+    its full transaction-hash tuple, in chain order.  The block hash
+    pins header fields (number, miner, timestamp, tx count); the
+    tx-hash tuple pins exact inclusion and ordering, and each tx hash
+    commits to the process-wide uid counter, so two runs can only match
+    if they agreed on every transaction ever *created* — every RNG
+    draw, every searcher decision — not merely the ones that landed."""
+    return [(block.hash, tuple(block.tx_hashes)) for block in blocks]
 
 
-def simulate_sharded(config: ScenarioConfig, workers: int = 1,
-                     prefix_epochs: Optional[int] = None,
-                     fast_paths: bool = True,
-                     ) -> Tuple[SimulationResult, SimulationResult,
-                                Dict[str, object]]:
-    """Serial reference + sharded re-simulation, ready for comparison.
+def resimulate_and_splice(config: ScenarioConfig,
+                          seals: Dict[int, EpochSeal],
+                          workers: int = 1,
+                          prefix_epochs: Optional[int] = None,
+                          ) -> Tuple[SimulationResult, Dict[str, Any]]:
+    """Re-simulate every epoch from already-collected seals and splice.
 
-    Runs the serial pass once (collecting seals), then re-simulates
-    every epoch — or only the first ``prefix_epochs``, the sampled
-    prefix gate for very large scenarios — from seals across
-    ``workers`` and splices.  Returns ``(serial, sharded, info)``;
-    ``sharded`` covers the full window or the prefix accordingly.
+    Only the first ``prefix_epochs`` are re-simulated when given — the
+    sampled-prefix gate for scenarios too large to reference in full —
+    and the spliced result covers the full window or that prefix
+    accordingly.  Returns ``(spliced, info)``; ``info`` describes the
+    plan and the worker fan-out.
     """
-    reset_tx_counter()
-    seals: Dict[int, EpochSeal] = {}
-    serial = build_paper_scenario(
-        config, fast_paths=fast_paths).run(collect_seals=seals)
     plan = plan_epochs(config)
+    epochs = len(plan)
     scope = "full"
     if prefix_epochs is not None:
         if prefix_epochs < 1:
@@ -204,15 +200,13 @@ def simulate_sharded(config: ScenarioConfig, workers: int = 1,
         plan = plan[:prefix_epochs]
         scope = f"prefix[{len(plan)}]"
     results = resimulate_epochs(config, seals, chunks=plan,
-                                workers=workers,
-                                fast_paths=fast_paths)
-    sharded = splice_epochs(config, results)
-    info: Dict[str, object] = {
-        "epochs": len(plan_epochs(config)),
+                                workers=workers)
+    info: Dict[str, Any] = {
+        "epochs": epochs,
         "epoch_blocks": config.epoch_blocks or config.blocks_per_month,
         "resimulated_epochs": len(plan),
         "scope": scope,
         "workers_requested": workers,
         "workers_effective": effective_workers(workers),
     }
-    return serial, sharded, info
+    return splice_epochs(config, results), info

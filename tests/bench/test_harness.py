@@ -1,4 +1,4 @@
-"""Schema and gate tests for the v8 benchmark harness.
+"""Schema and gate tests for the benchmark harness.
 
 Small scenarios only — these tests check the *shape* of the report
 (stages, gates, the serve and shard blocks, profile tables) and that
@@ -9,22 +9,25 @@ wall-clock numbers.
 import json
 import os
 
-from repro.bench import run_bench, write_report
+from repro.bench import BENCH_VERSION, render_report, run_bench, \
+    write_report
 
 SMALL = dict(bpm=3, seed=5, workers=(1, 2), quick=False)
 
 
 class TestReportSchema:
-    def test_v8_document(self, tmp_path):
+    def test_document_schema(self, tmp_path):
         report = run_bench(**SMALL)
-        assert report["version"] == 8
+        assert report["version"] == BENCH_VERSION == 9
         stage_names = [s["stage"] for s in report["stages"]]
-        assert stage_names[0] == "simulate"
-        for required in ("detection", "detection_indexed",
-                         "detection_linear", "joins", "stream"):
-            assert required in stage_names
+        assert stage_names == ["simulate", "detection_indexed",
+                               "detection_linear", "stream"]
+        # v9 removed keys only: the subtracted detection/joins rows,
+        # the world-snapshot cache block and the simulate stage's
+        # ``fresh`` flag.
+        assert "world_cache" not in report
         simulate = report["stages"][0]
-        assert simulate["fresh"] is True
+        assert "fresh" not in simulate
         assert simulate["blocks_per_s"] > 0
         assert report["simulate_s"] > 0
         assert report["lint_s"] > 0  # syntactic self-lint, since v4
@@ -46,7 +49,7 @@ class TestReportSchema:
         # The document round-trips as JSON (CI parses it).
         path = tmp_path / "bench.json"
         write_report(report, path)
-        assert json.loads(path.read_text())["version"] == 8
+        assert json.loads(path.read_text())["version"] == 9
 
     def test_every_stage_reports_worker_honesty(self):
         """Since v7 every stage row carries both the requested and the
@@ -161,17 +164,45 @@ class TestShardStage:
         assert row["blocks"] == 2 * SMALL["bpm"]
 
 
-class TestWorldCacheInteraction:
-    def test_cache_hit_skips_reference_gate(self, tmp_path):
-        cache = tmp_path / "worlds"
-        first = run_bench(world_cache=cache, **SMALL)
-        assert first["world_cache"]["hit"] is False
-        assert first["sim_identical"] is True
-        second = run_bench(world_cache=cache, **SMALL)
-        assert second["world_cache"]["hit"] is True
-        assert second["sim_identical"] is None
-        assert second["sim_reference_s"] is None
-        assert second["stages"][0]["fresh"] is False
-        # The cached world feeds the same downstream measurements.
-        assert (second["indexed_matches_linear"] is True
-                and second["parallel_identical"] is True)
+
+class TestScaleFlatSummary:
+    """The scale-flat summary line quotes the baseline the gate used:
+    the first activity-saturated epoch, not epoch 0."""
+
+    @staticmethod
+    def synthetic_report():
+        from repro.sim.world import activity_saturation_month
+
+        saturated = activity_saturation_month()
+        rates = [1631.0] * saturated + [1212.0, 1100.0, 529.0]
+        telemetry = [{"epoch": epoch, "blocks": 60, "elapsed_s": 0.05,
+                      "blocks_per_s": rate, "rss_mb": 90.0}
+                     for epoch, rate in enumerate(rates)]
+        return {
+            "scenario": {"blocks": 60 * len(rates),
+                         "blocks_per_month": 60, "seed": 7,
+                         "chunks": 1, "chunk_size": 60 * len(rates)},
+            "machine": {"cpu_count": 2},
+            "simulate_s": 1.0,
+            "stages": [],
+            "end_to_end": [],
+            "shard": {"epochs": len(rates), "resimulated_epochs":
+                      len(rates), "scope": "full", "epoch_blocks": 60,
+                      "workers_requested": 2, "workers_effective": 2,
+                      "epoch_telemetry": telemetry,
+                      "scale_flat": False},
+        }, saturated
+
+    def test_line_quotes_first_saturated_epoch(self):
+        report, saturated = self.synthetic_report()
+        line = next(line for line in render_report(report).splitlines()
+                    if "scale-flat" in line)
+        assert "NO" in line
+        assert f"(epoch {saturated}: 1212.0 blocks/s" in line
+        assert f"epoch {saturated + 2}: 529.0 blocks/s" in line
+        assert "epoch 0:" not in line
+
+    def test_unjudged_gate_is_reported_skipped(self):
+        report, _ = self.synthetic_report()
+        report["shard"]["scale_flat"] = None
+        assert "scale-flat: skipped" in render_report(report)

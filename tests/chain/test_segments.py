@@ -1,6 +1,6 @@
 """Tests for the spillable segment store and segment-backed chain.
 
-The segment store follows the world-cache integrity rule: any anomaly
+The segment store follows the fail-closed integrity rule: any anomaly
 — missing manifest, unknown format, truncated or tampered segment —
 raises :class:`SegmentIntegrityError` with a clear message, and
 ``open_or_create`` answers every anomaly with a fresh store.  The

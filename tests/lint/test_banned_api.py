@@ -23,6 +23,12 @@ REMOVED_SOURCE_CLASSES = (
 REMOVED_CONFIG_HELPERS = (
     "resolve_config", "ensure_unmixed", "config_from_kwargs")
 
+#: the bench's world-snapshot cache and the serial-plus-shard wrapper
+#: folded into ``resimulate_and_splice``
+REMOVED_BENCH_HELPERS = (
+    "store_world", "load_world", "world_digest", "WORLD_CACHE_FORMAT",
+    "simulate_sharded")
+
 
 def repo_config():
     from repro.lint.config import load_config
@@ -48,7 +54,8 @@ class TestPositive:
         assert rule_ids(findings) == ["R007"]
 
     @pytest.mark.parametrize(
-        "name", REMOVED_SOURCE_CLASSES + REMOVED_CONFIG_HELPERS)
+        "name", REMOVED_SOURCE_CLASSES + REMOVED_CONFIG_HELPERS
+        + REMOVED_BENCH_HELPERS)
     def test_removed_source_classes_flagged(self, name):
         findings = run_lint(
             f"""

@@ -16,8 +16,8 @@ from repro.sim import (
     build_paper_scenario,
     plan_epochs,
     restore_paper_scenario,
+    resimulate_and_splice,
     resimulate_epochs,
-    simulate_sharded,
     splice_epochs,
 )
 from repro.sim.shard import EpochRunner, EpochResult, block_sequence
@@ -28,10 +28,6 @@ EPOCH_BLOCKS = 4  # deliberately does not divide the month length
 def config_for(seed):
     return ScenarioConfig(blocks_per_month=6, seed=seed,
                           epoch_blocks=EPOCH_BLOCKS)
-
-
-def sequence_of(blocks):
-    return [(block.hash, tuple(block.tx_hashes)) for block in blocks]
 
 
 def serial_reference(config, downtime=None):
@@ -71,7 +67,7 @@ class TestSealDeterminism:
     def test_resume_from_any_boundary_is_bit_identical(self, seed):
         config = config_for(seed)
         serial, seals = serial_reference(config)
-        reference = sequence_of(serial.blockchain.blocks)
+        reference = block_sequence(serial.blockchain.blocks)
         launch = serial.flashbots_launch_block
         # One boundary early, one mid-Flashbots-adoption ramp (the
         # first boundary past the launch block), one near the end.
@@ -80,7 +76,7 @@ class TestSealDeterminism:
             seal = seals[epoch]
             world = restore_paper_scenario(config, seal)
             resumed = world.run()
-            suffix = sequence_of(resumed.blockchain.blocks)
+            suffix = block_sequence(resumed.blockchain.blocks)
             assert suffix == reference[seal.first_block - 1:], \
                 f"seed {seed}, epoch {epoch}"
 
@@ -89,13 +85,13 @@ class TestSealDeterminism:
         # Boundary at block 8 sits strictly inside the outage.
         downtime = ((6, 10),)
         serial, seals = serial_reference(config, downtime=downtime)
-        reference = sequence_of(serial.blockchain.blocks)
+        reference = block_sequence(serial.blockchain.blocks)
         seal = seals[2]  # first block 9 — mid-outage
         assert downtime[0][0] < seal.first_block <= downtime[0][1]
         world = restore_paper_scenario(config, seal)
         assert world.observer.downtime_ranges == downtime
         resumed = world.run()
-        assert sequence_of(resumed.blockchain.blocks) == \
+        assert block_sequence(resumed.blockchain.blocks) == \
             reference[seal.first_block - 1:]
 
     def test_seal_refused_off_boundary(self):
@@ -124,8 +120,11 @@ class TestSpliceIdentity:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_full_shard_splices_bit_identical(self, workers):
         config = config_for(3)
-        serial, sharded, info = simulate_sharded(config, workers=workers)
-        assert block_sequence(sharded) == block_sequence(serial)
+        serial, seals = serial_reference(config)
+        sharded, info = resimulate_and_splice(config, seals,
+                                              workers=workers)
+        assert block_sequence(sharded.blockchain.blocks) == \
+            block_sequence(serial.blockchain.blocks)
         assert info["scope"] == "full"
         assert info["resimulated_epochs"] == info["epochs"]
         assert info["workers_requested"] == workers
@@ -133,16 +132,21 @@ class TestSpliceIdentity:
 
     def test_prefix_gate_covers_the_prefix(self):
         config = config_for(11)
-        serial, sharded, info = simulate_sharded(config, workers=1,
-                                                 prefix_epochs=3)
+        serial, seals = serial_reference(config)
+        sharded, info = resimulate_and_splice(config, seals,
+                                              prefix_epochs=3)
         assert info["scope"] == "prefix[3]"
-        prefix = block_sequence(sharded)
+        assert info["resimulated_epochs"] == 3
+        prefix = block_sequence(sharded.blockchain.blocks)
         assert len(prefix) == 3 * EPOCH_BLOCKS
-        assert prefix == block_sequence(serial)[:len(prefix)]
+        assert prefix == \
+            block_sequence(serial.blockchain.blocks)[:len(prefix)]
 
     def test_prefix_must_be_positive(self):
-        with pytest.raises(ValueError):
-            simulate_sharded(config_for(3), prefix_epochs=0)
+        for prefix_epochs in (0, -1):
+            with pytest.raises(ValueError, match="prefix_epochs"):
+                resimulate_and_splice(config_for(3), {},
+                                      prefix_epochs=prefix_epochs)
 
 
 class TestRunnerAndSplice:

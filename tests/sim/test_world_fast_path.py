@@ -15,11 +15,7 @@ import pytest
 
 from repro.chain.transaction import reset_tx_counter
 from repro.sim import ScenarioConfig, build_paper_scenario
-
-
-def block_sequence(result):
-    return [(block.hash, tuple(tx.hash for tx in block.transactions))
-            for block in result.blockchain.blocks]
+from repro.sim.shard import block_sequence
 
 
 def run_world(config, fast_paths):
@@ -33,7 +29,8 @@ class TestFastPathIdentity:
         config = ScenarioConfig(blocks_per_month=bpm, seed=seed)
         fast = run_world(config, fast_paths=True)
         reference = run_world(config, fast_paths=False)
-        assert block_sequence(fast) == block_sequence(reference)
+        assert block_sequence(fast.blockchain.blocks) == \
+            block_sequence(reference.blockchain.blocks)
 
     def test_scenario_spans_london(self):
         """The identity above only means something if the scenario
@@ -50,4 +47,5 @@ class TestFastPathIdentity:
         config = ScenarioConfig(blocks_per_month=5, seed=3)
         first = run_world(config, fast_paths=True)
         second = run_world(config, fast_paths=True)
-        assert block_sequence(first) == block_sequence(second)
+        assert block_sequence(first.blockchain.blocks) == \
+            block_sequence(second.blockchain.blocks)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import GATES
 from repro.cli import build_parser, main
 
 
@@ -42,6 +43,78 @@ class TestParser:
         assert defaults.shard is False
         assert defaults.shard_workers == 2
         assert defaults.shard_prefix is None
+
+    @pytest.mark.parametrize("prefix", ["0", "-2"])
+    def test_shard_prefix_below_one_is_a_usage_error(self, prefix,
+                                                     capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--shard", "--shard-prefix", prefix])
+        assert exit_info.value.code == 2
+        assert "--shard-prefix" in capsys.readouterr().err
+
+    def test_world_cache_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--world-cache", "w"])
+
+
+def _gate_report(**gates):
+    """A minimal benchmark document with every gate true or None."""
+    report = {
+        "version": 9,
+        "scenario": {"blocks": 10, "blocks_per_month": 1, "seed": 7,
+                     "chunks": 1, "chunk_size": 10, "quick": True},
+        "machine": {"cpu_count": 1},
+        "simulate_s": 0.1,
+        "stages": [],
+        "end_to_end": [],
+        "sim_identical": True, "parallel_identical": True,
+        "indexed_matches_linear": True, "stream_identical": True,
+        "serve_identical": None, "shard_identical": None,
+    }
+    report.update(gates)
+    return report
+
+
+class TestBenchGates:
+    """``repro bench`` exits 1 naming every gate that reads False, and
+    0 when each gate is true or did not run (None)."""
+
+    @staticmethod
+    def run(monkeypatch, tmp_path, report):
+        import repro.bench
+        monkeypatch.setattr(repro.bench, "run_bench",
+                            lambda **kwargs: report)
+        return main(["bench", "--quick",
+                     "--output", str(tmp_path / "bench.json")])
+
+    @pytest.mark.parametrize("gate", [key for key, _ in GATES])
+    def test_one_false_gate_fails_and_is_named(self, gate, monkeypatch,
+                                               tmp_path, capsys):
+        report = _gate_report(**{gate: False})
+        assert self.run(monkeypatch, tmp_path, report) == 1
+        err = capsys.readouterr().err
+        assert f"ERROR: {gate}: {dict(GATES)[gate]}" in err
+        assert err.count("ERROR:") == 1
+
+    def test_every_failed_gate_is_named(self, monkeypatch, tmp_path,
+                                        capsys):
+        report = _gate_report(sim_identical=False,
+                              shard_identical=False)
+        assert self.run(monkeypatch, tmp_path, report) == 1
+        err = capsys.readouterr().err
+        assert "ERROR: sim_identical:" in err
+        assert "ERROR: shard_identical:" in err
+
+    @pytest.mark.parametrize("optional", [None, True])
+    def test_true_or_unrun_gates_pass(self, optional, monkeypatch,
+                                      tmp_path, capsys):
+        report = _gate_report(serve_identical=optional,
+                              shard_identical=optional)
+        assert self.run(monkeypatch, tmp_path, report) == 0
+        captured = capsys.readouterr()
+        assert "ERROR" not in captured.err
+        for key, _ in GATES:
+            assert f"  {key}: " in captured.out
 
 
 class TestCommands:
