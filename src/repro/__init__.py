@@ -27,15 +27,17 @@ Quickstart::
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from repro.analysis import build_table1
+from repro.chain.node import ArchiveNode
 from repro.core import MevDataset, MevInspector, PriceService
 from repro.engine import RunConfig
-from repro.faults import FaultPlan
+from repro.faults import ChainFeed, FaultPlan, FaultyFeed, FeedEvent
 from repro.reliability import RetryPolicy, shield
 from repro.sim import ScenarioConfig, SimulationResult, World, \
     build_paper_scenario
+from repro.stream import StreamEngine
 
 #: the single source of the package version — ``pyproject.toml``
 #: derives its ``[project] version`` from this attribute (dynamic
@@ -94,43 +96,92 @@ def run_inspector(result: SimulationResult,
     return inspector.run(config=config)
 
 
-def follow_inspector(result: SimulationResult,
-                     fault_plan: Optional[FaultPlan] = None,
-                     retry: Optional[RetryPolicy] = None,
-                     config: Optional[RunConfig] = None) -> MevDataset:
-    """Measure a simulation result in *follow* (streaming) mode.
-
-    Instead of one batch pass, the chain is replayed through a block
-    feed into :class:`repro.stream.StreamEngine`, which folds detection
-    incrementally behind the ``config.confirm_depth`` watermark.  With
-    a ``fault_plan`` the feed injects the plan's
-    reorgs/delays/duplicates (and the shielded label sources degrade
-    under the same plan); either way the engine's output converges
-    bit-for-bit on the batch pipeline over the final canonical chain.
-    ``config`` (``None`` means ``RunConfig()``) carries the run
-    settings: its ``checkpoint``/``resume`` make the follower
-    crash-restartable mid-stream, and its fault profile applies here
-    the same way it does in batch mode.
-    """
-    from repro.faults.feed import ChainFeed, FaultyFeed
-    from repro.stream import StreamEngine
-
-    if config is None:
-        config = RunConfig()
+def _follow_sources(result: SimulationResult,
+                    fault_plan: Optional[FaultPlan],
+                    retry: Optional[RetryPolicy], config: RunConfig,
+                    ) -> Tuple[Optional[FaultPlan], object, object]:
+    """The plan a follow run runs under (``fault_plan``, else the one
+    ``config`` implies) and its Flashbots API and mempool observer:
+    shielded under that plan, bare when there is none."""
     if fault_plan is None:
         fault_plan = _plan_from_config(config, result.node)
-    observer, api = result.observer, result.flashbots_api
-    feed = ChainFeed(result.blockchain)
-    if fault_plan is not None:
-        _, observer, api = shield(result.node, observer, api,
-                                  retry=retry, plan=fault_plan)
-        feed = FaultyFeed(result.blockchain, fault_plan)
+    if fault_plan is None:
+        return None, result.flashbots_api, result.observer
+    _, observer, api = shield(result.node, result.observer,
+                              result.flashbots_api, retry=retry,
+                              plan=fault_plan)
+    return fault_plan, api, observer
+
+
+def follow_engine(result: SimulationResult,
+                  fault_plan: Optional[FaultPlan] = None,
+                  retry: Optional[RetryPolicy] = None,
+                  config: Optional[RunConfig] = None,
+                  ) -> Tuple[StreamEngine, Iterable[FeedEvent]]:
+    """Wire a follow run: the ``(engine, feed)`` pair to drive.
+
+    This is the one place follow mode is assembled.  With a fault plan
+    (``fault_plan``, else the one ``config``'s fault profile implies)
+    the feed is a :class:`~repro.faults.FaultyFeed` injecting the
+    plan's reorgs/delays/duplicates and the label sources are shielded
+    under the same plan; without one it is a clean in-order
+    :class:`~repro.faults.ChainFeed`.  ``config`` (``None`` means
+    ``RunConfig()``) supplies the confirmation depth and the
+    checkpoint/resume switches.  Subscribe to the engine before
+    driving it; with the default ``retry``, ``engine.run(feed)``
+    converges bit-for-bit on :func:`follow_reference` called with the
+    same plan and config.
+    """
+    if config is None:
+        config = RunConfig()
+    plan, api, observer = _follow_sources(result, fault_plan, retry,
+                                          config)
+    feed = ChainFeed(result.blockchain) if plan is None \
+        else FaultyFeed(result.blockchain, plan)
     engine = StreamEngine(
         PriceService(result.oracle),
         first_block=result.node.earliest_block_number(),
         confirm_depth=config.confirm_depth, flashbots_api=api,
         observer=observer, checkpoint=config.checkpoint,
         resume=config.resume)
+    return engine, feed
+
+
+def follow_reference(result: SimulationResult,
+                     fault_plan: Optional[FaultPlan] = None,
+                     config: Optional[RunConfig] = None) -> MevDataset:
+    """The dataset a follow run must converge on.
+
+    The batch pipeline at ``chunk_size=1`` over the bare archive of the
+    final canonical chain, labelled by the same sources
+    :func:`follow_engine` wires for ``fault_plan`` and ``config``
+    (shielded under the plan, default retry policy).  ``config``
+    matters only for the plan it implies.
+    """
+    _, api, observer = _follow_sources(result, fault_plan, None,
+                                       config or RunConfig())
+    inspector = MevInspector(ArchiveNode(result.blockchain),
+                             PriceService(result.oracle), api, observer)
+    return inspector.run(config=RunConfig(chunk_size=1))
+
+
+def follow_inspector(result: SimulationResult,
+                     fault_plan: Optional[FaultPlan] = None,
+                     retry: Optional[RetryPolicy] = None,
+                     config: Optional[RunConfig] = None) -> MevDataset:
+    """Measure a simulation result in *follow* (streaming) mode.
+
+    Instead of one batch pass, the chain is replayed through the block
+    feed :func:`follow_engine` wires into a
+    :class:`repro.stream.StreamEngine`, which folds detection
+    incrementally behind the ``config.confirm_depth`` watermark.  Under
+    a fault plan the feed reorgs, delays and duplicates announcements
+    and the label sources degrade under the same plan; either way the
+    output converges bit-for-bit on :func:`follow_reference`.
+    ``config``'s ``checkpoint``/``resume`` make the follower
+    crash-restartable mid-stream.
+    """
+    engine, feed = follow_engine(result, fault_plan, retry, config)
     return engine.run(feed)
 
 
@@ -190,36 +241,7 @@ def quick_study(blocks_per_month: int = 60, seed: int = 7,
     return Study(result=result, dataset=dataset)
 
 
-def serve_study(blocks_per_month: int = 60, seed: int = 7,
-                follow: bool = False,
-                fault_plan: Optional[FaultPlan] = None,
-                run_config: Optional[RunConfig] = None,
-                **config_overrides):
-    """Simulate the study window and build a query service over it.
-
-    Returns ``(study, service)`` where ``service`` is a
-    :class:`repro.serve.MevQueryService` ready to go behind
-    :class:`repro.serve.MevHttpServer`.  With ``follow=True`` the
-    dataset is measured in streaming mode first (converging through
-    any faults ``run_config`` implies); either way the service serves
-    the final joined dataset.  ``repro serve`` wires the live-follow
-    variant — a store fed block-by-block during ingestion — directly
-    through :func:`repro.serve.stream_service`.
-    """
-    from repro.serve import service_from_dataset
-
-    if follow:
-        study = follow_study(blocks_per_month=blocks_per_month,
-                             seed=seed, fault_plan=fault_plan,
-                             run_config=run_config, **config_overrides)
-    else:
-        study = quick_study(blocks_per_month=blocks_per_month,
-                            seed=seed, fault_plan=fault_plan,
-                            run_config=run_config, **config_overrides)
-    return study, service_from_dataset(study.dataset)
-
-
 __all__ = ["FaultPlan", "RunConfig", "ScenarioConfig", "SimulationResult",
            "Study", "World", "__version__", "build_paper_scenario",
-           "follow_inspector", "follow_study", "quick_study",
-           "run_inspector", "serve_study"]
+           "follow_engine", "follow_inspector", "follow_reference",
+           "follow_study", "quick_study", "run_inspector"]

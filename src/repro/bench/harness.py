@@ -46,12 +46,10 @@ from repro.chain.events import FlashLoanEvent
 from repro.chain.node import ArchiveNode
 from repro.chain.transaction import reset_tx_counter
 from repro.core.datasets import MevDataset
-from repro.core.pipeline import MevInspector, plan_chunks
+from repro.core.pipeline import plan_chunks
 from repro.core.profit import PriceService
 from repro.engine import RunConfig, effective_workers
-from repro.faults.feed import FaultyFeed
 from repro.faults.plan import FaultPlan
-from repro.stream import StreamEngine
 from repro.sim import ScenarioConfig, SimulationResult, \
     build_paper_scenario
 from repro.sim.shard import block_sequence
@@ -133,12 +131,6 @@ DEFAULT_WORKERS: Tuple[int, ...] = (1, 2, 4)
 def _clock() -> float:
     """Monotonic wall-clock seconds (machine time, not simulated)."""
     return time.perf_counter()  # repro-lint: disable=R002
-
-
-def _fingerprint(dataset: Any) -> Tuple[str, str]:
-    """The identity of a run: its rows and its quality ledger."""
-    return (json.dumps(dataset.to_rows(), sort_keys=True),
-            json.dumps(dataset.quality.to_dict(), sort_keys=True))
 
 
 class _StageProfiler:
@@ -345,7 +337,8 @@ def run_bench(bpm: int = 60, seed: int = 7,
     match the benchmarked world's full block-hash + tx-hash sequence
     (``shard_identical``).
     """
-    from repro import run_inspector  # lazy: repro imports the engine
+    # lazy: repro imports the engine
+    from repro import follow_engine, follow_reference, run_inspector
     from repro.core.heuristics import (
         detect_arbitrages,
         detect_flash_loan_txs,
@@ -430,7 +423,7 @@ def run_bench(bpm: int = 60, seed: int = 7,
     serial_dataset = run_inspector(
         result, config=RunConfig(chunk_size=chunk_size))
     serial_s = _clock() - started
-    serial_print = _fingerprint(serial_dataset)
+    serial_print = serial_dataset.fingerprint()
     end_to_end: List[Dict[str, Any]] = []
     parallel_identical = True
     for count in workers:
@@ -441,7 +434,7 @@ def run_bench(bpm: int = 60, seed: int = 7,
             dataset = run_inspector(result, config=RunConfig(
                 chunk_size=chunk_size, workers=count))
             elapsed = _clock() - started
-            identical = _fingerprint(dataset) == serial_print
+            identical = dataset.fingerprint() == serial_print
             parallel_identical = parallel_identical and identical
         entry = _timed(f"end_to_end[workers={count}]", blocks, elapsed,
                        workers_requested=count)
@@ -455,32 +448,26 @@ def run_bench(bpm: int = 60, seed: int = 7,
     # through a deliberately hostile feed (seeded reorgs, delays,
     # duplicates, one outage window) and demand that the incremental
     # engine's dataset — rows and quality ledger — is bit-identical to
-    # the batch pipeline over per-block chunks.  The stream stage's
-    # blocks/s is only a result once this passes.
+    # ``follow_reference``, the batch pipeline over per-block chunks.
+    # The stream stage's blocks/s is only a result once this passes.
     plan = FaultPlan.from_profile("reorg", seed, first, last)
-    engine = StreamEngine(prices, first_block=first,
-                          confirm_depth=plan.feed.max_reorg_depth,
-                          flashbots_api=result.flashbots_api,
-                          observer=result.observer)
-    stream_store = None
+    engine, feed = follow_engine(
+        result, fault_plan=plan,
+        config=RunConfig(confirm_depth=plan.feed.max_reorg_depth))
+    stream_query = None
     if serve:
         # The serving stage rides the same engine: its store is built
         # live, block by block, through every injected reorg.
-        from repro.serve import ColumnStore, StoreFeeder
+        from repro.serve import live_service
 
-        stream_store = ColumnStore()
-        engine.subscribe(StoreFeeder(stream_store))
-    feed = FaultyFeed(result.blockchain, plan)
+        stream_query = live_service(engine)
     started = _clock()
     stream_dataset = profiler.run("stream", lambda: engine.run(feed))
     stream_s = _clock() - started
     stages.append(_timed("stream", blocks, stream_s))
-    batch_dataset = MevInspector(
-        ArchiveNode(result.blockchain), prices,
-        result.flashbots_api, result.observer).run(
-            config=RunConfig(chunk_size=1))
+    batch_dataset = follow_reference(result, fault_plan=plan)
     stream_identical = \
-        _fingerprint(stream_dataset) == _fingerprint(batch_dataset)
+        stream_dataset.fingerprint() == batch_dataset.fingerprint()
     lags = engine.report.confirmation_lags
     stream_info: Dict[str, Any] = {
         "confirm_depth": engine.confirm_depth,
@@ -507,11 +494,9 @@ def run_bench(bpm: int = 60, seed: int = 7,
 
         from repro.serve import (build_mix, responses_identical,
                                  serve_and_replay, service_from_dataset)
-        from repro.serve.service import MevQueryService
 
         batch_query = service_from_dataset(batch_dataset)
-        assert stream_store is not None
-        stream_query = MevQueryService(stream_store)
+        assert stream_query is not None
         serve_identical = responses_identical(batch_query, stream_query)
         mix = build_mix(first, last, requests=serve_requests, seed=seed)
         started = _clock()

@@ -46,6 +46,7 @@ from repro.analysis import (
 )
 from repro.core.pool_attribution import attribute_private_pools
 from repro.faults import FAULT_PROFILES
+from repro.stream import StreamDivergenceError
 
 
 def _at_least_one(text: str) -> int:
@@ -53,6 +54,14 @@ def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _non_negative(text: str) -> int:
+    """An integer option that must be >= 0 (a usage error otherwise)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -64,8 +73,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_reliability(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--chunk-size", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("--chunk-size", type=_non_negative,
+                        default=None, metavar="N",
                         help="measure N blocks per checkpointable chunk "
                              "(default: the whole range in one chunk)")
     parser.add_argument("--checkpoint", default=None, metavar="PATH",
@@ -80,7 +89,8 @@ def _add_reliability(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fault-seed", type=int, default=0,
                         help="seed for the injected fault plan "
                              "(default 0)")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
+    parser.add_argument("--workers", type=_at_least_one, default=1,
+                        metavar="N",
                         help="run chunks across N worker processes "
                              "(default 1; output is bit-identical at "
                              "any worker count)")
@@ -113,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
                      "through the incremental engine instead of one "
                      "batch pass; bit-identical output")
             command.add_argument(
-                "--confirm-depth", type=int, default=3, metavar="K",
+                "--confirm-depth", type=_non_negative, default=3,
+                metavar="K",
                 help="blocks behind the head before a streamed block "
                      "is confirmed (default 3)")
             command.add_argument(
@@ -151,14 +162,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(stream)
     stream.add_argument("--fault-profile", choices=("none", "reorg"),
                         default="reorg",
-                        help="feed fault scenario: 'reorg' injects "
+                        help="fault scenario: 'reorg' injects "
                              "seeded head reorgs, delayed/duplicate "
-                             "announcements, and an outage window "
+                             "announcements, and an outage window into "
+                             "the feed, and degrades the Flashbots and "
+                             "mempool label sources under the same plan "
                              "(default: reorg)")
     stream.add_argument("--fault-seed", type=int, default=0,
-                        help="seed for the injected feed faults "
+                        help="seed for the injected fault plan "
                              "(default 0)")
-    stream.add_argument("--confirm-depth", type=int, default=3,
+    stream.add_argument("--confirm-depth", type=_non_negative, default=3,
                         metavar="K",
                         help="blocks behind the head before a streamed "
                              "block is confirmed (default 3)")
@@ -180,13 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "a completed batch run")
     serve.add_argument("--fault-profile", choices=("none", "reorg"),
                        default="none",
-                       help="with --follow: inject seeded feed faults "
-                            "(reorgs, delays, duplicates) while "
-                            "serving (default: none)")
+                       help="with --follow: inject seeded faults "
+                            "while serving: reorgs, delays and "
+                            "duplicates into the feed, and the same "
+                            "plan's faults into the Flashbots and "
+                            "mempool label sources (default: none)")
     serve.add_argument("--fault-seed", type=int, default=0,
-                       help="seed for the injected feed faults "
+                       help="seed for the injected fault plan "
                             "(default 0)")
-    serve.add_argument("--confirm-depth", type=int, default=3,
+    serve.add_argument("--confirm-depth", type=_non_negative, default=3,
                        metavar="K",
                        help="with --follow: blocks behind the head "
                             "before a streamed block is confirmed "
@@ -217,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(bench)
     bench.add_argument("--quick", action="store_true",
                        help="small scenario for CI smoke runs")
-    bench.add_argument("--workers", type=int, nargs="+",
+    bench.add_argument("--workers", type=_at_least_one, nargs="+",
                        default=None, metavar="N",
                        help="worker counts to sweep (default: 1 2 4)")
-    bench.add_argument("--chunk-size", type=int, default=None,
+    bench.add_argument("--chunk-size", type=_non_negative, default=None,
                        metavar="N",
                        help="blocks per chunk (default: range/8)")
     bench.add_argument("--output", default="BENCH_pipeline.json",
@@ -306,16 +321,21 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         confirm_depth=getattr(args, "confirm_depth", 3))
 
 
-def _study(args: argparse.Namespace) -> Study:
+def _announce(args: argparse.Namespace, config: RunConfig) -> None:
+    """Say on stderr what the run is about to simulate and inject."""
     print(f"Simulating 23 months at {args.bpm} blocks/month "
           f"(seed {args.seed}) …", file=sys.stderr)
-    config = _run_config(args)
     if config.fault_profile != "none":
         print(f"Injecting '{config.fault_profile}' faults "
               f"(fault seed {config.fault_seed}) …", file=sys.stderr)
     if config.checkpoint and config.resume:
         print(f"Resuming from checkpoint {config.checkpoint} …",
               file=sys.stderr)
+
+
+def _study(args: argparse.Namespace) -> Study:
+    config = _run_config(args)
+    _announce(args, config)
     if getattr(args, "follow", False):
         from repro import follow_study
         if getattr(args, "blocks", None) is not None \
@@ -468,50 +488,34 @@ def print_ablations(bpm: int, seed: int,
          percent(result.sealed_miner_share))]))
 
 
+def _simulate(args: argparse.Namespace, config: RunConfig):
+    """The study window a follow command measures."""
+    from repro import ScenarioConfig, build_paper_scenario
+
+    _announce(args, config)
+    return build_paper_scenario(
+        ScenarioConfig(blocks_per_month=args.bpm, seed=args.seed)).run()
+
+
 def run_stream_command(args: argparse.Namespace) -> int:
     """Follow the chain through a hostile feed; verify convergence.
 
     The streamed dataset — rows and quality ledger — must be
-    bit-identical to the batch pipeline over the final canonical chain
-    (modulo checkpoint-resume markers).  Divergence exits nonzero.
+    bit-identical to :func:`repro.follow_reference`, the batch pipeline
+    over the final canonical chain (modulo checkpoint-resume markers).
+    Divergence exits nonzero.
     """
-    import json
+    from dataclasses import replace
 
-    from repro import ScenarioConfig, build_paper_scenario
-    from repro.chain.node import ArchiveNode
-    from repro.core import MevInspector, PriceService
-    from repro.faults import FaultPlan
-    from repro.faults.feed import ChainFeed, FaultyFeed
-    from repro.stream import StreamEngine
+    from repro import follow_engine, follow_reference
 
-    print(f"Simulating 23 months at {args.bpm} blocks/month "
-          f"(seed {args.seed}) …", file=sys.stderr)
-    result = build_paper_scenario(
-        ScenarioConfig(blocks_per_month=args.bpm, seed=args.seed)).run()
-    first = result.node.earliest_block_number()
-    last = result.node.latest_block_number()
-    prices = PriceService(result.oracle)
-    if args.fault_profile == "none":
-        feed: object = ChainFeed(result.blockchain)
-    else:
-        plan = FaultPlan.from_profile(args.fault_profile,
-                                      args.fault_seed, first, last)
-        feed = FaultyFeed(result.blockchain, plan)
-        print(f"Injecting '{args.fault_profile}' feed faults "
-              f"(fault seed {args.fault_seed}) …", file=sys.stderr)
-    if args.checkpoint and args.resume:
-        print(f"Resuming from checkpoint {args.checkpoint} …",
-              file=sys.stderr)
-    engine = StreamEngine(prices, first_block=first,
-                          confirm_depth=args.confirm_depth,
-                          flashbots_api=result.flashbots_api,
-                          observer=result.observer,
-                          checkpoint=args.checkpoint,
-                          resume=args.resume)
+    config = _run_config(args)
+    result = _simulate(args, config)
+    engine, feed = follow_engine(result, config=config)
     dataset = engine.run(feed)
     report = engine.report
     print(render_kv("Stream report", [
-        ("blocks", last - first + 1),
+        ("blocks", len(result.blockchain.blocks)),
         ("feed events", report.events),
         ("reorgs", f"{report.reorgs} (max depth "
                    f"{report.max_reorg_depth})"),
@@ -520,21 +524,10 @@ def run_stream_command(args: argparse.Namespace) -> int:
         ("rows retracted", f"{report.retracted_rows} across "
                            f"{report.retracted_blocks} blocks"),
         ("payloads reused", report.payloads_reused)]))
-
-    batch = MevInspector(ArchiveNode(result.blockchain), prices,
-                         result.flashbots_api,
-                         result.observer).run(
-                             config=RunConfig(chunk_size=1))
-    stream_quality = dataset.quality.to_dict()
-    batch_quality = batch.quality.to_dict()
-    for document in (stream_quality, batch_quality):
-        document["resumed"] = False
-        document["chunks_resumed"] = 0
-    identical = (
-        json.dumps(dataset.to_rows(), sort_keys=True)
-        == json.dumps(batch.to_rows(), sort_keys=True)
-        and json.dumps(stream_quality, sort_keys=True)
-        == json.dumps(batch_quality, sort_keys=True))
+    settled = replace(dataset, quality=replace(
+        dataset.quality, resumed=False, chunks_resumed=0))
+    identical = (settled.fingerprint()
+                 == follow_reference(result, config=config).fingerprint())
     print("\n" + render_quality(dataset.quality))
     print("\nstreamed identical to batch: "
           + ("yes" if identical else "NO"))
@@ -548,25 +541,21 @@ def run_stream_command(args: argparse.Namespace) -> int:
 def run_serve_command(args: argparse.Namespace) -> int:
     """Serve the measured MEV dataset over HTTP.
 
-    Batch mode snapshots a completed pipeline run into the store and
-    serves it.  ``--follow`` instead feeds the store live from the
-    streaming engine — every indexed block, every reorg retraction,
-    and the final label reconcile land in the served rows as they
-    happen.  ``--smoke`` drives a follow run to completion, probing
-    over HTTP after every retraction, and exits 0 only if the
-    stream-built store serves byte-identical responses to a
-    batch-built one (the identity rule, end to end over a socket).
+    Batch mode snapshots :func:`repro.follow_reference` into the store
+    and serves it.  ``--follow`` instead feeds the store live from the
+    :func:`repro.follow_engine` follower — every indexed block, every
+    reorg retraction, and the final label reconcile land in the served
+    rows as they happen.  ``--smoke`` drives a follow run to
+    completion, probing over HTTP after every retraction, and exits 0
+    only if the stream-built store serves byte-identical responses to
+    one built from the reference (the identity rule, end to end over a
+    socket).
     """
     import asyncio
 
-    from repro import ScenarioConfig, build_paper_scenario
-    from repro.chain.node import ArchiveNode
-    from repro.core import MevInspector, PriceService
-    from repro.faults import FaultPlan
-    from repro.faults.feed import ChainFeed, FaultyFeed
-    from repro.serve import (MevHttpServer, probe_once,
-                             responses_identical, service_from_dataset,
-                             stream_service)
+    from repro import follow_engine, follow_reference
+    from repro.serve import (MevHttpServer, live_service, probe_once,
+                             responses_identical, service_from_dataset)
     from repro.stream import StreamSubscriber
 
     if (args.smoke or args.fault_profile != "none") and not args.follow:
@@ -574,21 +563,10 @@ def run_serve_command(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    print(f"Simulating 23 months at {args.bpm} blocks/month "
-          f"(seed {args.seed}) …", file=sys.stderr)
-    result = build_paper_scenario(
-        ScenarioConfig(blocks_per_month=args.bpm, seed=args.seed)).run()
-    prices = PriceService(result.oracle)
-    first = result.node.earliest_block_number()
-
-    def batch_dataset():
-        return MevInspector(
-            ArchiveNode(result.blockchain), prices,
-            result.flashbots_api, result.observer).run(
-                config=RunConfig(chunk_size=1))
-
+    config = _run_config(args)
+    result = _simulate(args, config)
     if not args.follow:
-        service = service_from_dataset(batch_dataset())
+        service = service_from_dataset(follow_reference(result))
         try:
             return asyncio.run(_serve_until_interrupted(
                 MevHttpServer(service, host=args.host,
@@ -606,21 +584,10 @@ def run_serve_command(args: argparse.Namespace) -> int:
                             rows_retracted) -> None:
             self.heights.append(height)
 
-    config = RunConfig(confirm_depth=args.confirm_depth)
-    service, engine = stream_service(
-        prices, first, flashbots_api=result.flashbots_api,
-        observer=result.observer, config=config)
+    engine, feed = follow_engine(result, config=config)
+    service = live_service(engine)
     retractions = RetractionLog()
     engine.subscribe(retractions)
-    if args.fault_profile == "none":
-        feed: object = ChainFeed(result.blockchain)
-    else:
-        last = result.node.latest_block_number()
-        plan = FaultPlan.from_profile(args.fault_profile,
-                                      args.fault_seed, first, last)
-        feed = FaultyFeed(result.blockchain, plan)
-        print(f"Injecting '{args.fault_profile}' feed faults "
-              f"(fault seed {args.fault_seed}) …", file=sys.stderr)
 
     async def follow() -> int:
         server = MevHttpServer(service, host=args.host, port=args.port)
@@ -655,7 +622,9 @@ def run_serve_command(args: argparse.Namespace) -> int:
                 await server.serve_forever()
                 return 0
             identical = responses_identical(
-                service_from_dataset(batch_dataset()), service)
+                service_from_dataset(follow_reference(result,
+                                                      config=config)),
+                service)
             print("serve responses identical batch vs stream: "
                   + ("yes" if identical else "NO"))
             if probe_errors or not identical:
@@ -729,6 +698,15 @@ def run_bench_command(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except StreamDivergenceError as error:
+        # A reorg deeper than --confirm-depth: report, no traceback.
+        print(f"ERROR: {error}", file=sys.stderr)
+        return 1
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "lint":
         from repro.lint.cli import main as lint_main
         lint_argv = list(args.paths) + ["--format", args.format]

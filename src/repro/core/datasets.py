@@ -197,6 +197,14 @@ class MevDataset:
                 and self.arbitrages == other.arbitrages
                 and self.liquidations == other.liquidations)
 
+    def fingerprint(self) -> Tuple[str, str]:
+        """The run's identity: canonical JSON of its rows and of its
+        quality ledger.  Two runs agree bit for bit exactly when their
+        fingerprints are equal."""
+        quality = None if self.quality is None else self.quality.to_dict()
+        return (json.dumps(self.to_rows(), sort_keys=True),
+                json.dumps(quality, sort_keys=True))
+
     # Row serialization (shared by JSONL export and checkpoints) ----------
 
     def to_rows(self) -> List[Dict[str, object]]:

@@ -19,8 +19,9 @@ that surface for the reproduction, engineered as a serving system:
 * :mod:`repro.serve.loadgen` — a seeded heavy-traffic replay harness
   feeding the ``serve`` stage of ``repro bench``;
 * :mod:`repro.serve.builders` — the two ingest paths sharing one
-  store: cold-start from a completed batch run, and live follow via
-  :meth:`repro.stream.StreamEngine.ingest`.
+  store: cold-start from a completed run, and live follow through
+  :func:`~repro.serve.builders.live_service`, whose store is subscribed
+  to the engine :func:`repro.follow_engine` wires.
 
 The package's standing contract is the **identity rule**: every
 endpoint's response over the final canonical chain is byte-identical
@@ -32,10 +33,9 @@ suite, and the ``serve_identical`` gate of ``repro bench --serve``.
 
 from repro.serve.builders import (
     StoreFeeder,
-    batch_service,
+    live_service,
     service_from_dataset,
     store_from_dataset,
-    stream_service,
 )
 from repro.serve.http import MevHttpServer
 from repro.serve.loadgen import (
@@ -60,13 +60,12 @@ __all__ = [
     "ServeResponse",
     "StoreFeeder",
     "StoreReconcileError",
-    "batch_service",
     "build_mix",
+    "live_service",
     "probe_once",
     "probe_targets",
     "responses_identical",
     "serve_and_replay",
     "service_from_dataset",
     "store_from_dataset",
-    "stream_service",
 ]

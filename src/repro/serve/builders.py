@@ -1,42 +1,26 @@
 """The two ingest paths that share one :class:`ColumnStore`.
 
-* **Cold start** — :func:`store_from_dataset` /
-  :func:`service_from_dataset` snapshot a completed batch run, and
-  :func:`batch_service` runs the batch pipeline itself (under one
-  :class:`~repro.engine.RunConfig`, like every other execution
-  surface) and serves the result.
-* **Live follow** — :func:`stream_service` builds a store that is
-  *subscribed* to a :class:`~repro.stream.StreamEngine` through
-  :class:`StoreFeeder`: every indexed block lands in the store the
-  moment detection finishes, every reorg retraction atomically
-  supersedes the served rows, and finalize reconciles the
-  post-join labels in.
-
-The dependency points one way — serve imports stream, never the
-reverse (R003) — so the engine stays ignorant of who consumes its
-hooks.  And the serving layer is measurement-side code: it accepts
-nodes, prices and datasets, never a ``SimulationResult``, so it can
-no more peek at simulator ground truth than the detectors can.
+Cold start snapshots a completed run (:func:`store_from_dataset`,
+:func:`service_from_dataset`); live follow (:func:`live_service`)
+subscribes a :class:`StoreFeeder` to a
+:class:`~repro.stream.StreamEngine`, so every indexed block, reorg
+retraction and the final label reconcile land in the store as they
+happen.  Serve imports stream, never the reverse
+(R003), and takes datasets, never a ``SimulationResult``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
-from repro.chain.node import ArchiveNode
-from repro.chain.p2p import MempoolObserver
 from repro.chain.types import Hash32
 from repro.core.datasets import MevDataset
-from repro.core.pipeline import MevInspector
-from repro.core.profit import PriceService
-from repro.engine.config import RunConfig
-from repro.flashbots.api import FlashbotsBlocksApi
 from repro.serve.service import MevQueryService
 from repro.serve.store import ColumnStore
 from repro.stream.engine import StreamEngine, StreamSubscriber
 
-__all__ = ["StoreFeeder", "batch_service", "service_from_dataset",
-           "store_from_dataset", "stream_service"]
+__all__ = ["StoreFeeder", "live_service", "service_from_dataset",
+           "store_from_dataset"]
 
 
 class StoreFeeder(StreamSubscriber):
@@ -83,39 +67,9 @@ def service_from_dataset(dataset: MevDataset) -> MevQueryService:
     return MevQueryService(store_from_dataset(dataset))
 
 
-def batch_service(node: ArchiveNode, prices: PriceService,
-                  flashbots_api: Optional[FlashbotsBlocksApi] = None,
-                  observer: Optional[MempoolObserver] = None,
-                  config: Optional[RunConfig] = None,
-                  ) -> MevQueryService:
-    """Run the batch pipeline over ``node`` and serve its dataset."""
-    inspector = MevInspector(node, prices, flashbots_api, observer)
-    dataset = inspector.run(config=config)
-    return service_from_dataset(dataset)
-
-
-def stream_service(prices: PriceService, first_block: int,
-                   flashbots_api: Optional[FlashbotsBlocksApi] = None,
-                   observer: Optional[MempoolObserver] = None,
-                   config: Optional[RunConfig] = None,
-                   ) -> Tuple[MevQueryService, StreamEngine]:
-    """A service whose store follows a streaming engine live.
-
-    Returns ``(service, engine)``; the caller drives
-    ``engine.ingest`` / ``engine.finalize`` and the service's store
-    tracks every append, retraction, and the final reconcile through
-    the subscribed :class:`StoreFeeder`.  ``config`` supplies the
-    confirmation depth and checkpoint/resume switches exactly as it
-    does for ``repro.follow_inspector``.
-    """
-    if config is None:
-        config = RunConfig()
-    engine = StreamEngine(prices, first_block,
-                          confirm_depth=config.confirm_depth,
-                          flashbots_api=flashbots_api,
-                          observer=observer,
-                          checkpoint=config.checkpoint,
-                          resume=config.resume)
+def live_service(engine: StreamEngine) -> MevQueryService:
+    """Service over an empty store subscribed to ``engine``: subscribe
+    before driving the engine, and the store follows it live."""
     service = MevQueryService(ColumnStore())
     engine.subscribe(StoreFeeder(service.store))
-    return (service, engine)
+    return service

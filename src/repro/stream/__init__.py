@@ -13,7 +13,9 @@ The engine's standing contract is **convergence**: streaming over any
 faulted feed (reorgs, duplicates, out-of-order delivery, outages) must
 produce rows and a quality ledger bit-identical to the batch pipeline
 run over the final canonical chain — enforced by the ``stream`` stage
-of ``repro bench`` (schema v5, ``stream_identical`` gate).
+of ``repro bench`` (the ``stream_identical`` gate).  The follower and
+its batch reference are wired in one place,
+:func:`repro.follow_engine` and :func:`repro.follow_reference`.
 """
 
 from repro.stream.engine import (

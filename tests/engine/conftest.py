@@ -1,22 +1,15 @@
-"""Shared world + fingerprint helpers for the execution-engine suite.
+"""Shared world + serial baseline for the execution-engine suite.
 
 One simulated study window per session; every engine test re-measures
 it through a different executor configuration and asserts the output is
-*bit-identical* — rows and quality ledger both — to the serial run.
+*bit-identical* — rows and quality ledger both, compared through
+``MevDataset.fingerprint`` — to the serial run.
 """
-
-import json
 
 import pytest
 
 from repro import RunConfig, run_inspector
 from repro.sim import ScenarioConfig, build_paper_scenario
-
-
-def fingerprint(dataset):
-    """A run's identity: its rows and its quality ledger, canonical."""
-    return (json.dumps(dataset.to_rows(), sort_keys=True),
-            json.dumps(dataset.quality.to_dict(), sort_keys=True))
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,6 @@ import pytest
 from repro import RunConfig, run_inspector
 from repro.engine import CachedExecutor, ChunkResult, SerialExecutor
 
-from tests.engine.conftest import fingerprint
-
 
 class CountingRunner:
     """Runner that counts executions and returns a canned payload."""
@@ -86,8 +84,8 @@ class TestPipelineCaching:
                            cache_key="engine-suite")
         first = run_inspector(sim_result, config=config)
         second = run_inspector(sim_result, config=config)
-        assert fingerprint(first) == fingerprint(serial_baseline)
-        assert fingerprint(second) == fingerprint(serial_baseline)
+        assert first.fingerprint() == serial_baseline.fingerprint()
+        assert second.fingerprint() == serial_baseline.fingerprint()
 
     def test_cache_composes_with_parallel(self, sim_result, tmp_path,
                                           serial_baseline):
@@ -95,8 +93,8 @@ class TestPipelineCaching:
                            cache_key="engine-suite")
         first = run_inspector(sim_result, config=config)
         second = run_inspector(sim_result, config=config)
-        assert fingerprint(first) == fingerprint(serial_baseline)
-        assert fingerprint(second) == fingerprint(serial_baseline)
+        assert first.fingerprint() == serial_baseline.fingerprint()
+        assert second.fingerprint() == serial_baseline.fingerprint()
 
     def test_fault_profile_partitions_the_cache(self, sim_result, span,
                                                 tmp_path):
@@ -128,4 +126,4 @@ class TestPipelineCaching:
                                 config=config)
         assert faulted.quality.source("archive").retries > 0
         clean = run_inspector(sim_result, config=config)
-        assert fingerprint(clean) == fingerprint(serial_baseline)
+        assert clean.fingerprint() == serial_baseline.fingerprint()

@@ -18,8 +18,6 @@ from repro.engine import (
 from repro.engine import executors as executors_module
 from repro.faults import FaultPlan
 
-from tests.engine.conftest import fingerprint
-
 
 @pytest.fixture
 def many_cpus(monkeypatch):
@@ -36,7 +34,7 @@ class TestParallelIdentity:
                                                  workers, many_cpus):
         dataset = run_inspector(sim_result, config=RunConfig(
             chunk_size=25, workers=workers))
-        assert fingerprint(dataset) == fingerprint(serial_baseline)
+        assert dataset.fingerprint() == serial_baseline.fingerprint()
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_identity_holds_under_faults(self, sim_result, span,
@@ -47,7 +45,7 @@ class TestParallelIdentity:
         dataset = run_inspector(sim_result, fault_plan=plan,
                                 config=RunConfig(chunk_size=25,
                                                  workers=workers))
-        assert fingerprint(dataset) == fingerprint(serial)
+        assert dataset.fingerprint() == serial.fingerprint()
         assert dataset.quality.source("archive").retries > 0
 
     def test_identity_holds_with_failed_ranges(self, sim_result, span,
@@ -58,7 +56,7 @@ class TestParallelIdentity:
         parallel = run_inspector(sim_result, fault_plan=plan,
                                  config=RunConfig(chunk_size=10,
                                                   workers=4))
-        assert fingerprint(parallel) == fingerprint(serial)
+        assert parallel.fingerprint() == serial.fingerprint()
         assert parallel.quality.failed_ranges == \
             serial.quality.failed_ranges
 

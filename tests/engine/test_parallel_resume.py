@@ -12,8 +12,6 @@ from repro.core.profit import PriceService
 from repro.engine import RunConfig
 from repro.reliability import shield
 
-from tests.engine.conftest import fingerprint
-
 
 class SimulatedCrash(RuntimeError):
     """Not a data-source fault: must abort the run, not mark a chunk."""
@@ -124,5 +122,5 @@ class TestParallelCrashResume:
             resumed = make_inspector(sim_result).run(
                 config=RunConfig(chunk_size=25, checkpoint=ck,
                                  resume=True, workers=workers))
-            prints.append(fingerprint(resumed))
+            prints.append(resumed.fingerprint())
         assert prints[0] == prints[1]

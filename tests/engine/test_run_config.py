@@ -12,8 +12,6 @@ from repro.engine import RunConfig
 from repro.faults import FaultPlan
 from repro.reliability import shield
 
-from tests.engine.conftest import fingerprint
-
 
 class TestValidation:
     def test_frozen(self):
@@ -45,7 +43,7 @@ class TestEquivalence:
                                                serial_baseline):
         config = RunConfig(chunk_size=25, workers=1)
         dataset = run_inspector(sim_result, config=config)
-        assert fingerprint(dataset) == fingerprint(serial_baseline)
+        assert dataset.fingerprint() == serial_baseline.fingerprint()
 
     def test_digest_changes_with_fault_seed(self, sim_result, span,
                                             tmp_path):

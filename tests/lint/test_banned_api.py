@@ -29,6 +29,10 @@ REMOVED_BENCH_HELPERS = (
     "store_world", "load_world", "world_digest", "WORLD_CACHE_FORMAT",
     "simulate_sharded")
 
+#: the hand-wired follow/serve builders replaced by
+#: ``repro.follow_engine`` and ``repro.follow_reference``
+REMOVED_SERVE_BUILDERS = ("serve_study", "batch_service", "stream_service")
+
 
 def repo_config():
     from repro.lint.config import load_config
@@ -55,7 +59,7 @@ class TestPositive:
 
     @pytest.mark.parametrize(
         "name", REMOVED_SOURCE_CLASSES + REMOVED_CONFIG_HELPERS
-        + REMOVED_BENCH_HELPERS)
+        + REMOVED_BENCH_HELPERS + REMOVED_SERVE_BUILDERS)
     def test_removed_source_classes_flagged(self, name):
         findings = run_lint(
             f"""

@@ -11,12 +11,9 @@ import os
 
 import pytest
 
-from repro.chain.node import ArchiveNode
-from repro.core import MevInspector, PriceService
-from repro.engine import RunConfig
+from repro import follow_engine, follow_reference
 from repro.faults import FaultPlan
-from repro.faults.feed import FaultyFeed
-from repro.serve import service_from_dataset, stream_service
+from repro.serve import live_service, service_from_dataset
 from repro.sim import ScenarioConfig, build_paper_scenario
 
 #: seed for every fault plan in the suite (CI matrix: 1, 2, 3)
@@ -32,11 +29,6 @@ def sim_result():
 
 
 @pytest.fixture(scope="session")
-def prices(sim_result):
-    return PriceService(sim_result.oracle)
-
-
-@pytest.fixture(scope="session")
 def span(sim_result):
     """The study window's inclusive block range."""
     return (sim_result.node.earliest_block_number(),
@@ -44,31 +36,33 @@ def span(sim_result):
 
 
 @pytest.fixture(scope="session")
-def batch_dataset(sim_result, prices):
-    """Batch pipeline at chunk_size=1: the serve identity target."""
-    inspector = MevInspector(ArchiveNode(sim_result.blockchain),
-                             prices, sim_result.flashbots_api,
-                             sim_result.observer)
-    return inspector.run(config=RunConfig(chunk_size=1))
+def plan(span):
+    """The seeded reorg plan both build paths run under."""
+    return FaultPlan.from_profile("reorg", CHAOS_SEED, *span)
 
 
 @pytest.fixture(scope="session")
-def batch_service(batch_dataset):
+def batch_dataset(sim_result, plan):
+    """:func:`repro.follow_reference` under the plan: the serve
+    identity target."""
+    return follow_reference(sim_result, fault_plan=plan)
+
+
+@pytest.fixture(scope="session")
+def batch_query(batch_dataset):
     """Cold-start service: store snapshotted from the batch dataset."""
     return service_from_dataset(batch_dataset)
 
 
 @pytest.fixture(scope="session")
-def streamed(sim_result, prices, span):
+def streamed(sim_result, plan):
     """``(service, engine)`` after a full reorg-faulted follow run.
 
     The store was fed block by block through seeded reorgs (every
     retraction superseded served rows live) and then reconciled by
     finalize — the stream side of the identity rule.
     """
-    plan = FaultPlan.from_profile("reorg", CHAOS_SEED, *span)
-    service, engine = stream_service(
-        prices, span[0], flashbots_api=sim_result.flashbots_api,
-        observer=sim_result.observer)
-    engine.run(FaultyFeed(sim_result.blockchain, plan))
+    engine, feed = follow_engine(sim_result, fault_plan=plan)
+    service = live_service(engine)
+    engine.run(feed)
     return (service, engine)

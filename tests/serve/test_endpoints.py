@@ -8,37 +8,34 @@ end state byte-identical to a batch-built service.
 
 import pytest
 
-from repro.faults import FaultPlan
-from repro.faults.feed import FaultyFeed
+from repro import follow_engine
 from repro.serve import (
     MevQueryService,
+    live_service,
     probe_targets,
     responses_identical,
-    stream_service,
 )
 from repro.stream import StreamSubscriber
 
-from tests.serve.conftest import CHAOS_SEED
-
 
 class TestIdentityRule:
-    def test_batch_and_stream_serve_identical_bytes(self, batch_service,
+    def test_batch_and_stream_serve_identical_bytes(self, batch_query,
                                                     streamed):
         service, engine = streamed
         assert engine.report.reorgs > 0  # the identity was earned
         assert engine.report.retracted_rows > 0
-        assert responses_identical(batch_service, service)
+        assert responses_identical(batch_query, service)
 
     def test_probe_targets_cover_every_endpoint_family(self,
-                                                       batch_service):
-        targets = probe_targets(batch_service.store)
+                                                       batch_query):
+        targets = probe_targets(batch_query.store)
         families = {"/v1/blocks/", "/v1/mev", "/v1/aggregates/table1",
                     "/v1/leaderboards/", "/v1/coverage"}
         for family in families:
             assert any(family in target for target in targets), family
         assert not any("/v1/status" in target for target in targets)
 
-    def test_divergence_is_detected(self, batch_service, streamed):
+    def test_divergence_is_detected(self, batch_query, streamed):
         service, _ = streamed
         lo, _ = service.store.bounds()
         tampered = MevQueryService(service.store)
@@ -87,14 +84,12 @@ class RetractionProbe(StreamSubscriber):
 
 class TestLiveSupersede:
     def test_retractions_supersede_served_rows_mid_stream(
-            self, sim_result, prices, span):
-        plan = FaultPlan.from_profile("reorg", CHAOS_SEED, *span)
-        service, engine = stream_service(
-            prices, span[0], flashbots_api=sim_result.flashbots_api,
-            observer=sim_result.observer)
+            self, sim_result, plan):
+        engine, feed = follow_engine(sim_result, fault_plan=plan)
+        service = live_service(engine)
         probe = RetractionProbe(service)
         engine.subscribe(probe)
-        engine.run(FaultyFeed(sim_result.blockchain, plan))
+        engine.run(feed)
         assert probe.checked > 0  # rows were actually superseded
 
 
@@ -108,21 +103,21 @@ class TestErrorPaths:
         ("/v1/mev?cursor=bogus", 400),
         ("/v1/mev?from=abc", 400),
     ])
-    def test_status_codes(self, batch_service, target, status):
-        response = batch_service.handle(target)
+    def test_status_codes(self, batch_query, target, status):
+        response = batch_query.handle(target)
         assert response.status == status
         assert response.json["status"] == status
         assert "error" in response.json
 
-    def test_missing_block_is_an_empty_200(self, batch_service):
-        _, hi = batch_service.store.bounds()
-        response = batch_service.handle(f"/v1/blocks/{hi + 99}/mev")
+    def test_missing_block_is_an_empty_200(self, batch_query):
+        _, hi = batch_query.store.bounds()
+        response = batch_query.handle(f"/v1/blocks/{hi + 99}/mev")
         assert response.status == 200
         assert response.json == {"block": hi + 99, "count": 0,
                                  "rows": []}
 
-    def test_status_endpoint_is_never_cached(self, batch_service):
-        first = batch_service.handle("/v1/status")
+    def test_status_endpoint_is_never_cached(self, batch_query):
+        first = batch_query.handle("/v1/status")
         assert first.status == 200 and first.etag is None
         body = first.json
         assert {"generation", "digest", "rows", "counters"} \
@@ -130,14 +125,14 @@ class TestErrorPaths:
 
 
 class TestConditionalRequests:
-    def test_etag_roundtrip(self, batch_service):
-        fresh = batch_service.handle("/v1/aggregates/table1")
+    def test_etag_roundtrip(self, batch_query):
+        fresh = batch_query.handle("/v1/aggregates/table1")
         assert fresh.status == 200 and fresh.etag
-        revalidated = batch_service.handle(
+        revalidated = batch_query.handle(
             "/v1/aggregates/table1", if_none_match=fresh.etag)
         assert revalidated.status == 304
         assert revalidated.body == b""
-        missed = batch_service.handle(
+        missed = batch_query.handle(
             "/v1/aggregates/table1", if_none_match='"deadbeef"')
         assert missed.status == 200
         assert missed.body == fresh.body

@@ -26,10 +26,10 @@ def run(coroutine):
 
 
 @pytest.fixture()
-def served(batch_service):
+def served(batch_query):
     """A started server (own mutable store clone) + teardown."""
-    store = rebuild_by_hand(batch_service.store)
-    store.set_quality(batch_service.store.coverage()["quality"])
+    store = rebuild_by_hand(batch_query.store)
+    store.set_quality(batch_query.store.coverage()["quality"])
     service = MevQueryService(store)
     return service
 

@@ -2,30 +2,23 @@
 
 The simulated study window is built once per session; stream tests
 replay it through (possibly faulted) block feeds and compare against
-``batch_baseline`` — the batch pipeline at ``chunk_size=1``, which is
-the exact shape :class:`repro.stream.StreamEngine` must converge on.
+``batch_baseline`` — :func:`repro.follow_reference`, the batch pipeline
+at ``chunk_size=1``, which is the exact shape
+:class:`repro.stream.StreamEngine` must converge on.
 ``REPRO_CHAOS_SEED`` (CI runs the suite across several values) seeds
 the fault plans only; the world itself stays fixed.
 """
 
-import json
 import os
 
 import pytest
 
-from repro.chain.node import ArchiveNode
-from repro.core import MevInspector, PriceService
-from repro.engine import RunConfig
+from repro import follow_reference
+from repro.core import PriceService
 from repro.sim import ScenarioConfig, build_paper_scenario
 
 #: seed for every fault plan in the suite (CI matrix: 1, 2, 3)
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1"))
-
-
-def fingerprint(dataset):
-    """A dataset's identity: its rows and its quality ledger."""
-    return (json.dumps(dataset.to_rows(), sort_keys=True),
-            json.dumps(dataset.quality.to_dict(), sort_keys=True))
 
 
 @pytest.fixture(scope="session")
@@ -50,9 +43,6 @@ def span(sim_result):
 
 
 @pytest.fixture(scope="session")
-def batch_baseline(sim_result, prices):
-    """Batch pipeline at chunk_size=1: the stream convergence target."""
-    inspector = MevInspector(ArchiveNode(sim_result.blockchain), prices,
-                             sim_result.flashbots_api,
-                             sim_result.observer)
-    return inspector.run(config=RunConfig(chunk_size=1))
+def batch_baseline(sim_result):
+    """The fault-free convergence target (bare label sources)."""
+    return follow_reference(sim_result)

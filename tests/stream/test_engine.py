@@ -8,12 +8,13 @@ to ``MevInspector.run(chunk_size=1)`` over the final canonical chain.
 
 import pytest
 
+from repro import RunConfig, follow_inspector, follow_reference
 from repro.chain.node import ArchiveNode
-from repro.faults import FaultPlan
+from repro.faults import FAULT_PROFILES, FaultPlan
 from repro.faults.feed import ChainFeed, FaultyFeed
 from repro.stream import StreamDivergenceError, StreamEngine
 
-from tests.stream.conftest import CHAOS_SEED, fingerprint
+from tests.stream.conftest import CHAOS_SEED
 
 
 def make_engine(sim_result, prices, span, confirm_depth=3, **kwargs):
@@ -33,7 +34,7 @@ class TestConvergence:
         plan = FaultPlan.from_profile("reorg", fault_seed, *span)
         engine = make_engine(sim_result, prices, span)
         dataset = engine.run(FaultyFeed(sim_result.blockchain, plan))
-        assert fingerprint(dataset) == fingerprint(batch_baseline)
+        assert dataset.fingerprint() == batch_baseline.fingerprint()
         # The convergence was earned, not vacuous: the feed actually
         # reorged, duplicated, and delivered out of order.
         report = engine.report
@@ -57,14 +58,14 @@ class TestConvergence:
         plan = FaultPlan.from_profile("reorg", CHAOS_SEED, *span)
         engine = make_engine(sim_result, prices, span)
         dataset = engine.run(FaultyFeed(sim_result.blockchain, plan))
-        assert fingerprint(dataset) == fingerprint(batch_baseline)
+        assert dataset.fingerprint() == batch_baseline.fingerprint()
         assert engine.report.reorgs > 0
 
     def test_clean_feed_matches_batch(self, sim_result, prices, span,
                                       batch_baseline):
         engine = make_engine(sim_result, prices, span)
         dataset = engine.run(ChainFeed(sim_result.blockchain))
-        assert fingerprint(dataset) == fingerprint(batch_baseline)
+        assert dataset.fingerprint() == batch_baseline.fingerprint()
         report = engine.report
         assert report.reorgs == 0
         assert report.duplicates == 0
@@ -83,6 +84,19 @@ class TestConvergence:
         assert min(lags) == 0  # the finalize flush reaches the head
         streamed = lags[:-5]
         assert streamed and min(streamed) >= 5
+
+
+class TestFollowPath:
+    @pytest.mark.parametrize("profile", FAULT_PROFILES)
+    def test_follow_inspector_matches_reference(self, sim_result,
+                                                profile):
+        """The one follow path converges on its one reference — rows
+        and ledger, label sources shielded under the same plan on
+        both sides — whatever the fault profile."""
+        config = RunConfig(fault_profile=profile, fault_seed=CHAOS_SEED)
+        assert (follow_inspector(sim_result, config=config).fingerprint()
+                == follow_reference(sim_result,
+                                    config=config).fingerprint())
 
 
 class TestWindowAndWatermark:
@@ -119,7 +133,7 @@ class TestWindowAndWatermark:
         engine = make_engine(sim_result, prices, span,
                              confirm_depth=plan.feed.max_reorg_depth)
         dataset = engine.run(FaultyFeed(sim_result.blockchain, plan))
-        assert fingerprint(dataset) == fingerprint(batch_baseline)
+        assert dataset.fingerprint() == batch_baseline.fingerprint()
 
     def test_negative_confirm_depth_rejected(self, prices):
         with pytest.raises(ValueError):

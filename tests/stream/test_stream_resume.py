@@ -16,12 +16,12 @@ from repro.faults.feed import ChainFeed, FaultyFeed
 from repro.reliability import CheckpointError, CheckpointStore
 from repro.stream import StreamEngine
 
-from tests.stream.conftest import CHAOS_SEED, fingerprint
+from tests.stream.conftest import CHAOS_SEED
 
 
 def modulo_resume(dataset):
     """The dataset's identity with the resume markers normalized."""
-    rows, quality = fingerprint(dataset)
+    rows, quality = dataset.fingerprint()
     document = dataset.quality.to_dict()
     document["resumed"] = False
     document["chunks_resumed"] = 0

@@ -8,6 +8,10 @@ from repro.cli import build_parser, main
 
 BPM = ["--bpm", "8", "--seed", "3"]
 
+#: the follow-mode world: its 'reorg' plan at fault seed 0 reorgs
+#: deeper than one block
+FOLLOW = ["--bpm", "8", "--seed", "5"]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -55,6 +59,25 @@ class TestParser:
     def test_world_cache_flag_is_gone(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "--world-cache", "w"])
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["run", "--workers", "0"], "--workers"),
+        (["run", "--chunk-size", "-5"], "--chunk-size"),
+        (["run", "--follow", "--confirm-depth", "-1"], "--confirm-depth"),
+        (["stream", "--confirm-depth", "-1"], "--confirm-depth"),
+        (["serve", "--follow", "--confirm-depth", "-1"],
+         "--confirm-depth"),
+        (["bench", "--workers", "1", "0"], "--workers"),
+        (["bench", "--chunk-size", "-1"], "--chunk-size"),
+    ], ids=["run-workers", "run-chunk-size", "run-follow-confirm-depth",
+            "stream-confirm-depth", "serve-follow-confirm-depth",
+            "bench-workers", "bench-chunk-size"])
+    def test_out_of_range_number_is_a_usage_error(self, argv, flag,
+                                                  capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + FOLLOW)
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def _gate_report(**gates):
@@ -183,3 +206,66 @@ class TestCommands:
         assert loaded.totals()["total"] >= 0
         assert target.read_text().count("\n") == \
             loaded.totals()["total"]
+
+
+def _quality_ledger(out):
+    """The rendered quality ledger: from its header to the next blank
+    line."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("Data quality"))
+    end = next((i for i in range(start, len(lines)) if not lines[i]),
+               len(lines))
+    return lines[start:end]
+
+
+class TestStreamCommand:
+    def test_clean_feed_converges(self, capsys):
+        assert main(["stream", "--fault-profile", "none"] + FOLLOW) == 0
+        assert ("streamed identical to batch: yes"
+                in capsys.readouterr().out)
+
+    def test_reorg_ledger_matches_run_follow(self, capsys):
+        """`repro stream` and `repro run --follow` are one follow path:
+        under the same plan they label through the same shielded
+        sources and print the same quality ledger."""
+        from repro.chain.transaction import reset_tx_counter
+        reset_tx_counter()
+        assert main(["stream", "--fault-profile", "reorg"] + FOLLOW) == 0
+        streamed = _quality_ledger(capsys.readouterr().out)
+        reset_tx_counter()
+        assert main(["run", "--follow", "--fault-profile", "reorg"]
+                    + FOLLOW) == 0
+        assert streamed == _quality_ledger(capsys.readouterr().out)
+        flashbots = next(line for line in streamed
+                         if "flashbots:" in line)
+        assert " 0 requests" not in flashbots
+
+    def test_checkpoint_resume_round_trip(self, tmp_path, capsys):
+        from repro.chain.transaction import reset_tx_counter
+        checkpoint = str(tmp_path / "head.ckpt.json")
+        reset_tx_counter()
+        assert main(["stream", "--checkpoint", checkpoint] + FOLLOW) == 0
+        capsys.readouterr()
+        reset_tx_counter()
+        assert main(["stream", "--checkpoint", checkpoint, "--resume"]
+                    + FOLLOW) == 0
+        captured = capsys.readouterr()
+        assert "streamed identical to batch: yes" in captured.out
+        assert "payloads reused : 0" not in captured.out
+        assert "Resuming from checkpoint" in captured.err
+
+
+class TestStreamDivergence:
+    @pytest.mark.parametrize("argv", [
+        ["stream"],
+        ["run", "--follow", "--fault-profile", "reorg"],
+        ["serve", "--follow", "--fault-profile", "reorg", "--smoke"],
+    ], ids=["stream", "run-follow", "serve-follow"])
+    def test_reorg_below_watermark_is_an_error_line(self, argv, capsys):
+        """A reorg deeper than --confirm-depth exits 1 with one
+        ``ERROR:`` line, not a traceback."""
+        assert main(argv + ["--confirm-depth", "1"] + FOLLOW) == 1
+        err = capsys.readouterr().err
+        assert "ERROR: reorg to height" in err
+        assert "confirmation watermark" in err
