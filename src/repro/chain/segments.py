@@ -1,20 +1,30 @@
-"""Spillable block storage: fingerprinted per-epoch segment files.
+"""Spillable block storage: fingerprinted, block-addressable segment files.
 
-A :class:`SegmentStore` persists completed epochs of a chain as pickled
-segment files under one directory, indexed by a JSON manifest that
-records each segment's block range and content fingerprint.
-:class:`SpillingBlockchain` is a drop-in :class:`~repro.chain.node.Blockchain`
-that spills every completed epoch to the store and evicts old epochs
-from memory, so a simulation's peak block residency is O(epoch) rather
-than O(world); :class:`SegmentReader` serves ranged reads over the
-spilled portion through a bounded LRU of resident segments (manifest
-bisect, never a directory scan).
+A :class:`SegmentStore` persists completed epochs of a chain as segment
+files under one directory, indexed by a JSON manifest that records each
+segment's block range and content fingerprint.  A segment file (format
+2) is a header, a per-block index of ``(number, hash, tx_count, offset,
+length)`` entries, and then one pickle frame per block, so a read
+decodes only the blocks it asks for.  :class:`SpillingBlockchain` is a
+drop-in :class:`~repro.chain.node.Blockchain` that spills every
+completed epoch to the store and evicts old epochs from memory, so a
+simulation's peak block residency is O(epoch) rather than O(world).
+:class:`SegmentReader` serves ranged reads over the spilled portion
+through a bounded LRU of opened segments, found by bisecting the
+manifest (never a directory scan).  An opened segment
+(:class:`SegmentFile`) holds its verified index and decodes each frame
+on first touch: a spot lookup costs one frame rather than an epoch,
+and a sequential walk parses each index once.
 
-Integrity follows the fail-closed rule: *any* anomaly — missing or
-truncated file, fingerprint mismatch, unknown manifest format — raises
-:class:`SegmentIntegrityError` with a clear message, and callers respond
-by re-simulating from scratch (`SegmentStore.open_or_create`), never by
-trusting a partially readable store.
+Integrity follows the fail-closed rule, checked per block.  Before any
+frame is used, the index must reproduce the manifest fingerprint and
+its frames must tile the rest of the file exactly; every decoded frame
+must then match its index entry on number, hash and transaction count.
+*Any* anomaly (missing or truncated file, an index that overruns the
+file, fingerprint mismatch, a corrupt frame, unknown manifest format)
+raises :class:`SegmentIntegrityError` with a clear message, and callers
+respond by re-simulating from scratch (`SegmentStore.open_or_create`),
+never by trusting a partially readable store.
 """
 
 from __future__ import annotations
@@ -22,11 +32,14 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
+import operator
 import os
 import pickle
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.chain.block import Block
 from repro.chain.node import Blockchain
@@ -34,11 +47,29 @@ from repro.chain.types import Hash32
 from repro.markers import fast_path
 
 #: On-disk layout version.  Bumped whenever the manifest schema or the
-#: segment pickle layout changes; stores written by other versions are
+#: segment file layout changes; stores written by other versions are
 #: rejected with a clear message, not a pickle error.
-SEGMENT_FORMAT = 1
+SEGMENT_FORMAT = 2
 
 MANIFEST_NAME = "manifest.json"
+
+#: Segment file header: magic, format, number of index entries.
+_HEADER = struct.Struct(">4sHI")
+_MAGIC = b"RSEG"
+#: One index entry per block: number, hash (``hash_of``'s 0x-prefixed
+#: hex, stored as its 32 raw bytes), transaction count, and the
+#: absolute offset and length of the block's frame.
+_ENTRY = struct.Struct(">Q32sIQQ")
+
+#: What unpickling a damaged frame can raise.
+_DECODE_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
+                  ImportError, IndexError, KeyError, TypeError,
+                  ValueError)
+
+#: One decoded index entry: (number, hash, tx_count, offset, length).
+IndexEntry = Tuple[int, Hash32, int, int, int]
+
+_epoch_of = operator.attrgetter("epoch")
 
 
 class SegmentIntegrityError(RuntimeError):
@@ -97,15 +128,34 @@ def _materialize_hashes(blocks: Sequence[Block]) -> None:
             tx.hash
 
 
+def _fingerprint(entries: Iterable[Tuple[int, Hash32, int]]) -> str:
+    """Content fingerprint of a run of ``(number, hash, tx_count)``."""
+    return hashlib.sha256("".join(
+        f"{number}:{block_hash}:{tx_count};"
+        for number, block_hash, tx_count in entries).encode()).hexdigest()
+
+
 def _fingerprint_blocks(blocks: Sequence[Block]) -> str:
     """Content fingerprint of a block run (same scheme as the bench
     world fingerprint: number, hash, and transaction count per block)."""
-    digest = hashlib.sha256()
-    for block in blocks:
-        digest.update(
-            f"{block.number}:{block.hash}:"
-            f"{len(block.transactions)};".encode())
-    return digest.hexdigest()
+    return _fingerprint((block.number, block.hash, len(block.transactions))
+                        for block in blocks)
+
+
+def _encode_segment(blocks: Sequence[Block]) -> bytes:
+    """Format-2 segment bytes: header, index, one frame per block."""
+    frames = [pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
+              for block in blocks]
+    parts = [_HEADER.pack(_MAGIC, SEGMENT_FORMAT, len(blocks))]
+    offset = _HEADER.size + _ENTRY.size * len(blocks)
+    for block, frame in zip(blocks, frames):
+        parts.append(_ENTRY.pack(block.number,
+                                 bytes.fromhex(block.hash[2:]),
+                                 len(block.transactions), offset,
+                                 len(frame)))
+        offset += len(frame)
+    parts.extend(frames)
+    return b"".join(parts)
 
 
 @dataclass(frozen=True)
@@ -120,6 +170,111 @@ class SegmentInfo:
     tx_count: int
 
 
+def _verified_index(info: SegmentInfo, payload: bytes,
+                    ) -> List[IndexEntry]:
+    """Parse a segment file's index and check it before any frame is
+    used: it must list exactly the manifest's blocks, reproduce the
+    manifest fingerprint, and its frames must tile the rest of the file
+    with nothing missing or left over."""
+    name = info.filename
+    if len(payload) < _HEADER.size:
+        raise SegmentIntegrityError(
+            f"segment {name} is truncated (no header); re-simulate "
+            f"from scratch")
+    magic, version, count = _HEADER.unpack_from(payload)
+    if magic != _MAGIC or version != SEGMENT_FORMAT:
+        raise SegmentIntegrityError(
+            f"segment {name} is not a format-{SEGMENT_FORMAT} segment "
+            f"file; re-simulate from scratch")
+    end = _HEADER.size + _ENTRY.size * count
+    if end > len(payload):
+        raise SegmentIntegrityError(
+            f"segment {name} index of {count} entries overruns the "
+            f"file ({len(payload)} bytes); re-simulate from scratch")
+    expected = info.last_block - info.first_block + 1
+    if count != expected:
+        raise SegmentIntegrityError(
+            f"segment {name} is truncated or malformed: expected "
+            f"{expected} blocks, its index lists {count}")
+    entries = [
+        (number, "0x" + raw_hash.hex(), tx_count, offset, length)
+        for number, raw_hash, tx_count, offset, length
+        in _ENTRY.iter_unpack(memoryview(payload)[_HEADER.size:end])]
+    if _fingerprint(entry[:3] for entry in entries) != info.fingerprint:
+        raise SegmentIntegrityError(
+            f"segment {name} fingerprint mismatch; re-simulate from "
+            f"scratch")
+    for number, _, _, offset, length in entries:
+        if offset != end:
+            raise SegmentIntegrityError(
+                f"segment {name} frame of block {number} is misplaced "
+                f"(offset {offset}, expected {end}); re-simulate from "
+                f"scratch")
+        end = offset + length
+    if end != len(payload):
+        raise SegmentIntegrityError(
+            f"segment {name} is truncated or malformed: its frames end "
+            f"at byte {end} of {len(payload)}; re-simulate from scratch")
+    return entries
+
+
+class SegmentFile:
+    """One opened segment: its verified index, frames decoded on first
+    touch.
+
+    :meth:`SegmentStore.open_segment` builds it only after the index
+    passed :func:`_verified_index`.  :meth:`read` is the one read
+    primitive over a block range: it unpickles just the frames the
+    range needs, checks each against its index entry, and keeps them,
+    so re-reading a block decodes nothing.
+    """
+
+    def __init__(self, info: SegmentInfo, entries: List[IndexEntry],
+                 payload: bytes) -> None:
+        self.info = info
+        self._entries = entries
+        self._payload = memoryview(payload)
+        self._blocks: List[Optional[Block]] = [None] * len(entries)
+
+    @classmethod
+    def decoded(cls, info: SegmentInfo,
+                blocks: List[Block]) -> "SegmentFile":
+        """A segment whose blocks are already in memory (an epoch still
+        queued behind the background writer)."""
+        segment = cls(info, [], b"")
+        segment._blocks = list(blocks)
+        return segment
+
+    def read(self, low: Optional[int] = None,
+             high: Optional[int] = None) -> List[Block]:
+        """Blocks ``[low, high]`` of this segment (default: all)."""
+        first = self.info.first_block
+        start = 0 if low is None else low - first
+        stop = len(self._blocks) if high is None else high - first + 1
+        blocks = self._blocks
+        for index in range(start, stop):
+            if blocks[index] is None:
+                blocks[index] = self._decode(index)
+        return blocks[start:stop]
+
+    def _decode(self, index: int) -> Block:
+        number, block_hash, tx_count, offset, length = self._entries[index]
+        name = self.info.filename
+        try:
+            block = pickle.loads(self._payload[offset:offset + length])
+        except _DECODE_ERRORS as exc:
+            raise SegmentIntegrityError(
+                f"segment {name} frame of block {number} is unreadable "
+                f"({exc}); re-simulate from scratch")
+        if not isinstance(block, Block) or block.number != number \
+                or block.hash != block_hash \
+                or len(block.transactions) != tx_count:
+            raise SegmentIntegrityError(
+                f"segment {name} frame of block {number} does not match "
+                f"its index entry; re-simulate from scratch")
+        return block
+
+
 class SegmentStore:
     """Directory of fingerprinted per-epoch segment files + manifest.
 
@@ -131,7 +286,10 @@ class SegmentStore:
 
     def __init__(self, root: str) -> None:
         self.root = root
+        #: manifest entries ordered by epoch, and their first blocks —
+        #: kept in step on open and write so lookups bisect them as is.
         self._segments: List[SegmentInfo] = []
+        self._starts: List[int] = []
         self._by_epoch: Dict[int, SegmentInfo] = {}
         #: background writer for overlapped spill I/O (None = synchronous)
         self._writer = None
@@ -170,8 +328,9 @@ class SegmentStore:
         except (KeyError, TypeError) as exc:
             raise SegmentIntegrityError(
                 f"segment manifest at {manifest} is malformed ({exc})")
-        infos.sort(key=lambda info: info.epoch)
+        infos.sort(key=_epoch_of)
         self._segments = infos
+        self._starts = [info.first_block for info in infos]
         self._by_epoch = {info.epoch: info for info in infos}
 
     @classmethod
@@ -197,21 +356,52 @@ class SegmentStore:
 
     @property
     def segments(self) -> List[SegmentInfo]:
-        """Manifest entries, ordered by epoch."""
+        """Manifest entries, ordered by epoch (a copy)."""
         return list(self._segments)
+
+    @property
+    def first_block(self) -> Optional[int]:
+        """First spilled block, or None while nothing is spilled."""
+        return self._starts[0] if self._starts else None
 
     def segment_for_block(self, number: int) -> Optional[SegmentInfo]:
         """The segment containing ``number``, via manifest bisect."""
-        if not self._segments:
-            return None
-        starts = [info.first_block for info in self._segments]
-        index = bisect.bisect_right(starts, number) - 1
+        index = bisect.bisect_right(self._starts, number) - 1
         if index < 0:
             return None
         info = self._segments[index]
-        if info.first_block <= number <= info.last_block:
+        if number <= info.last_block:
             return info
         return None
+
+    def overlapping(self, low: Optional[int],
+                    high: Optional[int]) -> Iterator[SegmentInfo]:
+        """Manifest entries overlapping ``[low, high]`` (None = open),
+        in order: bisects to the first one, then walks only the
+        overlap."""
+        segments = self._segments
+        index = 0 if low is None else \
+            max(0, bisect.bisect_right(self._starts, low) - 1)
+        while index < len(segments):
+            info = segments[index]
+            if high is not None and info.first_block > high:
+                return
+            if low is None or info.last_block >= low:
+                yield info
+            index += 1
+
+    def _record(self, info: SegmentInfo) -> None:
+        """Insert or replace ``info`` in the ordered manifest state by
+        bisect (a spill past the last epoch is an append)."""
+        segments = self._segments
+        index = bisect.bisect_left(segments, info.epoch, key=_epoch_of)
+        if index < len(segments) and segments[index].epoch == info.epoch:
+            segments[index] = info
+            self._starts[index] = info.first_block
+        else:
+            segments.insert(index, info)
+            self._starts.insert(index, info.first_block)
+        self._by_epoch[info.epoch] = info
 
     def _manifest_payload(self) -> bytes:
         doc = {
@@ -285,16 +475,13 @@ class SegmentStore:
         filename = f"seg-{epoch:06d}.pkl"
         path = os.path.join(self.root, filename)
         _materialize_hashes(blocks)
+        payload = _encode_segment(blocks)
         info = SegmentInfo(
             epoch=epoch, first_block=blocks[0].number,
             last_block=blocks[-1].number, filename=filename,
             fingerprint=_fingerprint_blocks(blocks),
             tx_count=sum(len(b.transactions) for b in blocks))
-        self._by_epoch[epoch] = info
-        self._segments = sorted(self._by_epoch.values(),
-                                key=lambda entry: entry.epoch)
-        payload = pickle.dumps(blocks,
-                               protocol=pickle.HIGHEST_PROTOCOL)
+        self._record(info)
         if self._writer is None:
             _write_durable(path, payload)
             self._write_manifest()
@@ -313,42 +500,39 @@ class SegmentStore:
         self._writer.submit(f"segment epoch {epoch}", job)  # repro-lint: disable=R103
         return info
 
-    def load_segment(self, epoch: int) -> List[Block]:
-        """Load and verify one spilled epoch.
+    def open_segment(self, epoch: int) -> SegmentFile:
+        """Open one spilled epoch for block-granular reads.
 
         Epochs still queued behind the background writer are served
         straight from memory (they have no durable file yet).  For
-        on-disk epochs, raises :class:`SegmentIntegrityError` on any
-        anomaly: unknown epoch, missing/truncated/corrupt file, wrong
-        block count, or a content fingerprint that does not match the
-        manifest.
+        on-disk epochs the file is read and its index verified
+        (:func:`_verified_index`); frames are decoded later, by
+        :meth:`SegmentFile.read`.  Raises :class:`SegmentIntegrityError`
+        on any anomaly: unknown epoch, missing or unreadable file, or an
+        index that does not match the manifest or the file.
         """
-        pending = self._in_flight.get(epoch)
-        if pending is not None:
-            return list(pending)
         info = self._by_epoch.get(epoch)
         if info is None:
             raise SegmentIntegrityError(
                 f"no segment for epoch {epoch} in {self.root}")
+        pending = self._in_flight.get(epoch)
+        if pending is not None:
+            return SegmentFile.decoded(info, pending)
         path = os.path.join(self.root, info.filename)
         try:
             with open(path, "rb") as handle:
-                blocks = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError, IndexError) as exc:
+                payload = handle.read()
+        except OSError as exc:
             raise SegmentIntegrityError(
                 f"segment {info.filename} is unreadable ({exc}); "
                 f"re-simulate from scratch")
-        expected = info.last_block - info.first_block + 1
-        if not isinstance(blocks, list) or len(blocks) != expected:
-            raise SegmentIntegrityError(
-                f"segment {info.filename} is truncated or malformed: "
-                f"expected {expected} blocks")
-        if _fingerprint_blocks(blocks) != info.fingerprint:
-            raise SegmentIntegrityError(
-                f"segment {info.filename} fingerprint mismatch; "
-                f"re-simulate from scratch")
-        return blocks
+        return SegmentFile(info, _verified_index(info, payload), payload)
+
+    def load_segment(self, epoch: int) -> List[Block]:
+        """Load and verify one whole spilled epoch: the whole-range
+        :meth:`SegmentFile.read` of :meth:`open_segment`, so every
+        frame is decoded and checked against the verified index."""
+        return self.open_segment(epoch).read()
 
     # Sidecar files --------------------------------------------------------
     #
@@ -392,10 +576,11 @@ class SegmentStore:
 class SegmentReader:
     """Ranged reads over a store's spilled blocks.
 
-    The default path keeps at most ``max_resident`` segments in memory
-    (LRU) and resolves ranges by bisecting the manifest.  The reference
-    path (``bounded=False``) simply materializes segments without ever
-    evicting — the in-memory behaviour the bounded path must match
+    The default path keeps at most ``max_resident`` opened segments in
+    memory (LRU), resolves ranges by bisecting the manifest, and decodes
+    only the blocks a read covers (:meth:`SegmentFile.read`).  The
+    reference path (``bounded=False``) decodes whole epochs and never
+    evicts — the in-memory behaviour the bounded path must match
     element for element.
     """
 
@@ -405,84 +590,77 @@ class SegmentReader:
             raise ValueError("max_resident must be positive")
         self.store = store
         self.max_resident = max_resident
-        #: when False, loaded segments are never evicted — the unbounded
+        #: when False, opened segments are never evicted — the unbounded
         #: in-memory reference the LRU fast path is checked against.
         self.bounded = bounded
-        self._resident: "OrderedDict[int, List[Block]]" = OrderedDict()
+        self._resident: "OrderedDict[int, SegmentFile]" = OrderedDict()
 
     @property
     def resident_epochs(self) -> List[int]:
         """Epochs currently held in memory (test/assertion hook)."""
         return list(self._resident)
 
-    def _load(self, epoch: int) -> List[Block]:
-        blocks = self._resident.get(epoch)
-        if blocks is not None:
+    def _open(self, epoch: int) -> SegmentFile:
+        segment = self._resident.get(epoch)
+        if segment is not None:
             self._resident.move_to_end(epoch)
-            return blocks
-        blocks = self.store.load_segment(epoch)
-        self._resident[epoch] = blocks
+            return segment
+        segment = self.store.open_segment(epoch)
+        self._resident[epoch] = segment
         if self.bounded:
             while len(self._resident) > self.max_resident:
                 self._resident.popitem(last=False)
-        return blocks
+        return segment
 
     def block(self, number: int) -> Optional[Block]:
         info = self.store.segment_for_block(number)
         if info is None:
             return None
-        return self._load(info.epoch)[number - info.first_block]
+        return self._open(info.epoch).read(number, number)[0]
 
     @fast_path(reference="_iter_range_unbounded", toggle="bounded")
     def iter_range(self, from_block: Optional[int] = None,
                    to_block: Optional[int] = None) -> Iterator[Block]:
         """Yield spilled blocks in ``[from_block, to_block]`` in order.
 
-        Bisects the manifest to the first overlapping segment and loads
-        only overlapping segments (through the LRU), so a narrow range
-        touches O(range / epoch) segments regardless of store size.
+        Bisects the manifest to the first overlapping segment, opens
+        only overlapping segments (through the LRU) and decodes only
+        the blocks in range, so a narrow range costs O(range) frames
+        regardless of epoch or store size.
         """
         if not self.bounded:
             yield from self._iter_range_unbounded(from_block, to_block)
             return
-        infos = self.store.segments
-        if not infos:
+        if from_block is not None and to_block is not None \
+                and from_block > to_block:
             return
-        low = from_block if from_block is not None \
-            else infos[0].first_block
-        high = to_block if to_block is not None \
-            else infos[-1].last_block
-        if low > high:
-            return
-        starts = [info.first_block for info in infos]
-        start = max(0, bisect.bisect_right(starts, low) - 1)
-        for info in infos[start:]:
-            if info.first_block > high:
-                break
-            if info.last_block < low:
-                continue
-            blocks = self._load(info.epoch)
-            first = max(low, info.first_block) - info.first_block
-            last = min(high, info.last_block) - info.first_block
-            yield from blocks[first:last + 1]
+        for info in self.store.overlapping(from_block, to_block):
+            low = info.first_block if from_block is None \
+                else max(from_block, info.first_block)
+            high = info.last_block if to_block is None \
+                else min(to_block, info.last_block)
+            yield from self._open(info.epoch).read(low, high)
 
     def _iter_range_unbounded(self, from_block: Optional[int],
                               to_block: Optional[int],
                               ) -> Iterator[Block]:
-        """Reference path: linear manifest walk, no eviction — every
-        touched segment stays resident, as an in-memory chain would."""
+        """Reference path: linear manifest walk, whole-epoch decode, no
+        eviction — every touched segment stays resident, as an
+        in-memory chain would."""
         for info in self.store.segments:
             if to_block is not None and info.first_block > to_block:
                 break
             if from_block is not None and info.last_block < from_block:
                 continue
-            for block in self._load(info.epoch):
+            for block in self._open(info.epoch).read():
                 if from_block is not None \
                         and block.number < from_block:
                     continue
                 if to_block is not None and block.number > to_block:
                     break
                 yield block
+
+
 
 
 class SpillingBlockchain(Blockchain):
@@ -533,14 +711,12 @@ class SpillingBlockchain(Blockchain):
     @property
     def earliest_number(self) -> Optional[int]:
         """First block the chain has ever stored (spilled or resident)."""
-        if self._segments_list():
-            return self._segments_list()[0].first_block
+        first = self.store.first_block
+        if first is not None:
+            return first
         if self.blocks:
             return self.blocks[0].number
         return None
-
-    def _segments_list(self) -> List[SegmentInfo]:
-        return self.store.segments
 
     def append(self, block: Block) -> None:
         super().append(block)
@@ -579,7 +755,7 @@ class SpillingBlockchain(Blockchain):
         located = super().locate_transaction(tx_hash)
         if located is not None:
             return located
-        for info in reversed(self._segments_list()):
+        for info in reversed(self.store.segments):
             if self.blocks and info.first_block >= self.blocks[0].number:
                 continue
             for tx_index_block in self.reader.iter_range(

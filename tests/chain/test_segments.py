@@ -11,19 +11,24 @@ spilling chain must serve reads bit-identically to a plain in-memory
 import json
 import os
 import pickle
+import shutil
 
 import pytest
 
+import repro.chain.segments as segments_module
 from repro.chain.block import BlockBuilder
 from repro.chain.intents import TokenTransferIntent
 from repro.chain.node import Blockchain
 from repro.chain.segments import (
+    _ENTRY,
+    _HEADER,
     MANIFEST_NAME,
     SEGMENT_FORMAT,
     SegmentIntegrityError,
     SegmentReader,
     SegmentStore,
     SpillingBlockchain,
+    _verified_index,
 )
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
@@ -79,6 +84,28 @@ class TestSegmentStore:
         assert store.segment_for_block(12).epoch == 3
         assert store.segment_for_block(13) is None
         assert store.segment_for_block(0) is None
+        # First and last block of every segment land in that segment.
+        for info in store.segments:
+            assert store.segment_for_block(info.first_block) == info
+            assert store.segment_for_block(info.last_block) == info
+        # Well past the store, and on an empty store.
+        assert store.segment_for_block(10**9) is None
+        empty = SegmentStore.create(str(tmp_path / "empty"))
+        assert empty.segment_for_block(1) is None
+
+    def test_rewrite_and_out_of_order_writes_keep_order(self, tmp_path):
+        store = SegmentStore.create(str(tmp_path / "segs"))
+        blocks = build_blocks(9)
+        for epoch in (2, 0):
+            store.write_segment(epoch, blocks[epoch * 3:epoch * 3 + 3])
+        store.write_segment(1, blocks[3:6])
+        store.write_segment(1, blocks[4:6])  # a rewrite replaces
+        assert [(s.epoch, s.first_block) for s in store.segments] == \
+            [(0, 1), (1, 5), (2, 7)]
+        assert store.segment_for_block(4) is None
+        assert store.segment_for_block(5).epoch == 1
+        reopened = SegmentStore(store.root)
+        assert reopened.segments == store.segments
 
     def test_non_contiguous_segment_rejected(self, tmp_path):
         store = SegmentStore.create(str(tmp_path / "segs"))
@@ -121,12 +148,13 @@ class TestIntegrity:
             store.load_segment(0)
 
     def test_fingerprint_mismatch(self, tmp_path):
-        store, blocks = filled_store(tmp_path)
-        # Swap epoch 0's file for epoch 1's content: unpickles fine,
-        # right count, but the content fingerprint gives it away.
-        with open(os.path.join(store.root,
-                               store.segments[0].filename), "wb") as out:
-            pickle.dump(blocks[3:6], out)
+        store, _ = filled_store(tmp_path)
+        # Swap epoch 0's file for epoch 1's: a well-formed segment with
+        # the right block count, but its index fingerprint gives it
+        # away.
+        infos = store.segments
+        shutil.copyfile(os.path.join(store.root, infos[1].filename),
+                        os.path.join(store.root, infos[0].filename))
         with pytest.raises(SegmentIntegrityError,
                            match="fingerprint mismatch"):
             store.load_segment(0)
@@ -135,6 +163,86 @@ class TestIntegrity:
         store, _ = filled_store(tmp_path)
         with pytest.raises(SegmentIntegrityError):
             store.load_segment(99)
+
+
+def segment_bytes(store, epoch):
+    info = store.segments[epoch]
+    path = os.path.join(store.root, info.filename)
+    with open(path, "rb") as handle:
+        return info, path, bytearray(handle.read())
+
+
+def assert_fails_closed(store, epoch, number, match):
+    """Both a cold single-block read and the whole-epoch load refuse."""
+    with pytest.raises(SegmentIntegrityError, match=match):
+        SegmentReader(store).block(number)
+    with pytest.raises(SegmentIntegrityError, match=match):
+        store.load_segment(epoch)
+
+
+class TestFormat2Integrity:
+    """Format 2 checks the index before any frame, then each frame
+    against its index entry; every anomaly fails closed."""
+
+    def test_corrupt_frame_mid_segment(self, tmp_path):
+        store, _ = filled_store(tmp_path)
+        info, path, payload = segment_bytes(store, 1)
+        _, _, _, offset, length = _verified_index(info, bytes(payload))[1]
+        payload[offset:offset + length] = b"\x00" * length
+        with open(path, "wb") as handle:
+            handle.write(payload)
+        assert_fails_closed(store, 1, 5, "block 5 is unreadable")
+        # The neighbouring frames are intact and still served.
+        assert SegmentReader(store).block(4).number == 4
+
+    def test_index_disagrees_with_manifest(self, tmp_path):
+        store, _ = filled_store(tmp_path)
+        info, path, payload = segment_bytes(store, 1)
+        # Flip one byte of block 5's hash (after its 8-byte number).
+        payload[_HEADER.size + _ENTRY.size + 8] ^= 0xFF
+        with open(path, "wb") as handle:
+            handle.write(payload)
+        assert_fails_closed(store, 1, 4, "fingerprint mismatch")
+
+    def test_truncated_frames_behind_intact_index(self, tmp_path):
+        store, _ = filled_store(tmp_path)
+        _, path, payload = segment_bytes(store, 2)
+        with open(path, "wb") as handle:
+            handle.write(payload[:-5])
+        # Reading the last block raises, before any frame is decoded:
+        # the index's frames no longer tile the file.
+        assert_fails_closed(store, 2, 9, "its frames end at byte")
+
+    def test_frame_of_another_block(self, tmp_path):
+        """A well-formed frame in the wrong slot: the index and the file
+        layout are consistent, but the decoded block is not the one its
+        index entry names."""
+        store, blocks = filled_store(tmp_path)
+        info, path, payload = segment_bytes(store, 1)
+        entries = _verified_index(info, bytes(payload))
+        frames = [bytes(payload[offset:offset + length])
+                  for *_, offset, length in entries]
+        frames[1] = pickle.dumps(blocks[0],
+                                 protocol=pickle.HIGHEST_PROTOCOL)
+        rebuilt = bytearray(payload[:_HEADER.size])
+        offset = _HEADER.size + _ENTRY.size * len(frames)
+        for (number, block_hash, tx_count, _, _), frame in zip(entries,
+                                                               frames):
+            rebuilt += _ENTRY.pack(number, bytes.fromhex(block_hash[2:]),
+                                   tx_count, offset, len(frame))
+            offset += len(frame)
+        with open(path, "wb") as handle:
+            handle.write(rebuilt + b"".join(frames))
+        assert_fails_closed(store, 1, 5, "does not match its index entry")
+
+    def test_index_overruns_file(self, tmp_path):
+        store, _ = filled_store(tmp_path)
+        _, path, payload = segment_bytes(store, 0)
+        magic, version, _ = _HEADER.unpack_from(payload)
+        _HEADER.pack_into(payload, 0, magic, version, 10**6)
+        with open(path, "wb") as handle:
+            handle.write(payload)
+        assert_fails_closed(store, 0, 2, "overruns")
 
 
 class TestFormatRejection:
@@ -156,6 +264,25 @@ class TestFormatRejection:
         with pytest.raises(SegmentIntegrityError,
                            match=f"format {SEGMENT_FORMAT}"):
             SegmentStore(str(root))
+
+    def test_format_1_store_is_rejected_then_wiped(self, tmp_path):
+        """A whole-epoch-pickle store (format 1) is refused by name, and
+        open_or_create answers it with a fresh format-2 store."""
+        root = tmp_path / "v1"
+        root.mkdir()
+        blocks = build_blocks(3)
+        (root / MANIFEST_NAME).write_text(json.dumps({
+            "format": 1,
+            "segments": [{"epoch": 0, "first_block": 1, "last_block": 3,
+                          "filename": "seg-000000.pkl",
+                          "fingerprint": "0" * 64, "tx_count": 3}]}))
+        (root / "seg-000000.pkl").write_bytes(pickle.dumps(blocks))
+        with pytest.raises(SegmentIntegrityError,
+                           match="is format 1; this repro reads format 2"):
+            SegmentStore(str(root))
+        store = SegmentStore.open_or_create(str(root))
+        assert store.segments == []
+        assert sorted(os.listdir(root)) == [MANIFEST_NAME]
 
     def test_nonempty_dir_without_manifest_refused(self, tmp_path):
         root = tmp_path / "junk"
@@ -186,6 +313,20 @@ class TestFormatRejection:
             [b.hash for b in blocks]
 
 
+@pytest.fixture
+def decodes(monkeypatch):
+    """Every frame the segments module unpickles, counted."""
+    calls = []
+    loads = pickle.loads
+
+    def counting(data, *args, **kwargs):
+        calls.append(len(data))
+        return loads(data, *args, **kwargs)
+
+    monkeypatch.setattr(segments_module.pickle, "loads", counting)
+    return calls
+
+
 class TestSegmentReader:
     def test_lru_stays_bounded(self, tmp_path):
         store, _ = filled_store(tmp_path, epochs=5)
@@ -214,6 +355,41 @@ class TestSegmentReader:
         # The reference never evicts; the fast path stayed bounded.
         assert len(fast.resident_epochs) <= 1
         assert len(reference.resident_epochs) == 4
+
+    def test_cold_block_decodes_one_frame(self, tmp_path, decodes):
+        store, _ = filled_store(tmp_path, epochs=3, epoch_blocks=5)
+        reader = SegmentReader(store)
+        assert reader.block(8).number == 8
+        assert len(decodes) == 1
+
+    def test_range_decodes_only_its_blocks(self, tmp_path, decodes):
+        store, _ = filled_store(tmp_path, epochs=3, epoch_blocks=5)
+        reader = SegmentReader(store)
+        lo, hi = 7, 9  # inside segment 1 (blocks 6..10)
+        assert [b.number for b in reader.iter_range(lo, hi)] == [7, 8, 9]
+        assert len(decodes) == hi - lo + 1
+
+    def test_resident_block_decodes_nothing(self, tmp_path, decodes):
+        store, _ = filled_store(tmp_path, epochs=3, epoch_blocks=5)
+        reader = SegmentReader(store)
+        list(reader.iter_range(6, 10))
+        decodes.clear()
+        assert reader.block(8).number == 8
+        assert [b.number for b in reader.iter_range(7, 9)] == [7, 8, 9]
+        assert decodes == []
+
+    def test_sequential_walk_opens_each_segment_once(self, tmp_path,
+                                                     monkeypatch):
+        store, blocks = filled_store(tmp_path, epochs=4, epoch_blocks=3)
+        opened = []
+        open_segment = store.open_segment
+        monkeypatch.setattr(
+            store, "open_segment",
+            lambda epoch: opened.append(epoch) or open_segment(epoch))
+        reader = SegmentReader(store, max_resident=1)
+        assert [b.hash for b in reader.iter_range()] == \
+            [b.hash for b in blocks]
+        assert opened == [0, 1, 2, 3]
 
     def test_block_outside_store(self, tmp_path):
         store, _ = filled_store(tmp_path)

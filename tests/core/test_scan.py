@@ -217,6 +217,39 @@ class TestScanRangeEquivalence:
             assert dataset.records_equal(other)
         assert dataset.all_records()  # the window actually has MEV
 
+    def test_single_blocks_in_seeded_order_over_spilled_store(
+            self, tmp_path):
+        """The spot-lookup pattern of a spilled re-study: one block at
+        a time, in a seeded random order, through a one-segment LRU —
+        every read jumps epochs, yet the rows equal the in-memory
+        chain's block for block."""
+        import random
+
+        from repro.chain.transaction import reset_tx_counter
+        reset_tx_counter()
+        config = ScenarioConfig(blocks_per_month=8, seed=11,
+                                epoch_blocks=8)
+        world = build_paper_scenario(config)
+        world.attach_segment_store(SegmentStore.create(str(tmp_path)),
+                                   max_resident_epochs=1)
+        result = world.run()
+        prices = PriceService(result.oracle)
+        spilled = ArchiveNode(result.blockchain)
+        chain = Blockchain()
+        for block in result.blockchain.iter_range():
+            chain.append(block)
+        memory = ArchiveNode(chain)
+        numbers = [block.number for block in chain.blocks]
+        rows = 0
+        for number in random.Random(5).sample(numbers, len(numbers)):
+            payload = chunk_payload(
+                *scan_range(spilled, prices, number, number))
+            assert payload == chunk_payload(
+                *scan_range(memory, prices, number, number)), number
+            rows += len(payload["rows"])
+        assert len(result.blockchain.reader.resident_epochs) == 1
+        assert rows  # the window actually has MEV
+
 
 @pytest.fixture(scope="module")
 def default_world():
