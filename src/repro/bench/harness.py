@@ -2,14 +2,14 @@
 
 The harness builds one simulated study window, then times the layers
 the paper's crawl spends its time in — the world simulation itself
-(the ``simulate`` stage), detection heuristics as bare indexed vs.
-linear archive reads, and the end-to-end pipeline — reporting each as
-blocks/second.  The end-to-end stage runs at several
-worker counts and *verifies* (not just assumes) that every parallel
-run is bit-identical to the serial one before reporting a speedup; the
-indexed read path is likewise verified row-for-row against the linear
-reference on every run.  The simulation gets the same treatment: the
-world is rebuilt on the naive reference paths
+(the ``simulate`` stage), detection as the fused single-pass scan vs.
+the four standalone detectors over linear archive reads, and the
+end-to-end pipeline — reporting each as blocks/second.  The end-to-end
+stage runs at several worker counts and *verifies* (not just assumes)
+that every parallel run is bit-identical to the serial one before
+reporting a speedup; the fused scan is likewise verified row-for-row
+against the linear reference on every run.  The simulation gets the
+same treatment: the world is rebuilt on the naive reference paths
 (``build_paper_scenario(..., fast_paths=False)`` — full mempool
 re-sorts, no scan memoization) and the complete block-hash and
 transaction-hash sequence must match the optimized run before the
@@ -375,11 +375,10 @@ def run_bench(bpm: int = 60, seed: int = 7,
                      == block_sequence(result.blockchain.blocks))
 
     # The chunks through the bare read paths, no shield: the
-    # single-pass scan over the warm index vs. the four standalone
-    # detectors re-walking the chain linearly.  The gap between these
-    # two stages is what the index buys.
+    # single-pass scan over offset-sliced ranges vs. the four
+    # standalone detectors, each re-walking the chain linearly.  The
+    # gap between these two stages is what the fused scan buys.
     indexed_node = ArchiveNode(result.blockchain)
-    result.blockchain.index.warm()
     indexed_rows: List[str] = []
 
     def _indexed_pass() -> None:

@@ -22,7 +22,6 @@ from repro.chain.execution import (
 )
 from repro.chain.fork import MAINNET_FORKS, ForkSchedule
 from repro.chain.gas import BLOCK_GAS_LIMIT, BLOCK_REWARD, next_base_fee
-from repro.chain.index import ChainIndex, Posting
 from repro.chain.intents import (
     CoinbaseTipIntent,
     FailingIntent,
@@ -63,11 +62,11 @@ from repro.chain.types import (
 __all__ = [
     "AuctionBidEvent", "AuctionSettledEvent", "AuctionStartedEvent",
     "Address", "ArchiveNode", "Block", "BlockBuilder", "Blockchain",
-    "BorrowEvent", "BLOCK_GAS_LIMIT", "BLOCK_REWARD", "ChainIndex", "CoinbaseTipIntent",
+    "BorrowEvent", "BLOCK_GAS_LIMIT", "BLOCK_REWARD", "CoinbaseTipIntent",
     "EIP1559", "ETHER", "EventLog", "ExecutionContext", "ExecutionOutcome",
     "FailingIntent", "FlashLoanEvent", "ForkSchedule", "GossipNetwork",
     "GWEI", "Hash32", "InsufficientBalance", "LEGACY", "LiquidationEvent",
-    "MAINNET_FORKS", "Mempool", "MempoolObserver", "OracleUpdateEvent", "Posting",
+    "MAINNET_FORKS", "Mempool", "MempoolObserver", "OracleUpdateEvent",
     "Receipt", "Revert", "SEGMENT_FORMAT", "SegmentIntegrityError",
     "SegmentInfo", "SegmentReader", "SegmentStore", "SequenceIntent",
     "SpillingBlockchain", "SwapEvent", "SyncEvent",

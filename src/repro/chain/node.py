@@ -13,7 +13,6 @@ from typing import Dict, Iterator, List, Optional, Tuple, Type, TypeVar
 
 from repro.chain.block import Block
 from repro.chain.events import EventLog
-from repro.chain.index import ChainIndex
 from repro.chain.receipt import Receipt
 from repro.chain.transaction import Transaction
 from repro.chain.types import Hash32
@@ -28,19 +27,6 @@ class Blockchain:
     def __init__(self) -> None:
         self.blocks: List[Block] = []
         self._tx_index: Dict[Hash32, Tuple[int, int]] = {}
-        self._index: Optional[ChainIndex] = None
-
-    @property
-    def index(self) -> ChainIndex:
-        """The chain's read index (see :mod:`repro.chain.index`).
-
-        Built lazily and shared by every reader; appends are folded in
-        incrementally on the next query, so the index is never stale.
-        Only a :meth:`rollback` drops it, and the next query rebuilds.
-        """
-        if self._index is None:
-            self._index = ChainIndex(self)
-        return self._index
 
     def append(self, block: Block) -> None:
         """Append ``block``, validating parent linkage at the seam.
@@ -76,8 +62,7 @@ class Blockchain:
 
         Returns the removed blocks, oldest first, and keeps every
         derived structure consistent: transaction locations for removed
-        blocks are dropped and the read index is discarded, to be
-        rebuilt by the next query.  Rolling back to at-or-above the tip
+        blocks are dropped.  Rolling back to at-or-above the tip
         is a no-op; rolling back past the first stored block raises,
         because this store cannot represent an empty-but-started chain
         (for a spilling chain, the first *resident* block).
@@ -94,7 +79,6 @@ class Blockchain:
         for block in removed:
             for tx in block.transactions:
                 self._tx_index.pop(tx.hash, None)
-        self._index = None
         return removed
 
     def __len__(self) -> int:
@@ -103,6 +87,27 @@ class Blockchain:
     @property
     def height(self) -> Optional[int]:
         return self.blocks[-1].number if self.blocks else None
+
+    @property
+    def earliest_number(self) -> Optional[int]:
+        """First block the chain stores."""
+        return self.blocks[0].number if self.blocks else None
+
+    def iter_range(self, from_block: Optional[int] = None,
+                   to_block: Optional[int] = None) -> Iterator[Block]:
+        """The blocks in ``[from_block, to_block]``, ascending: one
+        offset slice, since :meth:`append` keeps numbers contiguous.
+        Both bounds are clamped to the stored blocks first, so a bound
+        outside them never wraps the slice."""
+        if not self.blocks:
+            return iter(())
+        start = self.blocks[0].number
+        low = start if from_block is None else max(from_block, start)
+        high = self.blocks[-1].number if to_block is None \
+            else min(to_block, self.blocks[-1].number)
+        if low > high:
+            return iter(())
+        return iter(self.blocks[low - start:high - start + 1])
 
     def block_by_number(self, number: int) -> Optional[Block]:
         if not self.blocks:
@@ -127,21 +132,17 @@ class Blockchain:
 class ArchiveNode:
     """Query API over a :class:`Blockchain` (the paper's data source).
 
-    Ranged queries (``iter_blocks``, ``get_logs``) resolve through the
-    chain's :class:`~repro.chain.index.ChainIndex` by default — O(range)
-    bisected slices instead of O(chain) scans from genesis.
-    ``indexed=False`` keeps the historical linear-scan implementation,
-    preserved as a reference (benchmark baselines and equivalence tests
-    compare the two paths element for element).
+    Ranged queries read the chain's own :meth:`~Blockchain.iter_range`:
+    an offset slice of an in-memory chain, or the segment reader plus
+    the resident tail of a spillable one.  ``indexed=False`` keeps the
+    historical linear scan of ``iter_blocks``, preserved as a reference
+    (benchmark baselines and equivalence tests compare the two paths
+    element for element).
     """
 
     def __init__(self, chain: Blockchain, indexed: bool = True) -> None:
         self.chain = chain
         self.indexed = indexed
-        #: a segment-backed (spillable) chain keeps only a bounded tail
-        #: of blocks resident; ranged reads must route through its
-        #: segment reader instead of the in-memory index tiers.
-        self.segmented = bool(getattr(chain, "spilled", False))
 
     # Block-level queries -----------------------------------------------------
 
@@ -149,9 +150,7 @@ class ArchiveNode:
         return self.chain.height
 
     def earliest_block_number(self) -> Optional[int]:
-        if self.segmented:
-            return self.chain.earliest_number
-        return self.chain.blocks[0].number if self.chain.blocks else None
+        return self.chain.earliest_number
 
     def get_block(self, number: int) -> Optional[Block]:
         return self.chain.block_by_number(number)
@@ -172,23 +171,16 @@ class ArchiveNode:
                 return
             if to_block is not None and from_block > to_block:
                 return
-        if self.segmented:
-            # Spillable store: the chain's own segment reader resolves
-            # the range (manifest bisect + resident tail), since only a
-            # bounded window of blocks is in memory at any time.
-            yield from self.chain.iter_range(from_block, to_block)
-            return
         if not self.indexed:
             yield from self._linear_iter_blocks(from_block, to_block)
             return
-        start, stop = self.chain.index.block_positions(from_block,
-                                                       to_block)
-        yield from self.chain.blocks[start:stop]
+        yield from self.chain.iter_range(from_block, to_block)
 
     def _linear_iter_blocks(self, from_block: Optional[int],
                             to_block: Optional[int]) -> Iterator[Block]:
-        """The historical O(chain) scan, kept as the reference path."""
-        for block in self.chain.blocks:
+        """The historical O(chain) scan from the first stored block,
+        kept as the reference path."""
+        for block in self.chain.iter_range():
             if from_block is not None and block.number < from_block:
                 continue
             if to_block is not None and block.number > to_block:
@@ -213,40 +205,14 @@ class ArchiveNode:
 
     # Log queries ---------------------------------------------------------
 
-    @fast_path(reference="_linear_get_logs", toggle="indexed")
     def get_logs(self, event_type: Type[E],
                  from_block: Optional[int] = None,
                  to_block: Optional[int] = None) -> List[E]:
         """All logs of ``event_type`` in the block range, chain order."""
-        if self.segmented:
-            # O(range) receipt scan through the segment reader: postings
-            # tiers assume the full block list is resident, which a
-            # spillable chain deliberately is not.
-            found: List[E] = []
-            for block in self.chain.iter_range(from_block, to_block):
-                for receipt in block.receipts:
-                    for log in receipt.logs:
-                        if isinstance(log, event_type):
-                            found.append(log)
-            return found
-        if not self.indexed:
-            return self._linear_get_logs(event_type, from_block,
-                                         to_block)
-        logs = self.chain.index.logs_in_range(event_type, from_block,
-                                              to_block)
-        return logs  # type: ignore[return-value]
-
-    def _linear_get_logs(self, event_type: Type[E],
-                         from_block: Optional[int],
-                         to_block: Optional[int]) -> List[E]:
-        """The historical ``isinstance``-filtering scan (reference)."""
-        found: List[E] = []
-        for block in self._linear_iter_blocks(from_block, to_block):
-            for receipt in block.receipts:
-                for log in receipt.logs:
-                    if isinstance(log, event_type):
-                        found.append(log)
-        return found
+        return [log for block in self.iter_blocks(from_block, to_block)
+                for receipt in block.receipts
+                for log in receipt.logs
+                if isinstance(log, event_type)]
 
     def iter_receipts(self, from_block: Optional[int] = None,
                       to_block: Optional[int] = None) -> Iterator[Receipt]:

@@ -675,10 +675,6 @@ class SpillingBlockchain(Blockchain):
     resident window route through a :class:`SegmentReader`.
     """
 
-    #: marker consulted by :class:`~repro.chain.node.ArchiveNode` to
-    #: route ranged reads through the segment reader.
-    spilled = True
-
     def __init__(self, store: SegmentStore, epoch_blocks: int,
                  first_block: int = 1, max_resident_epochs: int = 2,
                  bounded: bool = True) -> None:
@@ -700,23 +696,12 @@ class SpillingBlockchain(Blockchain):
         self.store.flush()
 
     @property
-    def index(self):
-        """Spillable chains have no in-memory :class:`ChainIndex`: its
-        position/postings tiers assume the whole block list is resident.
-        Ranged reads route through the segment reader instead."""
-        raise RuntimeError(
-            "a spilled chain has no in-memory index; query through "
-            "ArchiveNode (segment-backed reads) instead")
-
-    @property
     def earliest_number(self) -> Optional[int]:
         """First block the chain has ever stored (spilled or resident)."""
         first = self.store.first_block
         if first is not None:
             return first
-        if self.blocks:
-            return self.blocks[0].number
-        return None
+        return super().earliest_number
 
     def append(self, block: Block) -> None:
         super().append(block)
@@ -779,13 +764,4 @@ class SpillingBlockchain(Blockchain):
                     (spill_hi is None or to_block < spill_hi):
                 spill_hi = to_block
             yield from self.reader.iter_range(from_block, spill_hi)
-        if resident_start is None:
-            return
-        low = resident_start if from_block is None \
-            else max(from_block, resident_start)
-        high = self.blocks[-1].number if to_block is None \
-            else min(to_block, self.blocks[-1].number)
-        if low > high:
-            return
-        yield from self.blocks[low - resident_start:
-                               high - resident_start + 1]
+        yield from super().iter_range(from_block, to_block)

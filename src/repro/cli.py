@@ -19,7 +19,7 @@ Usage::
     python -m repro bench --shard                   # + epoch-shard gate
     python -m repro run --bpm 5000 --blocks 100000 --epoch-blocks 5000 \\
         --segment-dir segments/                     # O(epoch) memory
-    python -m repro lint [PATHS ...]                # invariant linter
+    python -m repro lint [PATHS ...] [OPTIONS]      # invariant linter
 """
 
 from __future__ import annotations
@@ -274,25 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-simulate only the first K epochs "
                             "(sampled-prefix gate for scenarios too "
                             "large to reference in full)")
-    lint = sub.add_parser("lint",
-                          help="run the domain-invariant linter "
-                               "(R001–R006; --deep adds R101–R103) "
-                               "over source paths")
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories to lint "
-                           "(default: src)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text", help="report format")
-    lint.add_argument("--deep", action="store_true",
-                      help="also run the whole-program analyzers")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="findings baseline to diff against")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="refresh the baseline file and exit 0")
-    lint.add_argument("--flow-cache", metavar="DIR",
-                      help="summary cache dir for incremental --deep")
-    lint.add_argument("--no-config", action="store_true",
-                      help="ignore pyproject.toml configuration")
+    # Listed for --help only: main() forwards everything after
+    # ``lint`` verbatim to repro.lint.cli, the one lint option table.
+    sub.add_parser("lint", add_help=False,
+                   help="run the domain-invariant linter (R001–R007; "
+                        "--deep adds R101–R103) over source paths; "
+                        "takes every option of python -m repro.lint")
     return parser
 
 
@@ -697,6 +684,10 @@ def run_bench_command(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from repro.lint.cli import main as lint_main
+        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
@@ -707,20 +698,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "lint":
-        from repro.lint.cli import main as lint_main
-        lint_argv = list(args.paths) + ["--format", args.format]
-        if args.deep:
-            lint_argv.append("--deep")
-        if args.baseline:
-            lint_argv.extend(["--baseline", args.baseline])
-        if args.write_baseline:
-            lint_argv.append("--write-baseline")
-        if args.flow_cache:
-            lint_argv.extend(["--flow-cache", args.flow_cache])
-        if args.no_config:
-            lint_argv.append("--no-config")
-        return lint_main(lint_argv)
     if args.command == "ablations":
         print_ablations(args.bpm, args.seed)
         return 0

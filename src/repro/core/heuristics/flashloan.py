@@ -56,8 +56,8 @@ def detect_flash_loan_txs(node: ArchiveNode,
                           ) -> Set[Hash32]:
     """Hashes of all transactions that completed a flash loan.
 
-    Stays ``get_logs``-based (one indexed postings lookup beats a block
-    walk when flash loans are the only events wanted).
+    Stays ``get_logs``-based: one ranged log query is the whole read
+    when flash loans are the only events wanted.
     """
     return flash_loan_hashes(node.get_logs(FlashLoanEvent, from_block,
                                            to_block), platforms)

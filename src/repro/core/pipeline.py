@@ -269,12 +269,6 @@ class MevInspector:
         pending = [chunk for chunk in chunks
                    if chunk_key(chunk) not in state]
         runner = ChunkRunner(node=node, prices=self.prices)
-        if pending:
-            # Build the chain's read index once, before any fan-out, so
-            # forked workers inherit it instead of rebuilding per
-            # process.  A fully-resumed run skips it: every chunk
-            # replays from the checkpoint without touching the archive.
-            runner.warm_index()
         executor = self._executor(config, runner)
         for result in executor.execute(runner, pending):
             key = chunk_key(result.chunk)

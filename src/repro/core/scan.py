@@ -6,7 +6,7 @@ liquidation events, flash-loan events) and each registered visitor
 consumes that view.  The per-heuristic visitors live next to their
 standalone entry points in :mod:`repro.core.heuristics`; the standalone
 ``detect_*`` functions are thin wrappers over them and stay as the
-linear reference the indexed scan is checked against.
+reference the fused scan is checked against.
 
 **Scan contract.**  Visitors see blocks in ascending order, exactly
 once each, and never touch the archive: everything a record needs —
@@ -18,10 +18,9 @@ detection definitions plug in as further visitors at no read cost.
 :func:`scan_block` runs the same visitors over a block already in hand
 (the stream engine's) and costs no archive op at all.
 
-:func:`read_views` is also the one read-path policy: on an indexed
-in-memory ``ArchiveNode`` (possibly wrapped by sources exposing
-``.inner``) the views come from the chain index's postings; on a
-linear or segment-backed node they come from walking the receipts.
+:func:`read_views` is the one read path: whatever the node — in
+memory, segment-backed, or wrapped by a fault/retry source — each block
+``iter_blocks`` yields is bucketed by one walk of its receipts.
 
 Bucketing mirrors the heuristics' historical filters bit for bit:
 swap and liquidation events are taken from *successful* receipts only,
@@ -32,20 +31,18 @@ visitor — the buckets are shared, the coverage policies are not.
 
 from __future__ import annotations
 
-from typing import (Any, Dict, Iterable, List, Optional, Protocol, Sequence,
-                    Set, Tuple)
+from typing import (Any, Iterable, List, Optional, Protocol, Sequence, Set,
+                    Tuple)
 
 from repro.chain.block import Block
-from repro.chain.events import (EventLog, FlashLoanEvent, LiquidationEvent,
-                                SwapEvent)
-from repro.chain.index import ChainIndex
+from repro.chain.events import FlashLoanEvent, LiquidationEvent, SwapEvent
 from repro.chain.receipt import Receipt
 from repro.chain.types import Hash32
 from repro.core.datasets import MevDataset
 from repro.core.profit import PriceService
 
-__all__ = ["BlockScan", "BlockView", "BlockVisitor", "read_index",
-           "read_views", "scan_block", "scan_range", "views_from_index"]
+__all__ = ["BlockScan", "BlockView", "BlockVisitor", "read_views",
+           "scan_block", "scan_range"]
 
 # Log classification, memoized per concrete event class: the bucketing
 # below is the scan's innermost loop, and one dict probe beats a chain
@@ -120,115 +117,11 @@ class BlockView:
         return cls(block, swap_receipts, liquidations, flash_loans)
 
 
-def _by_block(logs: List[EventLog]) -> Dict[int, List[EventLog]]:
-    """Group an ordered ``logs_in_range`` result by block number,
-    preserving traversal order inside each block."""
-    grouped: Dict[int, List[EventLog]] = {}
-    for log in logs:
-        bucket = grouped.get(log.block_number)
-        if bucket is None:
-            bucket = grouped[log.block_number] = []
-        bucket.append(log)
-    return grouped
-
-
-def _view_from_buckets(block: Block,
-                       swaps: Optional[List[EventLog]],
-                       liquidations: Optional[List[EventLog]],
-                       flash_loans: Optional[List[EventLog]],
-                       ) -> BlockView:
-    receipts = block.receipts
-    swap_receipts: List[Tuple[Receipt, List[SwapEvent]]] = []
-    if swaps:
-        # Within a block the postings run in receipt order, so one
-        # receipt's swaps are consecutive: group on tx_index change.
-        current_index: Optional[int] = None
-        current: Optional[List[SwapEvent]] = None
-        for log in swaps:
-            tx_index = log.tx_index
-            if tx_index != current_index:
-                current_index = tx_index
-                receipt = receipts[tx_index]
-                current = [] if receipt.status else None
-                if current is not None:
-                    swap_receipts.append((receipt, current))
-            if current is not None:
-                current.append(log)
-    kept_liquidations: List[LiquidationEvent] = []
-    if liquidations:
-        kept_liquidations = [log for log in liquidations
-                             if receipts[log.tx_index].status]
-    return BlockView(block, swap_receipts, kept_liquidations,
-                     flash_loans or [])
-
-
-def views_from_index(index: ChainIndex,
-                     blocks: Sequence[Block]) -> List[BlockView]:
-    """Pre-bucketed views for already-fetched blocks, read from the
-    chain index's postings instead of walking every receipt log.
-
-    Equivalent to ``[BlockView.of(b) for b in blocks]`` — same log
-    objects, same order, same status filtering — but O(matching
-    events): the postings already separate the swap, liquidation and
-    flash-loan logs, so the far more numerous transfer/sync events are
-    never touched.  Sealed logs carry positional coordinates
-    (``log.tx_index`` indexes ``block.receipts``); any block whose
-    logs lack them falls back to the plain receipts walk.
-    """
-    if not blocks:
-        return []
-    lo, hi = blocks[0].number, blocks[-1].number
-    swaps_by = _by_block(index.logs_in_range(SwapEvent, lo, hi))
-    liquidations_by = _by_block(
-        index.logs_in_range(LiquidationEvent, lo, hi))
-    flash_by = _by_block(index.logs_in_range(FlashLoanEvent, lo, hi))
-    if None in swaps_by or None in liquidations_by or None in flash_by:
-        # Unstamped block coordinates cannot be placed — walk receipts.
-        return [BlockView.of(block) for block in blocks]
-    views: List[BlockView] = []
-    for block in blocks:
-        number = block.number
-        try:
-            views.append(_view_from_buckets(
-                block, swaps_by.get(number), liquidations_by.get(number),
-                flash_by.get(number)))
-        except (IndexError, TypeError):
-            views.append(BlockView.of(block))
-    return views
-
-
-def read_index(node: Any) -> Optional[ChainIndex]:
-    """The chain index the scan may bucket from, or ``None``.
-
-    Walks wrapping sources down ``.inner`` to the object holding the
-    chain.  Only an indexed, in-memory ``ArchiveNode`` qualifies: a
-    linear node is the reference path, and a segment-backed chain keeps
-    only a bounded tail resident, so its reads go through the segment
-    reader instead of an in-memory index.
-    """
-    while node is not None:
-        chain = getattr(node, "chain", None)
-        if chain is not None:
-            if getattr(node, "segmented", False) or \
-                    not getattr(node, "indexed", False):
-                return None
-            return chain.index
-        node = getattr(node, "inner", None)
-    return None
-
-
 def read_views(node: Any, from_block: Optional[int] = None,
                to_block: Optional[int] = None) -> Iterable[BlockView]:
-    """One ranged ``iter_blocks`` read, bucketed for the visitors.
-
-    The only archive op a scan issues.  Reading the chain index (see
-    :func:`read_index`) is local and issues none.
-    """
-    blocks = node.iter_blocks(from_block, to_block)
-    index = read_index(node)
-    if index is None:
-        return map(BlockView.of, blocks)
-    return views_from_index(index, list(blocks))
+    """One ranged ``iter_blocks`` read, each block bucketed by
+    :meth:`BlockView.of` — the only archive op a scan issues."""
+    return map(BlockView.of, node.iter_blocks(from_block, to_block))
 
 
 class BlockVisitor(Protocol):

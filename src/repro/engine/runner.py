@@ -52,17 +52,6 @@ class ChunkRunner:
     node: Any
     prices: Any
 
-    def warm_index(self) -> None:
-        """Build the chain's read index once, here in the parent,
-        before any fan-out: forked workers inherit the built index
-        copy-on-write instead of each paying the first-query build.
-        A no-op for surfaces the scan reads without an index (see
-        :func:`repro.core.scan.read_index`)."""
-        from repro.core.scan import read_index
-        index = read_index(self.node)
-        if index is not None:
-            index.warm()
-
     def run_chunk(self, chunk: BlockRange) -> ChunkResult:
         """One chunk's detections as a checkpointable artifact.
 

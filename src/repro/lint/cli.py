@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="AST-based linter for this repo's domain "
                     "invariants: wei-safety (R001), determinism "
                     "(R002), layering (R003), event-schema (R004), "
-                    "public-API hygiene (R005); with --deep also the "
+                    "public-API hygiene (R005), no silent except "
+                    "(R006), banned APIs (R007); with --deep also the "
                     "whole-program analyzers R101 (determinism "
                     "taint), R102 (fast-path pairing), R103 "
                     "(parallel safety).")

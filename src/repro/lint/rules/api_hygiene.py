@@ -5,7 +5,7 @@ programs against, and its values are dimensionful — wei, block heights,
 permille tolerances.  Unannotated parameters there are where int/float
 confusion sneaks back in.  The rule requires every *public* function in
 the configured packages to annotate all parameters and the return type.
-``repro.chain.index`` is held to the same bar: it is the read path the
+``repro.chain.node`` is held to the same bar: it is the read path the
 whole measurement layer leans on, and its coordinates (block numbers,
 tx/log indices) invite exactly that confusion.  ``repro.chain.mempool``
 joined when its ordering index became a hot path: fee and nonce
@@ -27,7 +27,7 @@ from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
-DEFAULT_PACKAGES = ("repro.core", "repro.engine", "repro.chain.index",
+DEFAULT_PACKAGES = ("repro.core", "repro.engine", "repro.chain.node",
                     "repro.chain.mempool", "repro.serve")
 
 _IMPLICIT = {"self", "cls"}

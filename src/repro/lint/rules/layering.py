@@ -24,8 +24,8 @@ Forbidden edges (importer package → imported package)::
     core + stream, consumed only by the CLI, the bench harness, and
     the package front door)
 
-The ``repro.chain`` edges also keep the read-optimized index
-(``repro.chain.index``) a pure substrate service: it may be *used* by
+The ``repro.chain`` edges also keep the archive read path
+(``repro.chain.node``) a pure substrate service: it may be *used* by
 the detection and engine layers, but must never reach back up into
 them.
 

@@ -290,8 +290,8 @@ def scenario_frame(config: ScenarioConfig):
     return calendar, forks, launch
 
 
-def restore_paper_scenario(config: ScenarioConfig, seal: EpochSeal,
-                           fast_paths: bool = True) -> World:
+def restore_paper_scenario(config: ScenarioConfig,
+                           seal: EpochSeal) -> World:
     """Rebuild a mid-window :class:`World` from an :class:`EpochSeal`.
 
     The carried-object graph is unpickled once and its components are
@@ -317,8 +317,7 @@ def restore_paper_scenario(config: ScenarioConfig, seal: EpochSeal,
         keeper=carried["keeper"], searchers=carried["searchers"],
         flashbots_launch_block=launch,
         rng=random.Random(config.seed + 5),
-        self_mev_searchers=carried["self_mev_searchers"],
-        fast_paths=fast_paths)
+        self_mev_searchers=carried["self_mev_searchers"])
     world.restore_carry(seal, carried)
     return world
 

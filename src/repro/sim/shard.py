@@ -73,11 +73,9 @@ class EpochRunner:
     """
 
     def __init__(self, config: ScenarioConfig,
-                 seals: Dict[int, EpochSeal],
-                 fast_paths: bool = True) -> None:
+                 seals: Dict[int, EpochSeal]) -> None:
         self.config = config
         self.seals = dict(seals)
-        self.fast_paths = fast_paths
         self.epoch_blocks = config.epoch_blocks \
             or config.blocks_per_month
 
@@ -92,8 +90,7 @@ class EpochRunner:
             raise ValueError(
                 f"seal {epoch_index} starts at block "
                 f"{seal.first_block}, chunk starts at {lo}")
-        world = restore_paper_scenario(self.config, seal,
-                                       fast_paths=self.fast_paths)
+        world = restore_paper_scenario(self.config, seal)
         world.run(blocks=hi - lo + 1)
         return EpochResult(
             epoch_index=epoch_index, chunk=chunk,
@@ -104,8 +101,7 @@ class EpochRunner:
 def resimulate_epochs(config: ScenarioConfig,
                       seals: Dict[int, EpochSeal],
                       chunks: Optional[Sequence[BlockRange]] = None,
-                      workers: int = 1,
-                      fast_paths: bool = True) -> List[EpochResult]:
+                      workers: int = 1) -> List[EpochResult]:
     """Re-simulate epochs from their seals, fanned out over workers.
 
     Returns results in *epoch* order regardless of completion order —
@@ -114,7 +110,7 @@ def resimulate_epochs(config: ScenarioConfig,
     plan = list(chunks) if chunks is not None else plan_epochs(config)
     if not plan:
         return []
-    runner = EpochRunner(config, seals, fast_paths=fast_paths)
+    runner = EpochRunner(config, seals)
     effective = effective_workers(workers)
     executor = ParallelExecutor(effective) if effective > 1 \
         else SerialExecutor()

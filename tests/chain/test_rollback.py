@@ -2,9 +2,9 @@
 
 ``Blockchain.append`` validates every link; ``Blockchain.rollback``
 truncates to a fork point keeping every derived structure — the tx
-locator and the read index — consistent.  The anchor property (ISSUE):
-**rollback + re-append is indistinguishable from a chain that never
-forked**, postings and queries element-for-element.
+locator — consistent.  The anchor property: **rollback + re-append is
+indistinguishable from a chain that never forked**, queries
+element-for-element.
 """
 
 import random
@@ -15,7 +15,7 @@ from repro.chain.events import SwapEvent, TransferEvent
 from repro.chain.node import ArchiveNode, Blockchain
 from repro.chain.types import address_from_label
 
-from tests.chain.test_index import (
+from tests.chain.test_node import (
     POOL,
     chain_of,
     make_block,
@@ -121,7 +121,7 @@ class TestRollback:
                          [TransferEvent(POOL, amount=2)])
         node = ArchiveNode(chain)
         assert [log.amount for log in node.get_logs(TransferEvent)] \
-            == [1, 2]  # index built over all three blocks
+            == [1, 2]
         removed = chain.rollback(1)
         assert [log.amount for log in node.get_logs(TransferEvent)] \
             == [1]
@@ -146,21 +146,20 @@ class TestRollbackReplayEquivalence:
         replayed = chain_of(*per_block)
         fresh = chain_of(*per_block)
         node = ArchiveNode(replayed)
-        node.get_logs(TransferEvent)  # force a fully-built index
+        node.get_logs(TransferEvent)
         removed = replayed.rollback(fork_point)
         for block in removed:
             replayed.append(block)
 
         for cls in (TransferEvent, SwapEvent):
-            assert replayed.index.postings(cls) \
-                == fresh.index.postings(cls)
             assert node.get_logs(cls) \
                 == ArchiveNode(fresh).get_logs(cls)
-            # Ranged queries bisect the rebuilt tiers identically.
             lo = rng.randrange(1, len(per_block) + 1)
             hi = rng.randrange(lo, len(per_block) + 1)
             assert node.get_logs(cls, lo, hi) \
                 == ArchiveNode(fresh).get_logs(cls, lo, hi)
+            assert [b.hash for b in node.iter_blocks(lo, hi)] \
+                == [b.hash for b in ArchiveNode(fresh).iter_blocks(lo, hi)]
         assert [b.hash for b in replayed.blocks] \
             == [b.hash for b in fresh.blocks]
 
@@ -197,5 +196,5 @@ class TestRollbackReplayEquivalence:
 
         for cls in (TransferEvent, SwapEvent):
             assert node.get_logs(cls) == ArchiveNode(fresh).get_logs(cls)
-            assert reorged.index.postings(cls) \
-                == fresh.index.postings(cls)
+        assert [b.hash for b in node.iter_blocks()] \
+            == [b.hash for b in ArchiveNode(fresh).iter_blocks()]

@@ -18,7 +18,8 @@ import pytest
 import repro.chain.segments as segments_module
 from repro.chain.block import BlockBuilder
 from repro.chain.intents import TokenTransferIntent
-from repro.chain.node import Blockchain
+from repro.chain.events import TransferEvent
+from repro.chain.node import ArchiveNode, Blockchain
 from repro.chain.segments import (
     _ENTRY,
     _HEADER,
@@ -435,11 +436,9 @@ class TestSpillingBlockchain:
         for lo, hi in ((None, None), (1, 14), (2, 5), (7, 13),
                        (14, 14), (10, 3)):
             got = [b.hash for b in spilling.iter_range(lo, hi)]
-            want = [b.hash for b in plain.iter_range(lo, hi)] \
-                if hasattr(plain, "iter_range") else \
-                [b.hash for b in plain.blocks
-                 if (lo is None or b.number >= lo)
-                 and (hi is None or b.number <= hi)]
+            want = [b.hash for b in plain.blocks
+                    if (lo is None or b.number >= lo)
+                    and (hi is None or b.number <= hi)]
             assert got == want, (lo, hi)
 
     def test_locate_transaction_falls_back_to_segments(self, tmp_path):
@@ -452,10 +451,23 @@ class TestSpillingBlockchain:
         assert block.number == 1 and position == 0
         assert spilling.locate_transaction("0x" + "00" * 32) is None
 
-    def test_index_property_raises(self, tmp_path):
-        _, spilling = self.spilled_pair(tmp_path)
-        with pytest.raises(RuntimeError, match="no in-memory index"):
-            spilling.index
+    @pytest.mark.parametrize("indexed", [True, False],
+                             ids=["sliced", "linear"])
+    def test_archive_node_reads_spilled_blocks(self, tmp_path, indexed):
+        """Both node read paths go through the chain's ``iter_range``:
+        spilled segments first, never only the resident tail."""
+        plain, spilling = self.spilled_pair(tmp_path)
+        node = ArchiveNode(spilling, indexed=indexed)
+        assert spilling.blocks[0].number > 1  # blocks 1.. were evicted
+        assert node.earliest_block_number() == 1
+        for lo, hi in ((None, None), (-3, 4), (2, 12), (13, 99)):
+            got = [b.hash for b in node.iter_blocks(lo, hi)]
+            want = [b.hash for b in plain.blocks
+                    if (lo is None or b.number >= lo)
+                    and (hi is None or b.number <= hi)]
+            assert got == want, (lo, hi)
+        assert node.get_logs(TransferEvent) \
+            == ArchiveNode(plain).get_logs(TransferEvent)
 
     def test_rollback_below_resident_window_raises(self, tmp_path):
         _, spilling = self.spilled_pair(tmp_path)

@@ -3,7 +3,7 @@
 The fused pass must be a pure refactor of the four standalone
 detectors: same records, same order, same flash-loan transaction set —
 on surgical harness chains and on a full simulated study window alike,
-over every read path (indexed, linear, segment-backed).
+over every read path (sliced, linear, segment-backed).
 """
 
 import pytest
@@ -28,12 +28,11 @@ from repro.core.scan import (
     BlockView,
     scan_block,
     scan_range,
-    views_from_index,
 )
 from repro.engine.merge import chunk_payload
 from repro.sim import ScenarioConfig, build_paper_scenario
 
-from tests.chain.test_index import chain_of, make_block, make_receipt
+from tests.chain.test_node import make_block, make_receipt
 
 
 class TestBlockView:
@@ -73,78 +72,6 @@ class TestBlockView:
         assert view.swap_receipts == []
         assert view.liquidations == []
         assert view.flash_loans == []
-
-
-def assert_same_views(got, want):
-    """Bucket-for-bucket identity: same receipt and log *objects*, in
-    the same order."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.block is w.block
-        assert len(g.swap_receipts) == len(w.swap_receipts)
-        for (g_receipt, g_swaps), (w_receipt, w_swaps) in \
-                zip(g.swap_receipts, w.swap_receipts):
-            assert g_receipt is w_receipt
-            assert len(g_swaps) == len(w_swaps)
-            assert all(a is b for a, b in zip(g_swaps, w_swaps))
-        assert len(g.liquidations) == len(w.liquidations)
-        assert all(a is b for a, b in zip(g.liquidations,
-                                          w.liquidations))
-        assert len(g.flash_loans) == len(w.flash_loans)
-        assert all(a is b for a, b in zip(g.flash_loans, w.flash_loans))
-
-
-class TestViewsFromIndex:
-    """The postings-backed bucketing == the receipts walk, object for
-    object — the indexed scan's correctness contract."""
-
-    def mixed_chain(self):
-        chain = chain_of(
-            [SwapEvent("0xa", venue="UniswapV2"),
-             LiquidationEvent("0xl", platform="AaveV2")],
-            [],
-            [FlashLoanEvent("0xf", platform="Aave"),
-             SwapEvent("0xa", venue="SushiSwap"),
-             SwapEvent("0xb", venue="UniswapV3")],
-        )
-        # A multi-receipt block with a failed receipt: its swap must be
-        # excluded while its flash loan survives (status-blind).
-        chain.append(make_block(4, [
-            make_receipt(4, 0, [SwapEvent("0xa", venue="UniswapV2")]),
-            make_receipt(4, 1, [SwapEvent("0xb", venue="UniswapV2"),
-                                FlashLoanEvent("0xf", platform="Aave")],
-                         status=False),
-            make_receipt(4, 2, [LiquidationEvent("0xl",
-                                                 platform="AaveV2")]),
-        ]))
-        return chain
-
-    def test_matches_receipt_walk(self):
-        chain = self.mixed_chain()
-        for lo, hi in [(1, 4), (2, 3), (4, 4), (1, 1)]:
-            blocks = chain.index.blocks_in_range(lo, hi)
-            assert_same_views(
-                views_from_index(chain.index, blocks),
-                [BlockView.of(block) for block in blocks])
-
-    def test_empty_blocks(self):
-        assert views_from_index(chain_of().index, []) == []
-        chain = chain_of([], [])
-        blocks = chain.index.blocks_in_range(1, 2)
-        views = views_from_index(chain.index, blocks)
-        assert [v.block.number for v in views] == [1, 2]
-        assert all(v.swap_receipts == [] and v.liquidations == []
-                   and v.flash_loans == [] for v in views)
-
-    def test_unstamped_coordinates_fall_back(self):
-        chain = self.mixed_chain()
-        orphan = SwapEvent("0xa", venue="UniswapV2")
-        chain.append(make_block(5, [make_receipt(5, 0, [orphan])]))
-        orphan.block_number = None  # lost its inclusion coordinates
-        blocks = chain.index.blocks_in_range(1, 5)
-        assert_same_views(
-            views_from_index(chain.index, blocks),
-            [BlockView.of(block) for block in blocks])
 
 
 class TestBlockScanDispatch:
@@ -203,14 +130,14 @@ class TestScanRangeEquivalence:
         # The spilled chain keeps only a resident tail in memory; read
         # it back whole for the in-memory read paths.
         spilled = ArchiveNode(result.blockchain)
-        assert spilled.segmented
         chain = Blockchain()
         for block in result.blockchain.iter_range():
             chain.append(block)
+        assert len(result.blockchain.blocks) < len(chain)
         first, last = chain.blocks[0].number, chain.height
         dataset = self.assert_equivalent(ArchiveNode(chain), prices,
                                          first, last)
-        # Every read path scans to the same records: indexed, linear,
+        # Every read path scans to the same records: sliced, linear,
         # and segment-backed.
         for node in (ArchiveNode(chain, indexed=False), spilled):
             other = self.assert_equivalent(node, prices, first, last)

@@ -33,6 +33,10 @@ REMOVED_BENCH_HELPERS = (
 #: ``repro.follow_engine`` and ``repro.follow_reference``
 REMOVED_SERVE_BUILDERS = ("serve_study", "batch_service", "stream_service")
 
+#: the chain read index and the layers that fed it, deleted when a
+#: ranged read became one offset slice of the chain
+REMOVED_READ_INDEX = ("ChainIndex", "views_from_index", "warm_index")
+
 
 def repo_config():
     from repro.lint.config import load_config
@@ -59,7 +63,8 @@ class TestPositive:
 
     @pytest.mark.parametrize(
         "name", REMOVED_SOURCE_CLASSES + REMOVED_CONFIG_HELPERS
-        + REMOVED_BENCH_HELPERS + REMOVED_SERVE_BUILDERS)
+        + REMOVED_BENCH_HELPERS + REMOVED_SERVE_BUILDERS
+        + REMOVED_READ_INDEX)
     def test_removed_source_classes_flagged(self, name):
         findings = run_lint(
             f"""

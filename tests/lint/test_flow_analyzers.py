@@ -145,7 +145,6 @@ class TestRepoIsDeepClean:
                 marked.add(name)
         assert "repro.chain.mempool:Mempool.ordered" in marked
         assert "repro.chain.node:ArchiveNode.iter_blocks" in marked
-        assert "repro.chain.node:ArchiveNode.get_logs" in marked
         assert "repro.agents.searcher:Searcher._probe_cycle" in marked \
             or ("repro.agents.searcher:ArbitrageSearcher._probe_cycle"
                 in marked)

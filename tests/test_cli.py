@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench import GATES
@@ -138,6 +140,18 @@ class TestBenchGates:
         assert "ERROR" not in captured.err
         for key, _ in GATES:
             assert f"  {key}: " in captured.out
+
+
+class TestLintCommand:
+    """``repro lint`` forwards every option to ``python -m repro.lint``."""
+
+    def test_list_rules(self, capsys):
+        assert main(["lint", "--list-rules"]) == 0
+        assert "R101" in capsys.readouterr().out
+
+    def test_select_one_rule(self, capsys):
+        src = Path(__file__).resolve().parents[1] / "src"
+        assert main(["lint", str(src), "--select", "R002"]) == 0
 
 
 class TestCommands:
