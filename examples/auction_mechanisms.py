@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Two liquidation mechanisms, two auction designs.
+"""One liquidation race, two auction designs.
 
-Part 1 (paper §2.2.2): the same unhealthy loan liquidated both ways —
-a fixed-spread liquidation (one atomic transaction, first-come-first-
-served, the MEV race) versus an auction-based liquidation (multi-block,
-bid escalation, no single transaction to frontrun).
+Part 1 (paper §2.2.2): an unhealthy loan liquidated at a fixed spread —
+one atomic transaction, first-come-first-served, the MEV race.  These
+are the only liquidations the paper's MEV dataset counts.
 
 Part 2 (paper §8.2): the same MEV opportunities auctioned both ways —
 an open priority-gas-auction (pre-Flashbots) versus a sealed-bid
@@ -20,16 +19,12 @@ from repro.chain.execution import ExecutionContext
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
 from repro.chain.types import address_from_label, ether, gwei, to_eth
-from repro.lending.auction import AuctionHouse, BidIntent, \
-    SettleAuctionIntent, StartAuctionIntent
 from repro.lending.oracle import PRICE_SCALE, PriceOracle
 from repro.lending.pool import LendingPool, LiquidationIntent
 
 MINER = address_from_label("mech-miner")
 BORROWER = address_from_label("mech-borrower")
 RACER = address_from_label("mech-racer")
-BIDDER_A = address_from_label("mech-bidder-a")
-BIDDER_B = address_from_label("mech-bidder-b")
 
 
 def build_lending_world():
@@ -39,9 +34,8 @@ def build_lending_world():
     pool = LendingPool("AaveV2", oracle)
     pool.provision(state, "DAI", ether(1_000_000))
     state.mint_token("WETH", BORROWER, ether(10))
-    for account in (RACER, BIDDER_A, BIDDER_B):
-        state.credit_eth(account, ether(50))
-        state.mint_token("DAI", account, ether(100_000))
+    state.credit_eth(RACER, ether(50))
+    state.mint_token("DAI", RACER, ether(100_000))
     tx = Transaction(sender=BORROWER, nonce=0, to=pool.address)
     ctx = ExecutionContext(state, tx, block_number=1, coinbase=MINER,
                            contracts={pool.address: pool})
@@ -64,7 +58,7 @@ def mine(state, contracts, sender, intent, number):
 
 def part1_fixed_spread():
     print("=" * 64)
-    print("Part 1a — fixed-spread liquidation (one atomic transaction)")
+    print("Part 1 — fixed-spread liquidation (one atomic transaction)")
     print("=" * 64)
     state, pool, loan = build_lending_world()
     contracts = {pool.address: pool}
@@ -76,34 +70,6 @@ def part1_fixed_spread():
     print(f"One block, one transaction: the first liquidator seizes "
           f"{to_eth(seized):.2f} WETH\n(status={receipt.status}). "
           f"Whoever orders first wins everything → a frontrunning race.")
-
-
-def part1_auction():
-    print("\n" + "=" * 64)
-    print("Part 1b — auction-based liquidation (multi-block, no race)")
-    print("=" * 64)
-    state, pool, loan = build_lending_world()
-    house = AuctionHouse(pool, duration_blocks=5)
-    contracts = {house.address: house, pool.address: pool}
-    mine(state, contracts, BIDDER_A,
-         StartAuctionIntent(house.address, loan.loan_id), number=2)
-    auction_id = list(house.auctions)[0]
-    mine(state, contracts, BIDDER_A,
-         BidIntent(house.address, auction_id, ether(20_000)), number=3)
-    mine(state, contracts, BIDDER_B,
-         BidIntent(house.address, auction_id, ether(21_000)), number=4)
-    mine(state, contracts, BIDDER_A,
-         BidIntent(house.address, auction_id, ether(21_700)), number=5)
-    settle = mine(state, contracts, BIDDER_A,
-                  SettleAuctionIntent(house.address, auction_id),
-                  number=8)
-    print(f"Blocks 2–8: open → three bids → settle "
-          f"(status={settle.status}).")
-    print(f"Winner paid {21_700:,} DAI for "
-          f"{to_eth(state.token_balance('WETH', BIDDER_A)):.1f} WETH. "
-          f"Price discovery across blocks leaves no single transaction "
-          f"worth frontrunning — which is why the paper's MEV dataset "
-          f"contains only fixed-spread liquidations.")
 
 
 def part2_auction_designs():
@@ -134,5 +100,4 @@ def part2_auction_designs():
 
 if __name__ == "__main__":
     part1_fixed_spread()
-    part1_auction()
     part2_auction_designs()

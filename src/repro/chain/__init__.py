@@ -2,9 +2,6 @@
 
 from repro.chain.block import Block, BlockBuilder
 from repro.chain.events import (
-    AuctionBidEvent,
-    AuctionSettledEvent,
-    AuctionStartedEvent,
     BorrowEvent,
     EventLog,
     FlashLoanEvent,
@@ -60,7 +57,6 @@ from repro.chain.types import (
 )
 
 __all__ = [
-    "AuctionBidEvent", "AuctionSettledEvent", "AuctionStartedEvent",
     "Address", "ArchiveNode", "Block", "BlockBuilder", "Blockchain",
     "BorrowEvent", "BLOCK_GAS_LIMIT", "BLOCK_REWARD", "CoinbaseTipIntent",
     "EIP1559", "ETHER", "EventLog", "ExecutionContext", "ExecutionOutcome",

@@ -117,47 +117,6 @@ class BorrowEvent(EventLog):
 
 
 @dataclass
-class AuctionStartedEvent(EventLog):
-    """Auction-based liquidation opened (MakerDAO-style, non-atomic)."""
-
-    platform: str = ""
-    auction_id: int = 0
-    borrower: Address = ""
-    collateral_token: str = ""
-    collateral_amount: int = 0
-    debt_token: str = ""
-    debt_amount: int = 0
-    ends_at_block: int = 0
-
-
-@dataclass
-class AuctionBidEvent(EventLog):
-    """A bid in an ongoing liquidation auction."""
-
-    platform: str = ""
-    auction_id: int = 0
-    bidder: Address = ""
-    amount: int = 0
-
-
-@dataclass
-class AuctionSettledEvent(EventLog):
-    """Auction closed: winner repaid the debt and took the collateral.
-
-    Deliberately *not* a ``LiquidationEvent``: the paper's heuristics
-    target fixed-spread liquidations; auction settlements are multi-
-    transaction, non-atomic, and outside the MEV dataset's scope.
-    """
-
-    platform: str = ""
-    auction_id: int = 0
-    winner: Address = ""
-    paid: int = 0
-    collateral_token: str = ""
-    collateral_amount: int = 0
-
-
-@dataclass
 class OracleUpdateEvent(EventLog):
     """Price-oracle update: the on-chain event that can *create* a
     liquidation opportunity, making it a backrun target (Definition 3)."""

@@ -52,7 +52,6 @@ def next_base_fee(parent_base_fee: int, parent_gas_used: int,
 GAS_TRANSFER = 21_000
 GAS_TOKEN_TRANSFER = 50_000
 GAS_SWAP = 120_000
-GAS_SWAP_PER_EXTRA_HOP = 70_000
 GAS_LIQUIDATION = 350_000
 GAS_FLASH_LOAN_OVERHEAD = 90_000
 GAS_ORACLE_UPDATE = 60_000

@@ -120,13 +120,6 @@ class WorldState:
         self._set_token_balance(token, addr,
                                 self.token_balance(token, addr) + amount)
 
-    def burn_token(self, token: str, addr: Address, amount: int) -> None:
-        balance = self.token_balance(token, addr)
-        if balance < amount:
-            raise InsufficientBalance(
-                f"{addr} holds {balance} {token}, cannot burn {amount}")
-        self._set_token_balance(token, addr, balance - amount)
-
     def transfer_token(self, token: str, sender: Address,
                        recipient: Address, amount: int) -> None:
         # Fused burn+mint (every swap leg lands here): identical checks,

@@ -75,11 +75,6 @@ class SandwichRecord:
     def profit_wei(self) -> int:
         return self.gain_wei - self.cost_wei
 
-    @property
-    def mev_txs(self) -> Tuple[Hash32, Hash32]:
-        return (self.front_tx, self.back_tx)
-
-
 @dataclass
 class ArbitrageRecord:
     """A detected closed-cycle arbitrage (Qin heuristic)."""

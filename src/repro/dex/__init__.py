@@ -32,10 +32,8 @@ from repro.dex.registry import (
 )
 from repro.dex.router import (
     ArbitrageIntent,
-    MultiHopSwapIntent,
     SwapAllIntent,
     SwapIntent,
-    route_tokens,
 )
 from repro.dex.stableswap import StableSwapPool, compute_d, compute_y
 from repro.dex.weighted import (
@@ -49,13 +47,13 @@ __all__ = [
     "ARBITRAGE_VENUES", "ArbitrageIntent", "ArbitragePlan", "BALANCER",
     "BANCOR", "CURVE", "ConstantProductPool", "DEFAULT_FEE_BPS",
     "DEFAULT_TOKENS", "ExchangeRegistry", "FEE_DENOMINATOR",
-    "MultiHopSwapIntent", "Pool", "SANDWICH_VENUES", "SUSHISWAP",
+    "Pool", "SANDWICH_VENUES", "SUSHISWAP",
     "SandwichPlan", "StableSwapPool", "SwapIntent", "Token",
     "UNISWAP_V1", "UNISWAP_V2",
     "UNISWAP_V3", "VENUE_FEE_BPS", "WETH", "ZEROX", "compute_d",
     "compute_y", "get_amount_in", "get_amount_out",
     "max_sandwich_frontrun", "optimal_two_pool_arbitrage", "plan_sandwich",
-    "route_tokens", "simulate_two_pool_arbitrage",
+    "simulate_two_pool_arbitrage",
     "WeightedPool", "integer_nth_root", "weighted_amount_out",
     "SwapAllIntent",
 ]

@@ -139,15 +139,6 @@ class ConstantProductPool:
                               self.reserve_of(state, token_out),
                               self.fee_bps)
 
-    def quote_in(self, state: WorldState, token_out: str,
-                 amount_out: int) -> int:
-        """Input of ``token_in`` needed to receive ``amount_out``."""
-        token_in = self.other(token_out)
-        return get_amount_in(amount_out,
-                             self.reserve_of(state, token_in),
-                             self.reserve_of(state, token_out),
-                             self.fee_bps)
-
     def spot_price(self, state: WorldState, token: str) -> float:
         """Marginal price of ``token`` denominated in the other token."""
         other = self.other(token)

@@ -9,10 +9,10 @@ against a scratch state and later executed for real.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.chain.execution import ExecutionContext, ExecutionOutcome, Revert
-from repro.chain.gas import GAS_SWAP, GAS_SWAP_PER_EXTRA_HOP
+from repro.chain.gas import GAS_SWAP
 from repro.chain.transaction import TxIntent
 from repro.chain.types import Address
 
@@ -40,48 +40,6 @@ class SwapIntent(TxIntent):
             ctx.pay_coinbase(self.coinbase_tip)
         return ExecutionOutcome(success=True, gas_used=self.base_gas,
                                 return_data=amount_out)
-
-
-@dataclass
-class MultiHopSwapIntent(TxIntent):
-    """Swap through a route of pools; the output of each hop feeds the next.
-
-    ``route`` is a list of pool addresses; ``token_in`` enters the first
-    pool, and each pool must share a token with its successor.
-    """
-
-    route: List[Address]
-    token_in: str
-    amount_in: int
-    min_amount_out: int = 0
-    recipient: Optional[Address] = None
-    coinbase_tip: int = 0
-
-    def gas_estimate(self) -> int:
-        extra = max(0, len(self.route) - 1)
-        return GAS_SWAP + extra * GAS_SWAP_PER_EXTRA_HOP
-
-    def execute(self, ctx: ExecutionContext) -> ExecutionOutcome:
-        if not self.route:
-            raise Revert("empty route")
-        if self.amount_in <= 0:
-            raise Revert("swap input must be positive")
-        recipient = self.recipient or ctx.tx.sender
-        token = self.token_in
-        amount = self.amount_in
-        for index, pool_address in enumerate(self.route):
-            pool = ctx.contract(pool_address)
-            hop_recipient = (recipient if index == len(self.route) - 1
-                             else ctx.tx.sender)
-            amount = pool.swap(ctx, token, amount, hop_recipient, 0)
-            token = pool.other(token)
-        if amount < self.min_amount_out:
-            raise Revert("slippage limit exceeded")
-        if self.coinbase_tip:
-            ctx.pay_coinbase(self.coinbase_tip)
-        return ExecutionOutcome(success=True,
-                                gas_used=self.gas_estimate(),
-                                return_data=amount)
 
 
 @dataclass
@@ -151,17 +109,3 @@ class SwapAllIntent(TxIntent):
         return ExecutionOutcome(success=True, gas_used=self.base_gas,
                                 return_data=amount_out)
 
-
-def route_tokens(route: List[Tuple[str, str]], token_in: str) -> List[str]:
-    """Token sequence visited by a route of (token0, token1) pairs."""
-    tokens = [token_in]
-    current = token_in
-    for token0, token1 in route:
-        if current == token0:
-            current = token1
-        elif current == token1:
-            current = token0
-        else:
-            raise ValueError("route hop does not contain current token")
-        tokens.append(current)
-    return tokens

@@ -241,9 +241,6 @@ class FaultPlan:
         return FeedDecision(delay=delay, duplicate=duplicate,
                             reorg_depth=reorg_depth)
 
-    def in_feed_outage(self, block_number: int) -> bool:
-        return _in_ranges(block_number, self.feed_outages)
-
     # Unrecoverable-range queries -----------------------------------------
 
     def in_flashbots_gap(self, block_number: int) -> bool:
@@ -251,9 +248,6 @@ class FaultPlan:
 
     def in_observer_downtime(self, block_number: int) -> bool:
         return _in_ranges(block_number, self.observer_downtime)
-
-    def in_archive_blackout(self, block_number: int) -> bool:
-        return _in_ranges(block_number, self.archive_blackouts)
 
     def blackout_overlap(self, from_block: Optional[int],
                          to_block: Optional[int]) -> Optional[BlockRange]:

@@ -117,20 +117,6 @@ class FlashbotsBlocksApi:
 
     # Coverage ------------------------------------------------------------
 
-    def declare_gaps(self, ranges: Iterable[BlockRange]) -> None:
-        """Mark block spans the dataset is known to be missing.
-
-        The paper notes the public dataset has holes; a declared gap
-        makes ``has_block_data`` honest: inside it, "no row" means
-        "unknown", not "non-Flashbots".
-        """
-        merged = list(self._gaps)
-        for lo, hi in ranges:
-            if hi < lo:
-                raise ValueError(f"bad gap range ({lo}, {hi})")
-            merged.append((int(lo), int(hi)))
-        self._gaps = tuple(sorted(set(merged)))
-
     def has_block_data(self, block_number: int) -> bool:
         """Whether the dataset's coverage includes this block.
 

@@ -1,13 +1,6 @@
-"""Lending substrate: oracle, collateralized loans, flash loans,
-auction-based liquidations."""
+"""Lending substrate: oracle, collateralized loans with fixed-spread
+liquidations, flash loans."""
 
-from repro.lending.auction import (
-    Auction,
-    AuctionHouse,
-    BidIntent,
-    SettleAuctionIntent,
-    StartAuctionIntent,
-)
 from repro.lending.flashloan import (
     DEFAULT_FLASH_FEE_BPS,
     FlashLoanIntent,
@@ -29,8 +22,6 @@ from repro.lending.pool import (
 )
 
 __all__ = [
-    "Auction", "AuctionHouse", "BidIntent", "SettleAuctionIntent",
-    "StartAuctionIntent",
     "BorrowIntent", "DEFAULT_BONUS_BPS", "DEFAULT_CLOSE_FACTOR_BPS",
     "DEFAULT_FLASH_FEE_BPS", "DEFAULT_LIQUIDATION_THRESHOLD_BPS",
     "FlashLoanIntent", "FlashLoanProvider", "LendingPool",

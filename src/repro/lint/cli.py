@@ -3,10 +3,9 @@
 Exit status: 0 when clean, 1 when findings exist, 2 on usage errors.
 
 ``--deep`` additionally runs the whole-program analyzers (R101–R103,
-see :mod:`repro.lint.flow`) after the per-file rules.  Deep runs can
-diff against a committed findings baseline (``--baseline``) so CI only
-fails on regressions, and cache module summaries by content hash
-(``--flow-cache``) so re-runs are incremental.
+see :mod:`repro.lint.flow`) after the per-file rules.  Deep runs parse
+every module afresh and can diff against a committed findings baseline
+(``--baseline``) so CI only fails on regressions.
 """
 
 from __future__ import annotations
@@ -73,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--write-baseline", action="store_true",
                         help="refresh --baseline with the current "
                              "findings and exit 0")
-    parser.add_argument("--flow-cache", metavar="DIR",
-                        help="directory for content-hash summary "
-                             "cache (incremental --deep re-runs)")
     parser.add_argument("--tests-root", metavar="DIR",
                         help="test tree R102 searches for "
                              "equivalence coverage (default: tests)")
@@ -135,9 +131,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     findings = lint_paths(paths, config)
     if args.deep:
-        cache_dir = Path(args.flow_cache) if args.flow_cache else None
-        report = run_deep(paths, config, cache_dir=cache_dir,
-                          tests_root=args.tests_root)
+        report = run_deep(paths, config, tests_root=args.tests_root)
         findings = sorted(findings + report.findings,
                           key=lambda f: f.sort_key())
         print(report.stats_line(), file=sys.stderr)

@@ -15,8 +15,6 @@ from typing import Any, Dict, Tuple
 ERROR = "error"
 WARNING = "warning"
 
-_SEVERITY_ORDER = {ERROR: 0, WARNING: 1}
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -49,7 +47,3 @@ class Finding:
         return (f"{self.path}:{self.line}:{self.col}: "
                 f"{self.rule_id} {self.severity}: {self.message}")
 
-
-def severity_rank(severity: str) -> int:
-    """Lower is more severe; unknown severities sort last."""
-    return _SEVERITY_ORDER.get(severity, len(_SEVERITY_ORDER))

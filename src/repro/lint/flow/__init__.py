@@ -2,9 +2,8 @@
 
 The per-file rules in :mod:`repro.lint.rules` see one AST at a time;
 this package sees the project.  It summarizes every module
-(:mod:`.summary`), caches summaries by content hash (:mod:`.cache`),
-indexes them into a symbol table (:mod:`.project`), resolves a call
-graph (:mod:`.callgraph`), and runs three interprocedural analyzers:
+(:mod:`.summary`), indexes the summaries into a symbol table
+(:mod:`.project`), resolves a call graph (:mod:`.callgraph`), and runs three interprocedural analyzers:
 
 * :mod:`.taint`   — R101 determinism taint into measurement sinks
 * :mod:`.pairing` — R102 fast-path/reference pairing (``@fast_path``)

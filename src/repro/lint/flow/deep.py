@@ -17,7 +17,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.flow import pairing, parallel, taint
-from repro.lint.flow.cache import SummaryCache
 from repro.lint.flow.callgraph import build_call_graph
 from repro.lint.flow.project import load_project
 
@@ -46,32 +45,24 @@ class DeepReport:
     modules: int = 0
     functions: int = 0
     edges: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     elapsed_s: float = 0.0
 
     def stats_line(self) -> str:
         return (f"deep-lint: {self.modules} modules, "
                 f"{self.functions} functions, {self.edges} call "
-                f"edges, cache {self.cache_hits} hit/"
-                f"{self.cache_misses} miss, "
-                f"{self.elapsed_s:.2f}s")
+                f"edges, {self.elapsed_s:.2f}s")
 
 
 def run_deep(paths: Iterable[Path], config: LintConfig,
-             cache_dir: Optional[Path] = None,
              tests_root: Optional[str] = None) -> DeepReport:
     started = time.perf_counter()  # repro-lint: disable=R002
     report = DeepReport()
-    cache = SummaryCache(cache_dir)
-    project = load_project(paths, config, cache)
+    project = load_project(paths, config)
     graph = build_call_graph(project)
     report.modules = len(project.modules)
     report.functions = len(project.functions)
     report.edges = sum(len(edges)
                        for edges in graph.edges.values())
-    report.cache_hits = project.cache_hits
-    report.cache_misses = project.cache_misses
 
     pairing_options = dict(config.options_for(pairing.RULE_ID))
     if tests_root is not None:

@@ -1,7 +1,7 @@
 """Whole-program view: load, summarize, and index every module.
 
 :class:`Project` walks the same file set the per-file engine lints,
-parses each module once, and turns it into a cached
+parses each module once, and turns it into a
 :class:`~repro.lint.flow.summary.ModuleSummary`.  It then exposes the
 cross-module indexes the analyzers query:
 
@@ -29,7 +29,6 @@ from typing import Dict, Iterable, List, Optional
 from repro.lint.config import LintConfig
 from repro.lint.context import find_src_root, module_name_for
 from repro.lint.engine import _display_path, iter_python_files
-from repro.lint.flow.cache import SummaryCache, source_hash
 from repro.lint.flow.summary import (
     FunctionSummary,
     ModuleSummary,
@@ -61,20 +60,9 @@ class Project:
     methods_by_name: Dict[str, List[str]] = field(default_factory=dict)
     suppressions: Dict[str, SuppressionIndex] = field(
         default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    def summary_for(self, module: str) -> Optional[ModuleSummary]:
-        return self.modules.get(module)
 
     def function(self, name: str) -> Optional[FunctionSummary]:
         return self.functions.get(name)
-
-    def module_functions(self, module: str) -> List[str]:
-        summary = self.modules.get(module)
-        if summary is None:
-            return []
-        return [qualname(module, key) for key in summary.functions]
 
     def class_methods(self, module: str, cls: str) -> List[str]:
         """Qualnames of ``cls``'s methods, own + inherited + overrides.
@@ -116,10 +104,8 @@ class Project:
         return out
 
 
-def load_project(paths: Iterable[Path], config: LintConfig,
-                 cache: Optional[SummaryCache] = None) -> Project:
+def load_project(paths: Iterable[Path], config: LintConfig) -> Project:
     """Parse + summarize every python file under ``paths``."""
-    cache = cache if cache is not None else SummaryCache(None)
     project = Project()
     for path in iter_python_files(list(paths), config):
         try:
@@ -129,36 +115,16 @@ def load_project(paths: Iterable[Path], config: LintConfig,
         src_root = find_src_root(path)
         module = module_name_for(path, src_root)
         display = _display_path(path)
-        content_hash = source_hash(source)
-        tree = None
-        summary = cache.load(content_hash)
-        if summary is not None:
-            # Paths may differ between checkouts; trust content only.
-            summary.module = module
-            summary.path = display
-        else:
-            try:
-                tree = ast.parse(source, filename=display)
-            except SyntaxError:
-                continue
-            summary = summarize_module(module, display, content_hash,
-                                       tree)
-            cache.store(summary)
-        project.modules[module] = summary
+        try:
+            tree = ast.parse(source, filename=display)
+        except SyntaxError:
+            continue
+        project.modules[module] = summarize_module(module, display, tree)
         index = build_index(source)
         if index.by_line:
-            # Structural widening needs the AST; parse cached modules
-            # lazily — only files that actually carry directives.
-            if tree is None:
-                try:
-                    tree = ast.parse(source, filename=display)
-                except SyntaxError:
-                    tree = None
-            if tree is not None:
-                index = extend_index(index, tree)
+            # Structural widening needs the AST.
+            index = extend_index(index, tree)
         project.suppressions[display] = index
-    project.cache_hits = cache.hits
-    project.cache_misses = cache.misses
     _build_indexes(project)
     return project
 

@@ -16,10 +16,9 @@ The digest speaks in **taint tokens**:
 * ``"P<i>"`` — the value derives from the function's ``i``-th
   parameter (tainted iff the caller passed a tainted argument).
 
-Summaries are plain data (dict round-trip, no AST nodes) so they can be
-cached on disk keyed by source content hash — see
-:mod:`repro.lint.flow.cache` — which is what makes ``lint --deep``
-incremental across runs.
+Summaries are plain data (no AST nodes): every module is parsed once,
+summarized, and the AST is dropped before the interprocedural passes
+run.
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
-
-#: Bump when the summary shape or the local analysis changes; cached
-#: summaries with another schema are recomputed, never trusted.
-FLOW_SCHEMA = 3
 
 #: ``module.attr`` call targets that read ambient entropy/wall clock.
 NONDET_ATTRS = {
@@ -75,17 +70,6 @@ class CallSite:
     args: List[List[str]] = field(default_factory=list)
     kwargs: Dict[str, List[str]] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "func": self.func, "recv": self.recv,
-                "lineno": self.lineno, "args": self.args,
-                "kwargs": self.kwargs}
-
-    @classmethod
-    def from_dict(cls, row: Dict[str, Any]) -> "CallSite":
-        return cls(kind=row["kind"], func=row["func"], recv=row["recv"],
-                   lineno=row["lineno"], args=list(row["args"]),
-                   kwargs=dict(row["kwargs"]))
-
 
 @dataclass
 class FunctionSummary:
@@ -105,35 +89,6 @@ class FunctionSummary:
     submissions: List[Dict[str, Any]] = field(default_factory=list)
     referenced: List[str] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name, "qualkey": self.qualkey,
-            "lineno": self.lineno, "end_lineno": self.end_lineno,
-            "params": self.params, "is_method": self.is_method,
-            "decorators": self.decorators,
-            "calls": [c.to_dict() for c in self.calls],
-            "sources": self.sources,
-            "return_tokens": self.return_tokens,
-            "global_writes": self.global_writes,
-            "submissions": self.submissions,
-            "referenced": self.referenced,
-        }
-
-    @classmethod
-    def from_dict(cls, row: Dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            name=row["name"], qualkey=row["qualkey"],
-            lineno=row["lineno"], end_lineno=row["end_lineno"],
-            params=list(row["params"]), is_method=row["is_method"],
-            decorators=list(row["decorators"]),
-            calls=[CallSite.from_dict(c) for c in row["calls"]],
-            sources=list(row["sources"]),
-            return_tokens=list(row["return_tokens"]),
-            global_writes=list(row["global_writes"]),
-            submissions=list(row["submissions"]),
-            referenced=list(row["referenced"]),
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -141,39 +96,11 @@ class ModuleSummary:
 
     module: str
     path: str
-    content_hash: str
     imports: Dict[str, str] = field(default_factory=dict)
     module_globals: Dict[str, Dict[str, Any]] = field(
         default_factory=dict)
     classes: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": FLOW_SCHEMA,
-            "module": self.module, "path": self.path,
-            "content_hash": self.content_hash,
-            "imports": self.imports,
-            "module_globals": self.module_globals,
-            "classes": self.classes,
-            "functions": {key: fn.to_dict()
-                          for key, fn in self.functions.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, row: Dict[str, Any],
-                  ) -> Optional["ModuleSummary"]:
-        if row.get("schema") != FLOW_SCHEMA:
-            return None
-        summary = cls(module=row["module"], path=row["path"],
-                      content_hash=row["content_hash"],
-                      imports=dict(row["imports"]),
-                      module_globals=dict(row["module_globals"]),
-                      classes=dict(row["classes"]))
-        summary.functions = {
-            key: FunctionSummary.from_dict(fn)
-            for key, fn in row["functions"].items()}
-        return summary
 
 
 # -- module-level walk ------------------------------------------------------
@@ -608,13 +535,11 @@ class _FunctionSummarizer:
                 self._tokens(child)
 
 
-def summarize_module(module: str, path: str, source_hash: str,
+def summarize_module(module: str, path: str,
                      tree: ast.Module) -> ModuleSummary:
     """Build the analysis summary of one parsed module."""
     imports = _collect_imports(tree)
-    summary = ModuleSummary(module=module, path=path,
-                            content_hash=source_hash,
-                            imports=imports)
+    summary = ModuleSummary(module=module, path=path, imports=imports)
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \

@@ -17,7 +17,7 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, Optional, Tuple
 
-from repro.serve.service import MevQueryService, ServeResponse
+from repro.serve.service import MevQueryService, ServeResponse, _render
 
 __all__ = ["MevHttpServer"]
 
@@ -119,7 +119,7 @@ class MevHttpServer:
         lines = raw.decode("latin-1").split("\r\n")
         request_line = lines[0].split(" ")
         if len(request_line) != 3:
-            return ("BAD", "/", "HTTP/1.1", {})
+            return ("GET", "/", "HTTP/1.1", {"x-repro-malformed": "1"})
         method, target, version = request_line
         headers: Dict[str, str] = {}
         for line in lines[1:]:
@@ -135,6 +135,8 @@ class MevHttpServer:
         """Render one response onto the wire; returns keep-alive."""
         if "x-repro-overrun" in headers:
             response = _plain_error(431, "request head too large")
+        elif "x-repro-malformed" in headers:
+            response = _plain_error(400, "malformed request line")
         elif version not in ("HTTP/1.1", "HTTP/1.0"):
             response = _plain_error(505, f"unsupported {version}")
         elif method != "GET":
@@ -153,8 +155,7 @@ class MevHttpServer:
 
 
 def _plain_error(status: int, message: str) -> ServeResponse:
-    body = ('{"error":"' + message + '","status":'
-            + str(status) + "}").encode("utf-8")
+    body = _render({"error": message, "status": status})
     return ServeResponse(status, body, None, "transport_error")
 
 

@@ -128,10 +128,6 @@ class MevQueryService:
                query: Dict[str, str]) -> Tuple[str, Any]:
         parts = [part for part in path.split("/") if part]
         if len(parts) >= 1 and parts[0] == "v1":
-            if len(parts) == 3 and parts[1] == "blocks" \
-                    and parts[2].isdigit():
-                # tolerate the trailing /mev being implied
-                raise _NotFound(f"no route for {path}")
             if len(parts) == 4 and parts[1] == "blocks" \
                     and parts[3] == "mev":
                 return ("block_mev",
@@ -289,8 +285,8 @@ def responses_identical(left: "MevQueryService",
         cursor = a.json.get("next_cursor")
         if cursor is None:
             continue
-        joiner = "&" if "?" in target else "?"
         base = target.split("cursor=")[0].rstrip("?&")
+        joiner = "&" if "?" in base else "?"
         follow = f"{base}{joiner}cursor={cursor}"
         if follow not in seen:
             seen.add(follow)

@@ -99,14 +99,6 @@ class StudyCalendar:
     # every epoch boundary is a month edge; smaller widths subdivide
     # months for finer-grained sharding.
 
-    def epoch_of(self, block_number: int, epoch_blocks: int) -> int:
-        """0-based epoch index of a block; raises outside the window."""
-        if epoch_blocks <= 0:
-            raise ValueError("epoch_blocks must be positive")
-        if not 1 <= block_number <= self.total_blocks:
-            raise ValueError(f"block {block_number} outside study window")
-        return (block_number - 1) // epoch_blocks
-
     def epoch_count(self, epoch_blocks: int) -> int:
         """Number of epochs covering the window (last may be short)."""
         if epoch_blocks <= 0:

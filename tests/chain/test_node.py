@@ -13,10 +13,10 @@ import pytest
 
 from repro.chain.block import Block, BlockBuilder
 from repro.chain.events import (
-    AuctionSettledEvent,
     EventLog,
     FlashLoanEvent,
     LiquidationEvent,
+    OracleUpdateEvent,
     SwapEvent,
     TransferEvent,
 )
@@ -179,15 +179,15 @@ class TestIterRange:
 class TestGetLogs:
     def test_subclass_matching_mirrors_isinstance(self):
         liq = LiquidationEvent(POOL, platform="AaveV2")
-        auction = AuctionSettledEvent(POOL, platform="AaveV2")
+        oracle = OracleUpdateEvent(POOL, token="WETH")
         swap = SwapEvent(POOL, venue="UniswapV2")
-        chain = chain_of([liq], [auction, swap])
+        chain = chain_of([liq], [oracle, swap])
         node = ArchiveNode(chain)
         # A base-type query returns every subclass, in traversal order.
-        assert node.get_logs(EventLog) == [liq, auction, swap]
-        # AuctionSettledEvent is deliberately NOT a LiquidationEvent.
+        assert node.get_logs(EventLog) == [liq, oracle, swap]
+        # A sibling lending event is not a LiquidationEvent.
         assert node.get_logs(LiquidationEvent) == [liq]
-        assert node.get_logs(AuctionSettledEvent) == [auction]
+        assert node.get_logs(OracleUpdateEvent) == [oracle]
 
     def test_returns_the_log_objects_themselves(self):
         swap = SwapEvent(POOL, venue="SushiSwap")
@@ -271,8 +271,8 @@ def _random_log(rng):
     if choice == 3:
         return FlashLoanEvent(POOL, platform="Aave",
                               amount=rng.randrange(1000))
-    return AuctionSettledEvent(POOL, platform="AaveV2",
-                               paid=rng.randrange(1000))
+    return OracleUpdateEvent(POOL, token="WETH",
+                             price_wei=rng.randrange(1000))
 
 
 def _isinstance_walk(chain, event_type, lo, hi):
@@ -294,7 +294,7 @@ class TestIterBlocksMatchesLinearScan:
 
     QUERY_TYPES = (EventLog, TransferEvent, SwapEvent,
                    LiquidationEvent, FlashLoanEvent,
-                   AuctionSettledEvent)
+                   OracleUpdateEvent)
 
     def test_random_chains_and_ranges(self):
         rng = random.Random(0xC0FFEE)

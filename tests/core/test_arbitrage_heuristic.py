@@ -1,11 +1,34 @@
 """Tests for the Qin-et-al cyclic-arbitrage detection heuristic."""
 
-from repro.chain.transaction import Transaction
+from dataclasses import dataclass
+
+from repro.chain.execution import ExecutionOutcome
+from repro.chain.transaction import Transaction, TxIntent
 from repro.chain.types import ether, gwei
 from repro.core.heuristics.arbitrage import detect_arbitrages
-from repro.dex.router import ArbitrageIntent, MultiHopSwapIntent
+from repro.dex.router import ArbitrageIntent
 
 from tests.core.conftest import ATTACKER, VICTIM
+
+
+@dataclass
+class SwapThenSwap(TxIntent):
+    """Swap on ``first``, then swap that output on ``second``: an open
+    two-hop route that ends in a different token than it started."""
+
+    first: str
+    second: str
+    token_in: str
+    amount_in: int
+
+    def execute(self, ctx):
+        sender = ctx.tx.sender
+        pool = ctx.contract(self.first)
+        out = pool.swap(ctx, self.token_in, self.amount_in, sender, 0)
+        nxt = ctx.contract(self.second)
+        out = nxt.swap(ctx, pool.other(self.token_in), out, sender, 0)
+        return ExecutionOutcome(success=True, gas_used=240_000,
+                                return_data=out)
 
 
 def arb_tx(harness, route, amount=ether(5), sender=ATTACKER, tip=0):
@@ -55,9 +78,8 @@ class TestDetection:
             sender=VICTIM, nonce=harness.state.nonce(VICTIM),
             to=harness.uni.address, gas_limit=500_000,
             gas_price=gwei(50),
-            intent=MultiHopSwapIntent(
-                route=[harness.uni.address, link.address],
-                token_in="WETH", amount_in=ether(2)))
+            intent=SwapThenSwap(harness.uni.address, link.address,
+                                token_in="WETH", amount_in=ether(2)))
         _, receipts = harness.mine([tx])
         assert receipts[0].status
         assert detect_arbitrages(harness.node, harness.prices) == []

@@ -9,9 +9,9 @@ over every read path (sliced, linear, segment-backed).
 import pytest
 
 from repro.chain.events import (
-    AuctionSettledEvent,
     FlashLoanEvent,
     LiquidationEvent,
+    OracleUpdateEvent,
     SwapEvent,
 )
 from repro.chain.node import ArchiveNode, Blockchain
@@ -67,7 +67,7 @@ class TestBlockView:
 
     def test_unrelated_events_ignored(self):
         block = make_block(1, [make_receipt(1, 0, [
-            AuctionSettledEvent("0xl", platform="AaveV2")])])
+            OracleUpdateEvent("0xl", token="WETH")])])
         view = BlockView.of(block)
         assert view.swap_receipts == []
         assert view.liquidations == []

@@ -7,12 +7,7 @@ from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
 from repro.chain.types import address_from_label, ether, gwei
 from repro.dex.registry import SUSHISWAP, UNISWAP_V2, ExchangeRegistry
-from repro.dex.router import (
-    ArbitrageIntent,
-    MultiHopSwapIntent,
-    SwapIntent,
-    route_tokens,
-)
+from repro.dex.router import ArbitrageIntent, SwapIntent
 
 TRADER = address_from_label("trader")
 MINER = address_from_label("miner")
@@ -80,33 +75,6 @@ class TestSwapIntent:
         assert not receipt.status
 
 
-class TestMultiHopSwap:
-    def test_two_hop_route(self, world):
-        state, registry, uni, _, link = world
-        intent = MultiHopSwapIntent(route=[uni.address, link.address],
-                                    token_in="WETH", amount_in=ether(1))
-        receipt = run(state, registry, intent)
-        assert receipt.status
-        assert state.token_balance("LINK", TRADER) > 0
-        # two swap events + two syncs
-        assert len(receipt.logs) == 4
-
-    def test_gas_grows_with_hops(self):
-        one = MultiHopSwapIntent(route=["a"], token_in="X", amount_in=1)
-        two = MultiHopSwapIntent(route=["a", "b"], token_in="X",
-                                 amount_in=1)
-        assert two.gas_estimate() > one.gas_estimate()
-
-    def test_min_out_checked_at_end(self, world):
-        state, registry, uni, _, link = world
-        intent = MultiHopSwapIntent(route=[uni.address, link.address],
-                                    token_in="WETH", amount_in=ether(1),
-                                    min_amount_out=ether(10**6))
-        receipt = run(state, registry, intent)
-        assert not receipt.status
-        assert state.token_balance("LINK", TRADER) == 0
-
-
 class TestArbitrageIntent:
     def test_profitable_cycle_succeeds(self, world):
         state, registry, uni, sushi, _ = world
@@ -143,12 +111,3 @@ class TestArbitrageIntent:
         receipt = run(state, registry, intent)
         assert not receipt.status
 
-
-class TestRouteTokens:
-    def test_follows_pairs(self):
-        tokens = route_tokens([("WETH", "DAI"), ("DAI", "LINK")], "WETH")
-        assert tokens == ["WETH", "DAI", "LINK"]
-
-    def test_rejects_disconnected_route(self):
-        with pytest.raises(ValueError):
-            route_tokens([("WETH", "DAI"), ("USDC", "LINK")], "WETH")

@@ -37,6 +37,18 @@ REMOVED_SERVE_BUILDERS = ("serve_study", "batch_service", "stream_service")
 #: ranged read became one offset slice of the chain
 REMOVED_READ_INDEX = ("ChainIndex", "views_from_index", "warm_index")
 
+#: code no run path reached: the auction house and its events, the
+#: multi-hop router, the deep-lint summary cache, and ten members
+#: without a caller
+REMOVED_DEAD_CODE = (
+    "AuctionHouse", "StartAuctionIntent", "BidIntent",
+    "SettleAuctionIntent", "AuctionStartedEvent", "AuctionBidEvent",
+    "AuctionSettledEvent", "MultiHopSwapIntent", "route_tokens",
+    "GAS_SWAP_PER_EXTRA_HOP", "SummaryCache", "source_hash",
+    "FLOW_SCHEMA", "declare_gaps", "quote_in", "epoch_of", "burn_token",
+    "in_feed_outage", "in_archive_blackout", "module_functions",
+    "summary_for", "severity_rank", "mev_txs")
+
 
 def repo_config():
     from repro.lint.config import load_config
@@ -64,7 +76,7 @@ class TestPositive:
     @pytest.mark.parametrize(
         "name", REMOVED_SOURCE_CLASSES + REMOVED_CONFIG_HELPERS
         + REMOVED_BENCH_HELPERS + REMOVED_SERVE_BUILDERS
-        + REMOVED_READ_INDEX)
+        + REMOVED_READ_INDEX + REMOVED_DEAD_CODE)
     def test_removed_source_classes_flagged(self, name):
         findings = run_lint(
             f"""

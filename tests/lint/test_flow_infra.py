@@ -1,4 +1,4 @@
-"""Deep-mode infrastructure: cache, suppressions, SARIF, baseline, CLI."""
+"""Deep-mode infrastructure: suppressions, SARIF, baseline, CLI."""
 
 import json
 import textwrap
@@ -30,51 +30,6 @@ def write_proj(tmp_path, name, source):
     (proj / "__init__.py").write_text("")
     (proj / name).write_text(textwrap.dedent(source))
     return proj
-
-
-class TestSummaryCache:
-    def test_second_run_hits_for_every_module(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        config = LintConfig()
-        cold = run_deep([FIXTURES / "r101_tp" / "proj"], config,
-                        cache_dir=cache_dir,
-                        tests_root=str(tmp_path))
-        warm = run_deep([FIXTURES / "r101_tp" / "proj"], config,
-                        cache_dir=cache_dir,
-                        tests_root=str(tmp_path))
-        assert cold.cache_hits == 0
-        assert cold.cache_misses == warm.cache_hits > 0
-        assert warm.cache_misses == 0
-        # identical findings either way — the cache is invisible
-        assert [f.message for f in cold.findings] == \
-            [f.message for f in warm.findings]
-
-    def test_edited_file_misses_only_itself(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        proj = tmp_path / "work" / "proj"
-        proj.mkdir(parents=True)
-        (proj / "__init__.py").write_text("")
-        (proj / "a.py").write_text("def f():\n    return 1\n")
-        (proj / "b.py").write_text("def g():\n    return 2\n")
-        config = LintConfig()
-        run_deep([proj], config, cache_dir=cache_dir)
-        (proj / "a.py").write_text("def f():\n    return 3\n")
-        warm = run_deep([proj], config, cache_dir=cache_dir)
-        assert warm.cache_misses == 1
-        assert warm.cache_hits == 2  # __init__ and b.py
-
-    def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        config = LintConfig()
-        run_deep([FIXTURES / "r101_tn" / "proj"], config,
-                 cache_dir=cache_dir, tests_root=str(tmp_path))
-        for entry in cache_dir.glob("*.json"):
-            entry.write_text("{not json")
-        report = run_deep([FIXTURES / "r101_tn" / "proj"], config,
-                          cache_dir=cache_dir,
-                          tests_root=str(tmp_path))
-        assert report.cache_hits == 0
-        assert report.findings == []
 
 
 class TestDeepSuppression:
@@ -205,13 +160,6 @@ class TestDeepCli:
         for rule_id in ("R101", "R102", "R103"):
             assert rule_id in out
         assert "--deep" in out
-
-    def test_flow_cache_flag_creates_cache(self, tmp_path):
-        cache_dir = tmp_path / "flow-cache"
-        lint_main([str(FIXTURES / "r101_tn" / "proj"), "--deep",
-                   "--no-config", "--tests-root", str(tmp_path),
-                   "--flow-cache", str(cache_dir)])
-        assert list(cache_dir.glob("*.json"))
 
 
 class TestMarkerRuntime:

@@ -50,6 +50,41 @@ class TestIdentityRule:
         assert not responses_identical(tampered,
                                        MevQueryService(clone))
 
+    def test_query_less_walk_compares_every_page(self, batch_query,
+                                                 monkeypatch):
+        """``/v1/mev`` has no query string, so its cursor pages must be
+        ``/v1/mev?cursor=…``: a divergence on its last page (page >= 3)
+        alone must fail the rule, and no page may answer 404."""
+        import repro.serve.service as service_module
+        from tests.serve.test_store import rebuild_by_hand
+        monkeypatch.setattr(service_module, "DEFAULT_PAGE", 20)
+        store = batch_query.store
+        total = len(store.page(limit=10**6)[0])
+        assert total > 2 * 20  # the walk reaches a third page
+        clone = rebuild_by_hand(store)
+        clone.set_quality(store.coverage()["quality"])
+        lo, hi = clone.bounds()
+        last = max(h for h in range(lo, hi + 1) if clone.rows_at(h))
+        assert total - len(clone.rows_at(last)) >= 2 * 20
+        clone.retract_block(last)
+
+        handled = []
+
+        class Recording(MevQueryService):
+            def handle(self, target, if_none_match=None):
+                response = super().handle(target, if_none_match)
+                handled.append((target, response.status))
+                return response
+
+        assert responses_identical(Recording(store), Recording(store),
+                                   targets=["/v1/mev"])
+        pages = [t for t, _ in handled if t.startswith("/v1/mev")]
+        assert len(pages) == 2 * -(-total // 20)
+        assert all(status == 200 for _, status in handled)
+        assert not responses_identical(MevQueryService(store),
+                                       MevQueryService(clone),
+                                       targets=["/v1/mev"])
+
 
 class RetractionProbe(StreamSubscriber):
     """Record per-height ETags as blocks land; checked on retraction."""
@@ -96,6 +131,7 @@ class TestLiveSupersede:
 class TestErrorPaths:
     @pytest.mark.parametrize("target,status", [
         ("/v2/blocks/1/mev", 404),
+        ("/v1/blocks/5", 404),
         ("/v1/blocks/abc/mev", 400),
         ("/v1/leaderboards/validators", 404),
         ("/v1/mev?limit=0", 400),

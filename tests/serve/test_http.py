@@ -7,6 +7,7 @@ revalidating the moment the store mutates.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -109,12 +110,17 @@ class TestWire:
         (b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n", b"404"),
         (b"GET /v1/mev HTTP/1.1\r\nHuge: " + b"x" * 20000
          + b"\r\n\r\n", b"431"),
+        (b"GARBAGE\r\n\r\n", b"400"),
+        (b'G"T /v1/mev HTTP/1.1\r\n\r\n', b"405"),
     ])
     def test_transport_errors(self, served, request_head, expected):
         async def body(server):
             raw = await _raw_exchange(server, request_head)
             status_line = raw.split(b"\r\n", 1)[0]
             assert expected in status_line
+            # client bytes echoed into a message stay valid JSON
+            document = json.loads(raw.split(b"\r\n\r\n", 1)[1])
+            assert document["status"] == int(expected)
 
         run(_with_server(served, body))
 
