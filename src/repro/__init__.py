@@ -13,8 +13,8 @@ The package is organized as:
   simulation and the calibrated study-window scenario;
 * :mod:`repro.core` — the paper's measurement pipeline (detection
   heuristics, joins, privacy inference, pool attribution);
-* :mod:`repro.engine` — pluggable chunk execution (serial, parallel,
-  cached) behind one :class:`~repro.engine.RunConfig`;
+* :mod:`repro.engine` — chunk execution, in-process or across worker
+  processes, behind one :class:`~repro.engine.RunConfig`;
 * :mod:`repro.analysis` — table/figure builders and the goal audits.
 
 Quickstart::
@@ -79,7 +79,7 @@ def run_inspector(result: SimulationResult,
     dataset carries a ``quality`` report.  ``config`` carries every run
     setting (``None`` means ``RunConfig()``): its ``checkpoint``/
     ``resume`` make the run restartable after a crash, its
-    ``workers``/``cache_dir`` select the execution strategy (see
+    ``workers`` fans chunks out over processes (see
     :mod:`repro.engine`) without changing any output bit, and its
     ``fault_profile``/``fault_seed`` build the fault plan when
     ``fault_plan`` is not given explicitly.

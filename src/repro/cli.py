@@ -7,7 +7,7 @@ Usage::
     python -m repro run --fault-profile chaos --fault-seed 3  # chaos run
     python -m repro table1 [--bpm N] [--seed S]     # just Table 1
     python -m repro figures [--bpm N] [--seed S]    # figure series
-    python -m repro run --workers 4 --cache-dir .cache  # parallel + cached
+    python -m repro run --workers 4                 # parallel chunks
     python -m repro run --follow                    # streaming (follow) mode
     python -m repro stream --fault-profile reorg    # hostile-feed follower
     python -m repro export PATH [--bpm N] [--seed S]  # JSONL dataset
@@ -66,7 +66,7 @@ def _non_negative(text: str) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bpm", type=int, default=60,
+    parser.add_argument("--bpm", type=_at_least_one, default=60,
                         help="simulated blocks per month (default 60)")
     parser.add_argument("--seed", type=int, default=7,
                         help="scenario seed (default 7)")
@@ -94,10 +94,6 @@ def _add_reliability(parser: argparse.ArgumentParser) -> None:
                         help="run chunks across N worker processes "
                              "(default 1; output is bit-identical at "
                              "any worker count)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="memoize per-chunk detection artifacts in "
-                             "DIR, keyed to the scenario and fault "
-                             "configuration")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,15 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
                 help="blocks behind the head before a streamed block "
                      "is confirmed (default 3)")
             command.add_argument(
-                "--blocks", type=int, default=None, metavar="N",
+                "--blocks", type=_at_least_one, default=None,
+                metavar="N",
                 help="simulate only the first N blocks of the study "
                      "window (default: the whole window)")
             command.add_argument(
-                "--epoch-blocks", type=int, default=None, metavar="N",
+                "--epoch-blocks", type=_at_least_one, default=None,
+                metavar="N",
                 help="epoch width in blocks for sealing and segment "
                      "spilling (default: one month)")
             command.add_argument(
-                "--max-resident-epochs", type=int, default=2,
+                "--max-resident-epochs", type=_at_least_one, default=2,
                 metavar="K",
                 help="with --segment-dir: newest epochs kept in "
                      "memory; older ones are served from segment "
@@ -264,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "from its seal across workers, splice, "
                             "and gate on a bit-identical block/tx "
                             "hash sequence (shard_identical)")
-    bench.add_argument("--shard-workers", type=int, default=2,
+    bench.add_argument("--shard-workers", type=_at_least_one, default=2,
                        metavar="N",
                        help="worker count for the epoch "
                             "re-simulation fan-out (default 2)")
@@ -286,16 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_config(args: argparse.Namespace) -> RunConfig:
     """The one :class:`RunConfig` a CLI invocation describes.
 
-    ``cache_key`` is derived from everything that shapes the cached
-    artifacts' world — scenario and fault selection — so two CLI runs
-    share cache entries exactly when they measure the same world.
+    ``--resume`` without ``--checkpoint`` has nothing to resume from,
+    so it is a usage error rather than a silently fresh run.
     """
-    cache_dir = getattr(args, "cache_dir", None)
-    cache_key = None
-    if cache_dir is not None:
-        cache_key = (f"bpm={args.bpm}:seed={args.seed}"
-                     f":faults={getattr(args, 'fault_profile', 'none')}"
-                     f":fseed={getattr(args, 'fault_seed', 0)}")
+    if getattr(args, "resume", False) and \
+            getattr(args, "checkpoint", None) is None:
+        print("ERROR: --resume requires --checkpoint PATH",
+              file=sys.stderr)
+        raise SystemExit(2)
     return RunConfig(
         chunk_size=getattr(args, "chunk_size", None),
         checkpoint=getattr(args, "checkpoint", None),
@@ -303,8 +299,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         fault_profile=getattr(args, "fault_profile", "none"),
         fault_seed=getattr(args, "fault_seed", 0),
         workers=getattr(args, "workers", 1),
-        cache_dir=cache_dir,
-        cache_key=cache_key,
         confirm_depth=getattr(args, "confirm_depth", 3))
 
 

@@ -13,11 +13,11 @@ five-month crawl had to be:
   written to an atomic JSON checkpoint, so a crashed run restarted with
   ``RunConfig(resume=True)`` skips finished work and still produces a
   bit-identical dataset;
-* chunks execute through a pluggable :mod:`repro.engine` executor —
-  serial, process-parallel (``workers=N``), or disk-cached
-  (``cache_dir``) — and every executor is guaranteed to produce the
-  same dataset and quality ledger, because each chunk runs under
-  chunk-isolated resilience state and results merge in chunk order;
+* chunks execute through :class:`~repro.engine.ParallelExecutor` —
+  in-process, or across ``workers=N`` processes — and every worker
+  count is guaranteed to produce the same dataset and quality ledger,
+  because each chunk runs under chunk-isolated resilience state and
+  results merge in chunk order;
 * a chunk whose source data is permanently unavailable (archive
   blackout, breaker open, retries exhausted) is recorded as a *failed
   range* and the run continues — degradation is visible, never fatal;
@@ -31,9 +31,7 @@ builds a config once and threads it through unchanged.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.chain.node import ArchiveNode
 from repro.chain.p2p import MempoolObserver
@@ -42,19 +40,14 @@ from repro.core.flashbots_join import annotate_flashbots
 from repro.core.private_inference import annotate_privacy
 from repro.core.profit import PriceService
 from repro.engine.config import RunConfig
-from repro.engine.executors import ChunkStats, Executor, make_executor
-from repro.engine.merge import (
-    chunk_key,
-    merge_flash_txs,
-    merge_rows,
-    sum_chunk_stats,
-)
+from repro.engine.executors import ParallelExecutor
+from repro.engine.merge import chunk_key, merge_flash_txs, merge_rows
 from repro.engine.runner import CHUNK_FAILURES, ChunkRunner
 from repro.flashbots.api import FlashbotsBlocksApi
 from repro.reliability.checkpoint import CheckpointError, CheckpointStore
-from repro.reliability.circuit import CircuitBreaker
 from repro.reliability.quality import DataQualityReport, SourceQuality
-from repro.reliability.sources import fresh_source
+from repro.reliability.sources import SourceStats, fresh_source, \
+    source_stats
 
 __all__ = ["CHUNK_FAILURES", "MevInspector", "apply_joins",
            "finish_quality", "plan_chunks"]
@@ -145,7 +138,7 @@ def _join_flash_loans(dataset: MevDataset, flash_txs: Set[str]) -> None:
 
 def finish_quality(quality: DataQualityReport, chunks: List[BlockRange],
                    state: Dict[str, Any], failed: List[BlockRange],
-                   detection_stats: ChunkStats,
+                   detection_stats: SourceStats,
                    node: Optional[ArchiveNode],
                    flashbots_api: Optional[FlashbotsBlocksApi],
                    observer: Optional[MempoolObserver]) -> None:
@@ -153,8 +146,10 @@ def finish_quality(quality: DataQualityReport, chunks: List[BlockRange],
 
     Like :func:`apply_joins`, this is the single implementation both
     the batch and streaming pipelines finish through.  ``node`` is the
-    archive surface whose retry counters land in the ``archive`` entry;
-    the stream engine reads no archive and passes ``None``.
+    archive surface whose retry counters land in the ``archive`` entry,
+    plus ``detection_stats``, the chunks' ledgers summed in chunk
+    order; the stream engine reads no archive and passes ``None`` and
+    an empty ledger.
     """
     first, last = quality.from_block, quality.to_block
     total_blocks = last - first + 1
@@ -166,16 +161,12 @@ def finish_quality(quality: DataQualityReport, chunks: List[BlockRange],
     covered = total_blocks - _blocks_in(quality.failed_ranges)
     archive.coverage = covered / total_blocks
     archive.gap_ranges = quality.failed_ranges
-    _apply_caller_stats(archive, node)
     # Detection traffic ran inside the executor (possibly in worker
     # processes) under chunk-isolated state; fold its ledger into
     # the parent's own (range resolution + joins) counters.
-    archive.requests += detection_stats.requests
-    archive.retries += detection_stats.retries
-    archive.failed_attempts += detection_stats.failed_attempts
-    archive.exhausted += detection_stats.exhausted
-    archive.simulated_backoff_s += detection_stats.simulated_backoff_s
-    archive.breaker_trips += detection_stats.breaker_trips
+    ledger = source_stats(node)
+    ledger.add(detection_stats)
+    _apply_stats(archive, ledger)
 
     if flashbots_api is not None:
         flashbots = quality.source("flashbots")
@@ -183,7 +174,7 @@ def finish_quality(quality: DataQualityReport, chunks: List[BlockRange],
         flashbots.gap_ranges = gaps
         flashbots.coverage = \
             (total_blocks - _blocks_in(gaps)) / total_blocks
-        _apply_caller_stats(flashbots, flashbots_api)
+        _apply_stats(flashbots, source_stats(flashbots_api))
 
     if observer is not None:
         mempool = quality.source("mempool")
@@ -192,7 +183,7 @@ def finish_quality(quality: DataQualityReport, chunks: List[BlockRange],
             mempool.coverage = observed_coverage()
         mempool.gap_ranges = _clip_ranges(
             getattr(observer, "downtime_ranges", ()), first, last)
-        _apply_caller_stats(mempool, observer)
+        _apply_stats(mempool, source_stats(observer))
 
 
 def _coverage_gaps(api: FlashbotsBlocksApi) -> List[BlockRange]:
@@ -200,18 +191,14 @@ def _coverage_gaps(api: FlashbotsBlocksApi) -> List[BlockRange]:
     return [] if coverage_gaps is None else list(coverage_gaps())
 
 
-def _apply_caller_stats(entry: SourceQuality, source: object) -> None:
-    """Copy retry/breaker counters off an armed source's caller."""
-    caller = getattr(source, "caller", None)
-    if caller is None:
-        return
-    stats = caller.stats
+def _apply_stats(entry: SourceQuality, stats: SourceStats) -> None:
+    """Copy a source's retry/breaker ledger onto its quality entry."""
     entry.requests = stats.requests
     entry.retries = stats.retries
     entry.failed_attempts = stats.failed_attempts
     entry.exhausted = stats.exhausted
     entry.simulated_backoff_s = stats.simulated_backoff_s
-    entry.breaker_trips = caller.breaker_trips
+    entry.breaker_trips = stats.breaker_trips
 
 
 class MevInspector:
@@ -235,9 +222,8 @@ class MevInspector:
         ``chunk_size`` the range is processed in that many blocks at a
         time; with ``checkpoint`` each completed chunk is persisted and
         ``resume=True`` continues a crashed run from where it stopped.
-        ``workers=N`` fans chunks out over N worker processes and
-        ``cache_dir`` memoizes per-chunk artifacts on disk — both are
-        guaranteed bit-identical to the serial, uncached run.
+        ``workers=N`` fans chunks out over N worker processes,
+        guaranteed bit-identical to the in-process run.
         """
         if config is None:
             config = RunConfig()
@@ -248,7 +234,7 @@ class MevInspector:
         node = fresh_source(self.node)
         flashbots_api = fresh_source(self.flashbots_api)
         observer = fresh_source(self.observer)
-        store = self._store(config.checkpoint)
+        store = CheckpointStore.coerce(config.checkpoint)
         bounds = _resolve_range(node, config.from_block, config.to_block)
         if bounds is None:
             dataset = MevDataset()
@@ -265,14 +251,14 @@ class MevInspector:
                                  config.resume, quality)
 
         failed: List[BlockRange] = []
-        chunk_stats: Dict[str, ChunkStats] = {}
+        chunk_stats: Dict[BlockRange, SourceStats] = {}
         pending = [chunk for chunk in chunks
                    if chunk_key(chunk) not in state]
         runner = ChunkRunner(node=node, prices=self.prices)
-        executor = self._executor(config, runner)
+        executor = ParallelExecutor(config.workers)
         for result in executor.execute(runner, pending):
             key = chunk_key(result.chunk)
-            chunk_stats[key] = result.stats
+            chunk_stats[result.chunk] = result.stats
             if result.failed:
                 failed.append(result.chunk)
                 continue
@@ -286,38 +272,16 @@ class MevInspector:
                     flashbots_api, observer)
         # Quality is finalized after the joins so the snapshot of each
         # source's retry/breaker counters includes the join traffic.
-        finish_quality(quality, chunks, state, failed,
-                       sum_chunk_stats(chunks, chunk_stats), node,
-                       flashbots_api, observer)
+        detection_stats = SourceStats()
+        for chunk in chunks:
+            if chunk in chunk_stats:
+                detection_stats.add(chunk_stats[chunk])
+        finish_quality(quality, chunks, state, failed, detection_stats,
+                       node, flashbots_api, observer)
         dataset.quality = quality
         return dataset
 
     # Range & chunk machinery ---------------------------------------------
-
-    def _executor(self, config: RunConfig,
-                  runner: ChunkRunner) -> Executor:
-        digest = None
-        if config.cache_dir is not None:
-            # An unarmed node digests as no plan, no retry and the
-            # default breaker.
-            plan = getattr(runner.node, "plan", None)
-            caller = getattr(runner.node, "caller", None)
-            breaker = CircuitBreaker("archive") if caller is None \
-                else caller.breaker
-            digest = config.artifact_digest(extra={
-                "plan": None if plan is None else asdict(plan),
-                "retry": None if caller is None else asdict(caller.retry),
-                "breaker": [breaker.failure_threshold,
-                            breaker.cooldown_calls]})
-        return make_executor(workers=config.workers,
-                             cache_dir=config.cache_dir, digest=digest)
-
-    @staticmethod
-    def _store(checkpoint: Union[CheckpointStore, str, Path, None],
-               ) -> Optional[CheckpointStore]:
-        if checkpoint is None or isinstance(checkpoint, CheckpointStore):
-            return checkpoint
-        return CheckpointStore(checkpoint)
 
     @staticmethod
     def _load_state(store: Optional[CheckpointStore], first: int,

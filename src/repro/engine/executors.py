@@ -1,83 +1,37 @@
-"""Pluggable chunk executors: serial, process-parallel, cached.
+"""The chunk executor: chunks fanned out over worker processes.
 
-An executor consumes the chunk list ``plan_chunks`` produced and yields
-one :class:`ChunkResult` per chunk.  Results may arrive in any order
-(the parallel executor yields in completion order); the pipeline merges
-them back in *chunk* order, so every executor produces a bit-identical
-dataset and quality ledger — ``--workers 4`` is an optimization, never a
-semantic change.
-
-* :class:`SerialExecutor` — runs chunks one by one in-process;
-* :class:`ParallelExecutor` — fans chunks out over a
-  ``ProcessPoolExecutor``; the runner is shipped to each worker once
-  (fork-inherited where the platform allows) and only ``(lo, hi)``
-  tuples travel per task;
-* :class:`CachedExecutor` — memoizes successful chunk artifacts on disk
-  keyed by ``(chunk, source-config digest)``; a resumed or ablation run
-  with the same digest skips recomputation entirely.  Failed chunks are
-  never cached — a failure must be re-attempted, not replayed.
+:class:`ParallelExecutor` consumes the chunk list ``plan_chunks``
+produced and yields one :class:`ChunkResult` per chunk.  With more
+than one effective worker it fans the chunks out over a
+``ProcessPoolExecutor``: the runner is shipped to each worker once
+(fork-inherited where the platform allows) and only ``(lo, hi)``
+tuples travel per task, and results arrive in completion order.  At
+one effective worker, or for a single chunk, it runs them in order in
+this process — the serial reference every parallel run must equal.
+The pipeline merges results back in *chunk* order, so every worker
+count produces a bit-identical dataset and quality ledger —
+``--workers 4`` is an optimization, never a semantic change.
 
 Determinism note: chunk execution is *chunk-isolated* — each chunk runs
 against fresh retry/breaker state (see ``ChunkRunner``), so a chunk's
 result is a pure function of ``(world, faults, chunk)`` and execution
 order cannot leak between chunks.  That is the property that makes the
-parallel/serial/cached paths interchangeable.
+in-process and process-pool paths interchangeable.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor as _PoolExecutor
 from concurrent.futures import as_completed
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, Iterator, List, Optional, \
+    Protocol, Tuple
 
-from repro.engine.config import CACHE_VERSION
+from repro.reliability.sources import SourceStats
 
 BlockRange = Tuple[int, int]
-
-
-@dataclass
-class ChunkStats:
-    """Archive-source resilience counters one chunk's detection spent."""
-
-    requests: int = 0
-    retries: int = 0
-    failed_attempts: int = 0
-    exhausted: int = 0
-    simulated_backoff_s: float = 0.0
-    breaker_trips: int = 0
-
-    def add(self, other: "ChunkStats") -> None:
-        """Accumulate ``other`` into this ledger (addition commutes,
-        but callers still sum in chunk order so float totals are
-        bit-stable)."""
-        self.requests += other.requests
-        self.retries += other.retries
-        self.failed_attempts += other.failed_attempts
-        self.exhausted += other.exhausted
-        self.simulated_backoff_s += other.simulated_backoff_s
-        self.breaker_trips += other.breaker_trips
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, row: Dict[str, Any]) -> "ChunkStats":
-        return cls(**row)
 
 
 @dataclass
@@ -86,14 +40,13 @@ class ChunkResult:
 
     ``payload is None`` means the chunk failed permanently (archive
     unusable even through the resilience layer) and must be recorded as
-    a failed range.  ``cached`` marks artifacts replayed from a
-    :class:`CachedExecutor` store rather than recomputed.
+    a failed range.  ``stats`` is the archive source's resilience
+    ledger for the chunk's own reads.
     """
 
     chunk: BlockRange
     payload: Optional[Dict[str, Any]]
-    stats: ChunkStats = field(default_factory=ChunkStats)
-    cached: bool = False
+    stats: SourceStats = field(default_factory=SourceStats)
 
     @property
     def failed(self) -> bool:
@@ -101,30 +54,9 @@ class ChunkResult:
 
 
 class SupportsRunChunk(Protocol):
-    """The unit of work executors schedule (see ``ChunkRunner``)."""
+    """The unit of work the executor schedules (see ``ChunkRunner``)."""
 
     def run_chunk(self, chunk: BlockRange) -> ChunkResult: ...
-
-
-class Executor(Protocol):
-    """Strategy for running a batch of chunks."""
-
-    name: str
-
-    def execute(self, runner: SupportsRunChunk,
-                chunks: Iterable[BlockRange],
-                ) -> Iterator[ChunkResult]: ...
-
-
-class SerialExecutor:
-    """One chunk at a time, in order, in this process."""
-
-    name = "serial"
-
-    def execute(self, runner: SupportsRunChunk,
-                chunks: Iterable[BlockRange]) -> Iterator[ChunkResult]:
-        for chunk in chunks:
-            yield runner.run_chunk(chunk)
 
 
 # -- process-pool plumbing -------------------------------------------------
@@ -156,8 +88,30 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
+def _available_cpus() -> int:
+    """CPUs the host can actually run worker processes on."""
+    return os.cpu_count() or 1
+
+
+def effective_workers(requested: int) -> int:
+    """The worker count a request actually gets on this host.
+
+    The cap :class:`ParallelExecutor` applies — clamped to
+    ``[1, cpu_count]`` — exposed so callers (the bench harness, the
+    epoch shard runner) can report ``workers_requested`` alongside
+    ``workers_effective`` honestly instead of implying parallelism a
+    1-CPU box never delivered.
+    """
+    return max(1, min(requested, _available_cpus()))
+
+
 class ParallelExecutor:
     """Chunks fanned out across worker processes.
+
+    ``workers`` is capped to the host's CPU count (see
+    :func:`effective_workers`): every worker count is bit-identical,
+    so oversubscribing a small machine buys nothing but fork/IPC
+    overhead — ``--workers 4`` on a 1-CPU box runs in-process.
 
     Results are yielded in *completion* order; callers that need chunk
     order (the pipeline's merge does) must reorder — which is cheap,
@@ -166,22 +120,20 @@ class ParallelExecutor:
     crash, not a data-source fault) propagates to the caller, but only
     after every successful sibling chunk has been yielded — so a crash
     mid-fan-out still checkpoints all the work that finished, exactly
-    as a serial crash preserves the chunks before it.
+    as an in-process crash preserves the chunks before it.
     """
 
     def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.name = f"parallel[{workers}]"
+        self.workers = effective_workers(workers)
 
     def execute(self, runner: SupportsRunChunk,
                 chunks: Iterable[BlockRange]) -> Iterator[ChunkResult]:
         pending: List[BlockRange] = list(chunks)
-        if not pending:
-            return
-        if self.workers == 1 or len(pending) == 1:
-            yield from SerialExecutor().execute(runner, pending)
+        if self.workers == 1 or len(pending) <= 1:
+            for chunk in pending:
+                yield runner.run_chunk(chunk)
             return
         max_workers = min(self.workers, len(pending))
         with _PoolExecutor(max_workers=max_workers,
@@ -202,120 +154,3 @@ class ParallelExecutor:
                         crash = error
             if crash is not None:
                 raise crash
-
-
-class CachedExecutor:
-    """Disk memoization of successful chunk artifacts.
-
-    Artifacts live at ``{cache_dir}/{digest}/{lo}-{hi}.json``; the
-    digest (see :meth:`RunConfig.artifact_digest`) pins the artifact to
-    the exact world/fault/retry configuration that produced it, so an
-    ablation sweep that changes any of those recomputes instead of
-    replaying stale data.  Unreadable or stale-format entries count as
-    misses (and are reported via ``invalid_entries``), never as errors.
-    """
-
-    def __init__(self, inner: Executor,
-                 cache_dir: Union[str, Path], digest: str) -> None:
-        self.inner = inner
-        self.cache_dir = Path(cache_dir)
-        self.digest = digest
-        self.name = f"cached[{digest}]({inner.name})"
-        self.hits = 0
-        self.misses = 0
-        self.invalid_entries = 0
-
-    def execute(self, runner: SupportsRunChunk,
-                chunks: Iterable[BlockRange]) -> Iterator[ChunkResult]:
-        misses: List[BlockRange] = []
-        for chunk in chunks:
-            result = self._load(chunk)
-            if result is not None:
-                self.hits += 1
-                yield result
-            else:
-                self.misses += 1
-                misses.append(chunk)
-        for result in self.inner.execute(runner, misses):
-            if not result.failed:
-                self._store(result)
-            yield result
-
-    # -- artifact store ---------------------------------------------------
-
-    def _path(self, chunk: BlockRange) -> Path:
-        return self.cache_dir / self.digest / \
-            f"{chunk[0]}-{chunk[1]}.json"
-
-    def _load(self, chunk: BlockRange) -> Optional[ChunkResult]:
-        path = self._path(chunk)
-        try:
-            with open(path, "r", encoding="utf-8") as stream:
-                document = json.load(stream)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            self.invalid_entries += 1
-            return None
-        if not isinstance(document, dict) or \
-                document.get("cache_version") != CACHE_VERSION or \
-                document.get("chunk") != [chunk[0], chunk[1]]:
-            self.invalid_entries += 1
-            return None
-        return ChunkResult(
-            chunk=chunk,
-            payload=document["payload"],
-            stats=ChunkStats.from_dict(document["stats"]),
-            cached=True)
-
-    def _store(self, result: ChunkResult) -> None:
-        path = self._path(result.chunk)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        document = {
-            "cache_version": CACHE_VERSION,
-            "chunk": [result.chunk[0], result.chunk[1]],
-            "payload": result.payload,
-            "stats": result.stats.to_dict(),
-        }
-        tmp_path = path.with_name(path.name + ".tmp")
-        with open(tmp_path, "w", encoding="utf-8") as stream:
-            json.dump(document, stream, sort_keys=True)
-        os.replace(tmp_path, path)
-
-
-def _available_cpus() -> int:
-    """CPUs the host can actually run worker processes on."""
-    return os.cpu_count() or 1
-
-
-def effective_workers(requested: int) -> int:
-    """The worker count a request actually gets on this host.
-
-    The same cap :func:`make_executor` applies — clamped to
-    ``[1, cpu_count]`` — exposed so callers (the bench harness, the
-    epoch shard runner) can report ``workers_requested`` alongside
-    ``workers_effective`` honestly instead of implying parallelism a
-    1-CPU box never delivered.
-    """
-    return max(1, min(requested, _available_cpus()))
-
-
-def make_executor(workers: int = 1,
-                  cache_dir: Union[str, Path, None] = None,
-                  digest: Optional[str] = None) -> Executor:
-    """The executor stack a run configuration asks for.
-
-    ``workers`` is capped to the host's CPU count: every executor is
-    bit-identical, so oversubscribing a small machine buys nothing but
-    fork/IPC overhead — ``--workers 4`` on a 1-CPU box quietly runs
-    serial.  This is policy, applied here and only here; constructing
-    :class:`ParallelExecutor` directly honors the exact count asked
-    for.
-    """
-    effective = effective_workers(workers)
-    executor: Executor = ParallelExecutor(effective) if effective > 1 \
-        else SerialExecutor()
-    if cache_dir is not None:
-        executor = CachedExecutor(executor, cache_dir,
-                                  digest or "unkeyed")
-    return executor

@@ -1,11 +1,10 @@
 """Order-independent merge of per-chunk artifacts.
 
-Executors yield chunk results in whatever order they complete; these
-helpers rebuild the run's dataset, flash-loan transaction set, and
-resilience ledger by iterating the *planned* chunk list, so the merged
-output is identical no matter which executor produced the results or in
-which order they landed.  (Integer counters commute anyway; iterating
-in chunk order additionally makes the float backoff totals bit-stable.)
+Worker processes yield chunk results in whatever order they complete;
+these helpers rebuild the run's dataset and flash-loan transaction set
+by iterating the *planned* chunk list, so the merged output is
+identical no matter how many workers produced the results or in which
+order they landed.
 
 The helpers take the target dataset as an argument rather than
 importing ``MevDataset`` — ``repro.core`` imports the engine, and the
@@ -14,9 +13,7 @@ merge layer staying core-free keeps that edge one-directional.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Set, Tuple
-
-from repro.engine.executors import ChunkStats
+from typing import Any, Dict, Iterable, Set, Tuple
 
 BlockRange = Tuple[int, int]
 
@@ -53,19 +50,3 @@ def merge_flash_txs(chunks: Iterable[BlockRange],
         if payload is not None:
             flash_txs.update(payload["flash_txs"])
     return flash_txs
-
-
-def sum_chunk_stats(chunks: Iterable[BlockRange],
-                    stats: Dict[str, ChunkStats]) -> ChunkStats:
-    """Per-chunk resilience ledgers folded together in chunk order."""
-    total = ChunkStats()
-    for chunk in chunks:
-        entry = stats.get(chunk_key(chunk))
-        if entry is not None:
-            total.add(entry)
-    return total
-
-
-def failed_ranges(results: Iterable[Any]) -> List[BlockRange]:
-    """The chunks a batch of results reported as permanently failed."""
-    return sorted(result.chunk for result in results if result.failed)

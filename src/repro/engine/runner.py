@@ -1,4 +1,4 @@
-"""The unit of work executors schedule: one chunk's detections.
+"""The unit of work the executor schedules: one chunk's detections.
 
 ``ChunkRunner`` owns everything a worker process needs to detect MEV in
 one block range: the archive surface and the price service.  It is
@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Tuple
 
-from repro.engine.executors import ChunkResult, ChunkStats
+from repro.engine.executors import ChunkResult
 from repro.engine.merge import chunk_payload
 from repro.faults.errors import DataSourceError
 from repro.reliability.retry import RetryExhaustedError
-from repro.reliability.sources import fresh_source
+from repro.reliability.sources import fresh_source, source_stats
 
 BlockRange = Tuple[int, int]
 
@@ -69,21 +69,7 @@ class ChunkRunner:
             partial, flash_txs = scan_range(node, self.prices, *chunk)
         except CHUNK_FAILURES:
             return ChunkResult(chunk=chunk, payload=None,
-                               stats=self._stats_of(node))
+                               stats=source_stats(node))
         return ChunkResult(chunk=chunk,
                            payload=chunk_payload(partial, flash_txs),
-                           stats=self._stats_of(node))
-
-    @staticmethod
-    def _stats_of(node: Any) -> ChunkStats:
-        caller = getattr(node, "caller", None)
-        if caller is None:
-            return ChunkStats()
-        stats = caller.stats
-        return ChunkStats(
-            requests=stats.requests,
-            retries=stats.retries,
-            failed_attempts=stats.failed_attempts,
-            exhausted=stats.exhausted,
-            simulated_backoff_s=stats.simulated_backoff_s,
-            breaker_trips=caller.breaker_trips)
+                           stats=source_stats(node))

@@ -19,6 +19,12 @@ closure and flags, for every reachable function:
 * lambdas or locally-defined closures handed to ``.submit()`` /
   ``.apply_async()`` — they cannot be pickled into a worker.
 
+A root in an analyzed package that does not resolve to a project
+function is an error of its own: a renamed entry point would otherwise
+drop out of the analysis silently.  Roots in packages outside the
+analyzed tree (the defaults, when linting something other than
+``repro``) are out of scope.
+
 The allow list (``allow-globals``) names sanctioned module globals as
 ``pkg.mod.NAME`` — e.g. the worker-local runner installed by the pool
 initializer, which exists precisely once per process by design.
@@ -59,6 +65,18 @@ def analyze(project: Project, graph: CallGraph,
     allow = set(options.get("allow-globals", DEFAULT_ALLOW))
     parent = graph.reachable_from(roots)
     findings: List[Finding] = []
+    packages = {module.split(".")[0] for module in project.modules}
+    for root in roots:
+        module, _ = split_qualname(root)
+        if root not in project.functions and \
+                module.split(".")[0] in packages:
+            summary = project.modules.get(module)
+            findings.append(Finding(
+                path=module if summary is None else summary.path,
+                line=1, rule_id=RULE_ID, severity=ERROR,
+                message=(f"root '{root}' does not resolve to a project "
+                         "function; R103 cannot check what it "
+                         "reaches")))
     for name in sorted(parent):
         module, _ = split_qualname(name)
         summary = project.modules.get(module)

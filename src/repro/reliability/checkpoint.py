@@ -48,6 +48,15 @@ class CheckpointStore:
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
 
+    @classmethod
+    def coerce(cls, checkpoint: Union["CheckpointStore", str, Path, None],
+               ) -> Optional["CheckpointStore"]:
+        """The store a ``RunConfig.checkpoint`` value names: a store is
+        used as is, a path opens one, ``None`` means no checkpoint."""
+        if checkpoint is None or isinstance(checkpoint, CheckpointStore):
+            return checkpoint
+        return cls(checkpoint)
+
     def exists(self) -> bool:
         return self.path.exists()
 
@@ -90,10 +99,3 @@ class CheckpointStore:
                 f"checkpoint {self.path} has version {version!r}; "
                 f"this build writes version {CHECKPOINT_VERSION}")
         return document
-
-    def clear(self) -> None:
-        """Delete the checkpoint (start-from-scratch runs)."""
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            return

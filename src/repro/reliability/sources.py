@@ -27,7 +27,7 @@ corrupt the inner data: a malformed response is a *detected* failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 from functools import cached_property
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, \
     Tuple, Type, TypeVar
@@ -60,7 +60,7 @@ OpKey = Tuple[Any, ...]
 
 __all__ = ["ArchiveSource", "FlashbotsSource", "MempoolSource", "OpKey",
            "ResilientCaller", "SourceStats", "fresh_source", "render_key",
-           "shield"]
+           "shield", "source_stats"]
 
 _ERROR_CLASSES = {
     KIND_TIMEOUT: TransportTimeout,
@@ -87,13 +87,37 @@ def render_key(key: OpKey) -> str:
 
 @dataclass
 class SourceStats:
-    """Raw resilience counters for one source."""
+    """Raw resilience counters for one source.
+
+    A caller's live ledger counts the five fields; its breaker keeps
+    the trip count, which :func:`source_stats` copies into a snapshot.
+    ``breaker_trips`` is therefore a class default rather than a
+    field, so the live ledger keeps its five-counter shape; equality
+    still compares all six counters.
+    """
 
     requests: int = 0
     retries: int = 0
     failed_attempts: int = 0
     exhausted: int = 0
     simulated_backoff_s: float = 0.0
+    breaker_trips = 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SourceStats):
+            return NotImplemented
+        return (astuple(self), self.breaker_trips) == \
+            (astuple(other), other.breaker_trips)
+
+    def add(self, other: "SourceStats") -> None:
+        """Accumulate ``other`` into this ledger (callers sum chunks in
+        chunk order, so float totals are bit-stable)."""
+        self.requests += other.requests
+        self.retries += other.retries
+        self.failed_attempts += other.failed_attempts
+        self.exhausted += other.exhausted
+        self.simulated_backoff_s += other.simulated_backoff_s
+        self.breaker_trips += other.breaker_trips
 
 
 class ResilientCaller:
@@ -200,6 +224,18 @@ class _Source:
     def _read(self, op: str, args: OpKey) -> Any:
         """The inner answer under the plan's unrecoverable faults."""
         return getattr(self.inner, op)(*args)
+
+
+def source_stats(source: Any) -> SourceStats:
+    """A snapshot of an armed source's ledger, breaker trips included;
+    anything without a caller (a bare node, ``None``) gives an empty
+    ledger."""
+    caller = getattr(source, "caller", None)
+    if caller is None:
+        return SourceStats()
+    snapshot = replace(caller.stats)
+    snapshot.breaker_trips = caller.breaker_trips
+    return snapshot
 
 
 def fresh_source(source: T) -> T:

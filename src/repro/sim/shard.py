@@ -13,8 +13,8 @@ reference.  ``repro bench --shard`` enforces that equality as the
 scenarios too large to reference in full.
 
 Epochs run through the same :class:`~repro.engine.ParallelExecutor`
-the detection pipeline uses; like every executor in this codebase,
-worker count is an optimization, never a semantic change.
+the detection pipeline uses; as there, worker count is an
+optimization, never a semantic change.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.chain.node import ArchiveNode, Blockchain
 from repro.engine.executors import (
     BlockRange,
     ParallelExecutor,
-    SerialExecutor,
     effective_workers,
 )
 from repro.sim.calendar import StudyCalendar
@@ -57,8 +56,9 @@ class EpochResult:
 
     @property
     def failed(self) -> bool:
-        """Executor-protocol hook; an epoch that raises propagates as a
-        crash rather than degrading, so a returned result never failed."""
+        """Mirrors ``ChunkResult.failed``: an epoch that raises
+        propagates as a crash rather than degrading, so a returned
+        result never failed."""
         return False
 
 
@@ -111,10 +111,7 @@ def resimulate_epochs(config: ScenarioConfig,
     if not plan:
         return []
     runner = EpochRunner(config, seals)
-    effective = effective_workers(workers)
-    executor = ParallelExecutor(effective) if effective > 1 \
-        else SerialExecutor()
-    results = list(executor.execute(runner, plan))
+    results = list(ParallelExecutor(workers).execute(runner, plan))
     results.sort(key=lambda result: result.epoch_index)
     return results
 

@@ -52,12 +52,12 @@ from repro.engine.merge import (
     chunk_payload,
     merge_flash_txs,
     merge_rows,
-    sum_chunk_stats,
 )
 from repro.faults.feed import FeedEvent
 from repro.flashbots.api import FlashbotsBlocksApi
 from repro.reliability.checkpoint import CheckpointError, CheckpointStore
 from repro.reliability.quality import DataQualityReport
+from repro.reliability.sources import SourceStats
 
 __all__ = ["RetractionEntry", "StreamDivergenceError", "StreamEngine",
            "StreamReport", "StreamSubscriber"]
@@ -206,7 +206,7 @@ class StreamEngine:
         self._future: Dict[int, Block] = {}
         self._watermark = first_block - 1
         self._subscribers: List[StreamSubscriber] = []
-        self._store = self._make_store(checkpoint)
+        self._store = CheckpointStore.coerce(checkpoint)
         self._resumed = False
         self._saved: Dict[int, Dict[str, Any]] = {}
         if resume and self._store is not None:
@@ -214,13 +214,6 @@ class StreamEngine:
             self._resumed = bool(self._saved)
 
     # Construction helpers ------------------------------------------------
-
-    @staticmethod
-    def _make_store(checkpoint: Union[CheckpointStore, str, Path, None],
-                    ) -> Optional[CheckpointStore]:
-        if checkpoint is None or isinstance(checkpoint, CheckpointStore):
-            return checkpoint
-        return CheckpointStore(checkpoint)
 
     def _load_saved(self) -> Dict[int, Dict[str, Any]]:
         assert self._store is not None
@@ -423,7 +416,7 @@ class StreamEngine:
         apply_joins(dataset, merge_flash_txs(chunks, state), quality,
                     self.flashbots_api, self.observer)
         finish_quality(quality, chunks, state, [],
-                       sum_chunk_stats(chunks, {}), None,
+                       SourceStats(), None,
                        self.flashbots_api, self.observer)
         dataset.quality = quality
         for subscriber in self._subscribers:

@@ -1,27 +1,26 @@
-"""The engine's core invariant: every executor, same bits.
+"""The engine's core invariant: every worker count, same bits.
 
-For a fixed world, fault plan, and chunk plan, serial / parallel /
-cached execution must produce byte-identical datasets and identical
-``DataQualityReport`` ledgers — ``--workers 4`` buys wall-clock time,
-never different numbers.
+For a fixed world, fault plan, and chunk plan, in-process and
+process-pool execution must produce byte-identical datasets and
+identical ``DataQualityReport`` ledgers — ``--workers 4`` buys
+wall-clock time, never different numbers.
 """
 
 import pytest
 
 from repro import RunConfig, run_inspector
-from repro.engine import (
-    CachedExecutor,
-    ParallelExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.core.pipeline import MevInspector
+from repro.core.profit import PriceService
+from repro.engine import ParallelExecutor
 from repro.engine import executors as executors_module
 from repro.faults import FaultPlan
+from repro.reliability import ArchiveSource, CircuitBreaker, \
+    ResilientCaller
 
 
 @pytest.fixture
 def many_cpus(monkeypatch):
-    """Pretend the host has CPUs to spare, so ``make_executor`` builds
+    """Pretend the host has CPUs to spare, so ``ParallelExecutor`` runs
     real process pools — the identity tests must exercise genuine
     parallelism even on a small CI box."""
     monkeypatch.setattr(executors_module, "_available_cpus", lambda: 8)
@@ -60,7 +59,24 @@ class TestParallelIdentity:
         assert parallel.quality.failed_ranges == \
             serial.quality.failed_ranges
 
-    def test_worker_crash_propagates(self, sim_result):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_breaker_trips_reach_the_quality_ledger(self, sim_result,
+                                                    span, workers,
+                                                    many_cpus):
+        """A one-failure breaker trips once in each chunk a transient
+        fault fails; each trip travels back in its chunk's ledger."""
+        plan = FaultPlan.from_profile("transient", 1, *span)
+        node = ArchiveSource(sim_result.node, plan, ResilientCaller(
+            "archive", breaker=CircuitBreaker("archive",
+                                              failure_threshold=1)))
+        dataset = MevInspector(node, PriceService(sim_result.oracle)).run(
+            config=RunConfig(chunk_size=10, workers=workers))
+        quality = dataset.quality
+        assert quality.failed_ranges
+        assert quality.source("archive").breaker_trips == \
+            len(quality.failed_ranges)
+
+    def test_worker_crash_propagates(self, sim_result, many_cpus):
         class Boom:
             def run_chunk(self, chunk):
                 raise RuntimeError("worker crashed")
@@ -70,34 +86,51 @@ class TestParallelIdentity:
             list(executor.execute(Boom(), [(1, 10), (11, 20)]))
 
 
+class Recorder:
+    """A runner whose calls are visible only when it runs in-process
+    (a forked worker appends to its own copy)."""
+
+    def __init__(self):
+        self.seen = []
+
+    def run_chunk(self, chunk):
+        self.seen.append(chunk)
+        return chunk
+
+
+CHUNKS = [(1, 10), (11, 20), (21, 30)]
+
+
 class TestExecutorFactory:
+    """The worker count ``ParallelExecutor`` actually runs, and where."""
+
     def test_serial_by_default(self):
-        assert isinstance(make_executor(), SerialExecutor)
+        runner = Recorder()
+        executor = ParallelExecutor(workers=1)
+        assert list(executor.execute(runner, CHUNKS)) == CHUNKS
+        assert runner.seen == CHUNKS
 
     def test_parallel_for_many_workers(self, many_cpus):
-        executor = make_executor(workers=4)
-        assert isinstance(executor, ParallelExecutor)
+        runner = Recorder()
+        executor = ParallelExecutor(workers=4)
         assert executor.workers == 4
+        assert sorted(executor.execute(runner, CHUNKS)) == CHUNKS
+        assert runner.seen == []
 
     def test_workers_capped_to_cpu_count(self, monkeypatch):
         """Oversubscription buys only fork overhead (results are
-        bit-identical either way), so the factory caps to the host."""
+        bit-identical either way), so the executor caps to the host."""
         monkeypatch.setattr(executors_module, "_available_cpus",
                             lambda: 2)
-        executor = make_executor(workers=16)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.workers == 2
+        assert ParallelExecutor(workers=16).workers == 2
 
     def test_single_cpu_host_runs_serial(self, monkeypatch):
         monkeypatch.setattr(executors_module, "_available_cpus",
                             lambda: 1)
-        assert isinstance(make_executor(workers=4), SerialExecutor)
-
-    def test_cache_wraps_inner_executor(self, tmp_path, many_cpus):
-        executor = make_executor(workers=4, cache_dir=tmp_path,
-                                 digest="abc123")
-        assert isinstance(executor, CachedExecutor)
-        assert isinstance(executor.inner, ParallelExecutor)
+        runner = Recorder()
+        executor = ParallelExecutor(workers=4)
+        assert list(executor.execute(runner, CHUNKS)) == CHUNKS
+        assert runner.seen == CHUNKS
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):

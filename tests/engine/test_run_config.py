@@ -9,7 +9,6 @@ from repro import (follow_inspector, follow_study, quick_study,
 from repro.core.pipeline import MevInspector
 from repro.core.profit import PriceService
 from repro.engine import RunConfig
-from repro.faults import FaultPlan
 from repro.reliability import shield
 
 
@@ -27,10 +26,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="chunk_size"):
             RunConfig(chunk_size=-5)
 
-    def test_cache_dir_requires_cache_key(self):
-        with pytest.raises(ValueError, match="cache_key"):
-            RunConfig(cache_dir="/tmp/cache")
-
     def test_confirm_depth_validated(self):
         assert RunConfig().confirm_depth == 3
         assert RunConfig(confirm_depth=0).confirm_depth == 0
@@ -44,21 +39,6 @@ class TestEquivalence:
         config = RunConfig(chunk_size=25, workers=1)
         dataset = run_inspector(sim_result, config=config)
         assert dataset.fingerprint() == serial_baseline.fingerprint()
-
-    def test_digest_changes_with_fault_seed(self, sim_result, span,
-                                            tmp_path):
-        """The digest follows the plan armed on the archive source."""
-        config = RunConfig(chunk_size=25, cache_dir=tmp_path,
-                           cache_key="k")
-        for seed in (1, 2):
-            plan = FaultPlan.from_profile("transient", seed, *span)
-            run_inspector(sim_result, fault_plan=plan, config=config)
-        assert len(list(tmp_path.iterdir())) == 2
-
-    def test_digest_folds_in_extra_material(self):
-        config = RunConfig(cache_dir="/tmp/c", cache_key="k")
-        assert config.artifact_digest({"retry": 1}) != \
-            config.artifact_digest({"retry": 2})
 
 
 def _inspector_run(sim_result, **loose):

@@ -49,6 +49,12 @@ REMOVED_DEAD_CODE = (
     "in_feed_outage", "in_archive_blackout", "module_functions",
     "summary_for", "severity_rank", "mev_txs")
 
+#: the disk chunk cache, the executor stack around ``ParallelExecutor``
+#: and the second per-chunk stats ledger
+REMOVED_CHUNK_ENGINE = (
+    "CachedExecutor", "SerialExecutor", "make_executor", "ChunkStats",
+    "sum_chunk_stats", "artifact_digest", "CACHE_VERSION")
+
 
 def repo_config():
     from repro.lint.config import load_config
@@ -76,7 +82,7 @@ class TestPositive:
     @pytest.mark.parametrize(
         "name", REMOVED_SOURCE_CLASSES + REMOVED_CONFIG_HELPERS
         + REMOVED_BENCH_HELPERS + REMOVED_SERVE_BUILDERS
-        + REMOVED_READ_INDEX + REMOVED_DEAD_CODE)
+        + REMOVED_READ_INDEX + REMOVED_DEAD_CODE + REMOVED_CHUNK_ENGINE)
     def test_removed_source_classes_flagged(self, name):
         findings = run_lint(
             f"""

@@ -81,18 +81,21 @@ class TestR102Pairing:
         assert any("fast_paths=False" in f.message for f in findings)
 
 
-R103_ROOTS = {"R103": {
-    "roots": ["proj.engine:Runner.run_chunk",
-              "proj.engine:Executor.execute",
-              "proj.engine:_init"],
-    "allow-globals": ["proj.engine._WORKER"],
-}}
+def r103_options(*roots, allow=("proj.engine._WORKER",)):
+    return {"R103": {"roots": ["proj.engine:Runner.run_chunk", *roots],
+                     "allow-globals": list(allow)}}
+
+
+#: each fixture's roots name only functions it defines: a root that
+#: does not resolve is a finding of its own
+R103_TP = r103_options("proj.engine:Executor.execute")
+R103_TN = r103_options("proj.engine:_init")
 
 
 class TestR103Parallel:
     def test_true_positives(self, tmp_path):
         findings = by_rule(
-            deep("r103_tp", rule_options=R103_ROOTS,
+            deep("r103_tp", rule_options=R103_TP,
                  tests_root=str(tmp_path)), "R103")
         messages = [f.message for f in findings]
         assert len(findings) == 3
@@ -104,19 +107,29 @@ class TestR103Parallel:
 
     def test_true_negatives(self, tmp_path):
         findings = by_rule(
-            deep("r103_tn", rule_options=R103_ROOTS,
+            deep("r103_tn", rule_options=R103_TN,
                  tests_root=str(tmp_path)), "R103")
         assert findings == []
 
     def test_allow_list_is_load_bearing(self, tmp_path):
-        options = {"R103": {
-            "roots": R103_ROOTS["R103"]["roots"],
-            "allow-globals": []}}
+        options = r103_options("proj.engine:_init", allow=())
         findings = by_rule(
             deep("r103_tn", rule_options=options,
                  tests_root=str(tmp_path)), "R103")
         assert len(findings) == 1
         assert "_WORKER" in findings[0].message
+
+    def test_unresolved_root_is_a_finding(self, tmp_path):
+        """A renamed entry point must not drop out of R103 silently."""
+        options = r103_options("proj.engine:_init",
+                               "proj.engine:renamed_away")
+        findings = by_rule(
+            deep("r103_tn", rule_options=options,
+                 tests_root=str(tmp_path)), "R103")
+        assert len(findings) == 1
+        assert "proj.engine:renamed_away" in findings[0].message
+        assert "does not resolve" in findings[0].message
+        assert findings[0].path.endswith("engine.py")
 
 
 class TestRepoIsDeepClean:

@@ -39,12 +39,6 @@ class TestRoundTrip:
         nested.save({"ok": True})
         assert nested.load()["ok"] is True
 
-    def test_clear(self, store):
-        store.save({"x": 1})
-        store.clear()
-        assert store.load() is None
-        store.clear()  # clearing a missing checkpoint is a no-op
-
 
 class TestAtomicity:
     def test_no_temp_file_left_behind(self, store):

@@ -62,6 +62,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "--world-cache", "w"])
 
+    def test_chunk_cache_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--cache-dir", "x"])
+
     @pytest.mark.parametrize("argv,flag", [
         (["run", "--workers", "0"], "--workers"),
         (["run", "--chunk-size", "-5"], "--chunk-size"),
@@ -71,15 +75,33 @@ class TestParser:
          "--confirm-depth"),
         (["bench", "--workers", "1", "0"], "--workers"),
         (["bench", "--chunk-size", "-1"], "--chunk-size"),
+        (["run", "--bpm", "0"], "--bpm"),
+        (["run", "--epoch-blocks", "0"], "--epoch-blocks"),
+        (["run", "--segment-dir", "segs", "--max-resident-epochs", "0"],
+         "--max-resident-epochs"),
+        (["run", "--bpm", "5", "--blocks", "0"], "--blocks"),
+        (["run", "--bpm", "5", "--blocks", "-3"], "--blocks"),
+        (["bench", "--shard", "--shard-workers", "0"], "--shard-workers"),
     ], ids=["run-workers", "run-chunk-size", "run-follow-confirm-depth",
             "stream-confirm-depth", "serve-follow-confirm-depth",
-            "bench-workers", "bench-chunk-size"])
+            "bench-workers", "bench-chunk-size", "run-bpm",
+            "run-epoch-blocks", "run-max-resident-epochs", "run-blocks-0",
+            "run-blocks-negative", "bench-shard-workers"])
     def test_out_of_range_number_is_a_usage_error(self, argv, flag,
                                                   capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv + FOLLOW)
         assert exit_info.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "stream"])
+    def test_resume_without_checkpoint_is_a_usage_error(self, command,
+                                                        capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--resume"] + FOLLOW)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--resume" in err and "--checkpoint" in err
 
 
 def _gate_report(**gates):
