@@ -477,6 +477,7 @@ def run_bench(bpm: int = 60, seed: int = 7,
         "out_of_order": engine.report.out_of_order,
         "retracted_blocks": engine.report.retracted_blocks,
         "retracted_rows": engine.report.retracted_rows,
+        "rescans_skipped": engine.report.rescans_skipped,
         "lag_p50_blocks": _percentile(lags, 50),
         "lag_p99_blocks": _percentile(lags, 99),
     }

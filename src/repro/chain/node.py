@@ -57,30 +57,6 @@ class Blockchain:
         for tx_index, tx in enumerate(block.transactions):
             self._tx_index[tx.hash] = (block.number, tx_index)
 
-    def rollback(self, to_height: int) -> List[Block]:
-        """Truncate the chain back to ``to_height`` (the new tip).
-
-        Returns the removed blocks, oldest first, and keeps every
-        derived structure consistent: transaction locations for removed
-        blocks are dropped.  Rolling back to at-or-above the tip
-        is a no-op; rolling back past the first stored block raises,
-        because this store cannot represent an empty-but-started chain
-        (for a spilling chain, the first *resident* block).
-        """
-        if not self.blocks or to_height >= self.blocks[-1].number:
-            return []
-        if to_height < self.blocks[0].number:
-            raise ValueError(
-                f"cannot roll back to {to_height}: chain starts at "
-                f"{self.blocks[0].number}")
-        keep = to_height - self.blocks[0].number + 1
-        removed = self.blocks[keep:]
-        del self.blocks[keep:]
-        for block in removed:
-            for tx in block.transactions:
-                self._tx_index.pop(tx.hash, None)
-        return removed
-
     def __len__(self) -> int:
         return len(self.blocks)
 

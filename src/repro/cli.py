@@ -504,7 +504,8 @@ def run_stream_command(args: argparse.Namespace) -> int:
         ("out of order", report.out_of_order),
         ("rows retracted", f"{report.retracted_rows} across "
                            f"{report.retracted_blocks} blocks"),
-        ("payloads reused", report.payloads_reused)]))
+        ("payloads reused", report.payloads_reused),
+        ("rescans skipped", report.rescans_skipped)]))
     settled = replace(dataset, quality=replace(
         dataset.quality, resumed=False, chunks_resumed=0))
     identical = (settled.fingerprint()

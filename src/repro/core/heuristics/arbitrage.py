@@ -13,14 +13,16 @@ SushiSwap and Uniswap (everything the venue registry deploys).
 
 from __future__ import annotations
 
-from typing import Container, List, Optional, Sequence
+from typing import TYPE_CHECKING, Container, List, Optional, Sequence
 
 from repro.chain.events import SwapEvent
 from repro.chain.node import ArchiveNode
 from repro.chain.receipt import Receipt
 from repro.core.datasets import ArbitrageRecord
 from repro.core.profit import PriceService, transaction_cost
-from repro.core.scan import BlockView
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids module cycle
+    from repro.core.scan import BlockView
 
 DEFAULT_VENUES = ("0x", "Balancer", "Bancor", "Curve", "SushiSwap",
                   "UniswapV2", "UniswapV3")
@@ -114,6 +116,7 @@ def detect_arbitrages(node: ArchiveNode, prices: PriceService,
 
     Thin wrapper over :class:`ArbitrageVisitor` (one block pass).
     """
+    from repro.core.scan import BlockView  # scan imports this module
     visitor = ArbitrageVisitor(prices, venues)
     for block in node.iter_blocks(from_block, to_block):
         visitor.visit(BlockView.of(block))

@@ -9,12 +9,14 @@ pipeline joins against the MEV records (``via_flashloan``).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Set
 
 from repro.chain.events import FlashLoanEvent
 from repro.chain.node import ArchiveNode
 from repro.chain.types import Hash32
-from repro.core.scan import BlockView
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids module cycle
+    from repro.core.scan import BlockView
 
 DEFAULT_PLATFORMS = ("Aave", "dYdX")
 

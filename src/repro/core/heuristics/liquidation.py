@@ -12,7 +12,7 @@ direct crawl.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.chain.block import Block
 from repro.chain.events import LiquidationEvent
@@ -21,7 +21,9 @@ from repro.chain.receipt import Receipt
 from repro.chain.types import Address
 from repro.core.datasets import LiquidationRecord
 from repro.core.profit import PriceService, transaction_cost
-from repro.core.scan import BlockView
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids module cycle
+    from repro.core.scan import BlockView
 
 DEFAULT_PLATFORMS = ("AaveV1", "AaveV2", "Compound")
 
@@ -69,6 +71,7 @@ def detect_liquidations(node: ArchiveNode, prices: PriceService,
     Thin wrapper over :class:`LiquidationVisitor`: one block pass, then
     record construction in discovery order.
     """
+    from repro.core.scan import BlockView  # scan imports this module
     visitor = LiquidationVisitor(prices, platforms)
     for block in node.iter_blocks(from_block, to_block):
         visitor.visit(BlockView.of(block))

@@ -17,7 +17,7 @@ Coverage matches the paper's script: Bancor, SushiSwap and Uniswap pools
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.chain.block import Block
 from repro.chain.events import SwapEvent
@@ -26,7 +26,9 @@ from repro.chain.receipt import Receipt
 from repro.chain.types import Hash32
 from repro.core.datasets import SandwichRecord
 from repro.core.profit import PriceService, transaction_cost
-from repro.core.scan import BlockView
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids module cycle
+    from repro.core.scan import BlockView
 
 #: Venues the sandwich script covers (paper Section 3.1.1).
 DEFAULT_VENUES = ("Bancor", "SushiSwap", "UniswapV1", "UniswapV2",
@@ -163,6 +165,7 @@ def detect_sandwiches(node: ArchiveNode, prices: PriceService,
     Thin wrapper over :class:`SandwichVisitor`: one block pass, then
     record construction in discovery order.
     """
+    from repro.core.scan import BlockView  # scan imports this module
     visitor = SandwichVisitor(prices, venues)
     for block in node.iter_blocks(from_block, to_block):
         visitor.visit(BlockView.of(block))

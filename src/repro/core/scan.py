@@ -6,7 +6,8 @@ liquidation events, flash-loan events) and each registered visitor
 consumes that view.  The per-heuristic visitors live next to their
 standalone entry points in :mod:`repro.core.heuristics`; the standalone
 ``detect_*`` functions are thin wrappers over them and stay as the
-reference the fused scan is checked against.
+reference the fused scan is checked against (they import
+:class:`BlockView` lazily, so this module can import the visitors).
 
 **Scan contract.**  Visitors see blocks in ascending order, exactly
 once each, and never touch the archive: everything a record needs —
@@ -39,6 +40,10 @@ from repro.chain.events import FlashLoanEvent, LiquidationEvent, SwapEvent
 from repro.chain.receipt import Receipt
 from repro.chain.types import Hash32
 from repro.core.datasets import MevDataset
+from repro.core.heuristics.arbitrage import ArbitrageVisitor
+from repro.core.heuristics.flashloan import FlashLoanVisitor
+from repro.core.heuristics.liquidation import LiquidationVisitor
+from repro.core.heuristics.sandwich import SandwichVisitor
 from repro.core.profit import PriceService
 
 __all__ = ["BlockScan", "BlockView", "BlockVisitor", "read_views",
@@ -154,14 +159,6 @@ def _detect(views: Iterable[BlockView], prices: PriceService,
     visitor set and finalize step behind both :func:`scan_range` and
     :func:`scan_block`, so batch and stream detection cannot drift.
     """
-    # Imported here, not at module top: the heuristics import this
-    # module for BlockView/BlockScan, so the one-stop helper reaches
-    # back lazily to keep the import DAG acyclic.
-    from repro.core.heuristics.arbitrage import ArbitrageVisitor
-    from repro.core.heuristics.flashloan import FlashLoanVisitor
-    from repro.core.heuristics.liquidation import LiquidationVisitor
-    from repro.core.heuristics.sandwich import SandwichVisitor
-
     sandwich = SandwichVisitor(prices)
     arbitrage = ArbitrageVisitor(prices)
     liquidation = LiquidationVisitor(prices)

@@ -11,9 +11,9 @@ construction, not by luck — to everything a real feed does:
   holds (same height, same hash) is counted and dropped;
 * **reorgs** — a different block at-or-below the head retracts every
   pending payload from the fork point up (into a retraction ledger),
-  rolls the follower chain back through the
-  :meth:`~repro.chain.node.Blockchain.rollback` seam, and replays;
-  a fork that reaches at-or-below the confirmation watermark raises
+  truncates the follower's height → hash map, and replays (a block
+  that comes back reuses its retracted payload); a fork that reaches
+  at-or-below the confirmation watermark raises
   :class:`StreamDivergenceError`, because confirmed rows are immutable;
 * **crashes** — the watermark and the per-height payload window are
   checkpointed through :class:`~repro.reliability.checkpoint.CheckpointStore`;
@@ -35,12 +35,11 @@ found out about them the hard way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.chain.block import Block
-from repro.chain.node import Blockchain
 from repro.chain.p2p import MempoolObserver
 from repro.chain.types import Hash32
 from repro.core.datasets import MevDataset
@@ -141,6 +140,9 @@ class StreamReport:
     confirmed: int = 0
     #: payloads reused from a checkpoint instead of recomputed
     payloads_reused: int = 0
+    #: appends of a block a reorg had retracted, served from its kept
+    #: payload instead of scanned again
+    rescans_skipped: int = 0
     #: per-confirmation lag samples, in blocks (head height at the
     #: moment of confirmation minus the confirmed height)
     confirmation_lags: List[int] = field(default_factory=list)
@@ -148,39 +150,23 @@ class StreamReport:
     ledger: List[RetractionEntry] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "events": self.events,
-            "appended": self.appended,
-            "duplicates": self.duplicates,
-            "out_of_order": self.out_of_order,
-            "ignored": self.ignored,
-            "reorgs": self.reorgs,
-            "max_reorg_depth": self.max_reorg_depth,
-            "retracted_blocks": self.retracted_blocks,
-            "retracted_rows": self.retracted_rows,
-            "confirmed": self.confirmed,
-            "payloads_reused": self.payloads_reused,
-            "confirmation_lags": list(self.confirmation_lags),
-            "retractions": [
-                {"height": entry.height,
-                 "block_hash": entry.block_hash,
-                 "rows_retracted": entry.rows_retracted}
-                for entry in self.ledger],
-        }
+        document = asdict(self)
+        document["retractions"] = document.pop("ledger")
+        return document
 
 
 class StreamEngine:
     """Incremental MEV detection over a block-announcement feed.
 
-    The engine owns a private *follower* :class:`Blockchain` — its view
-    of the canonical chain, grown one validated announcement at a time
-    and rolled back across reorgs; it is never indexed, only kept for
-    contiguity and parent-hash checks — plus one detection payload per
-    appended height, computed by :func:`~repro.core.scan.scan_block`
-    over the block in hand the moment it lands.  Heights at-or-below
-    ``head - confirm_depth`` are *confirmed*: their payloads are
-    immutable (a reorg reaching them is a
-    :class:`StreamDivergenceError`) and checkpointed.
+    The engine's view of the canonical chain is a height → hash map,
+    contiguous from ``first_block`` to the head: it is grown one
+    validated announcement at a time (contiguous number, parent hash
+    equal to the tip's) and truncated across reorgs.  Beside it sits
+    one detection payload per appended height, computed by
+    :func:`~repro.core.scan.scan_block` over the block in hand the
+    moment it lands.  Heights at-or-below ``head - confirm_depth`` are
+    *confirmed*: their payloads are immutable (a reorg reaching them is
+    a :class:`StreamDivergenceError`) and checkpointed.
     """
 
     def __init__(self, prices: PriceService, first_block: int,
@@ -198,10 +184,13 @@ class StreamEngine:
         self.flashbots_api = flashbots_api
         self.observer = observer
         self.report = StreamReport()
-        self.follower = Blockchain()
         #: per appended height: the block's detection payload + hash
         self._payloads: Dict[int, Dict[str, Any]] = {}
         self._hashes: Dict[int, Hash32] = {}
+        self._head: Optional[int] = None
+        #: payloads a reorg retracted, per height by block hash; dropped
+        #: as the watermark passes their height
+        self._retracted: Dict[int, Dict[Hash32, Dict[str, Any]]] = {}
         #: announcements above ``head + 1``, last-wins per height
         self._future: Dict[int, Block] = {}
         self._watermark = first_block - 1
@@ -255,7 +244,7 @@ class StreamEngine:
     @property
     def head(self) -> Optional[int]:
         """The follower chain's current tip height."""
-        return self.follower.height
+        return self._head
 
     @property
     def watermark(self) -> int:
@@ -273,7 +262,7 @@ class StreamEngine:
         if number < self.first_block:
             self.report.ignored += 1
             return
-        head = self.follower.height
+        head = self._head
         next_height = self.first_block if head is None else head + 1
         if number > next_height:
             if number not in self._future:
@@ -292,25 +281,45 @@ class StreamEngine:
         self._save()
 
     def _append(self, block: Block) -> None:
-        self.follower.append(block)
-        self.report.appended += 1
+        """Link ``block`` to the tip as ``Blockchain.append`` does,
+        then index it."""
         number = block.number
+        head = self._head
+        if head is not None:
+            if number != head + 1:
+                raise ValueError(
+                    f"non-contiguous block: got {number}, "
+                    f"expected {head + 1}")
+            tip_hash = self._hashes[head]
+            if block.parent_hash is None:
+                block.parent_hash = tip_hash
+            elif block.parent_hash != tip_hash:
+                raise ValueError(
+                    f"parent hash mismatch at block {number}: "
+                    f"block links to {block.parent_hash!r}, tip is "
+                    f"{tip_hash!r}")
+        self._head = number
+        self.report.appended += 1
+        block_hash = block.hash
         saved = self._saved.get(number)
-        if saved is not None and saved.get("hash") == block.hash:
+        if saved is not None and saved.get("hash") == block_hash:
             payload = saved["payload"]
             self.report.payloads_reused += 1
+        elif block_hash in self._retracted.get(number, ()):
+            payload = self._retracted[number].pop(block_hash)
+            self.report.rescans_skipped += 1
         else:
             payload = chunk_payload(*scan_block(block, self.prices))
         self._payloads[number] = payload
-        self._hashes[number] = block.hash
+        self._hashes[number] = block_hash
         for subscriber in self._subscribers:
-            subscriber.block_indexed(number, block.hash,
+            subscriber.block_indexed(number, block_hash,
                                      payload["rows"])
 
     def _reorg(self, block: Block) -> None:
         """Replace the follower's suffix from ``block.number`` up."""
         number = block.number
-        head = self.follower.height
+        head = self._head
         assert head is not None
         if number <= self._watermark:
             raise StreamDivergenceError(
@@ -323,9 +332,10 @@ class StreamEngine:
         self.report.max_reorg_depth = max(self.report.max_reorg_depth,
                                           depth)
         for height in range(number, head + 1):
-            payload = self._payloads.pop(height, None)
-            stale_hash = self._hashes.pop(height, "")
-            rows = len(payload["rows"]) if payload is not None else 0
+            payload = self._payloads.pop(height)
+            stale_hash = self._hashes.pop(height)
+            self._retracted.setdefault(height, {})[stale_hash] = payload
+            rows = len(payload["rows"])
             self.report.retracted_blocks += 1
             self.report.retracted_rows += rows
             self.report.ledger.append(RetractionEntry(
@@ -333,22 +343,15 @@ class StreamEngine:
                 rows_retracted=rows))
             for subscriber in self._subscribers:
                 subscriber.block_retracted(height, stale_hash, rows)
-        if number <= self.follower.blocks[0].number:
-            # The fork replaces the entire streamed window: start the
-            # follower over (the chain store cannot hold zero blocks
-            # once started).
-            self.follower = Blockchain()
-        else:
-            self.follower.rollback(number - 1)
+        self._head = number - 1 if number > self.first_block else None
         self._append(block)
 
     def _drain_future(self) -> None:
-        head = self.follower.height
+        head = self._head
         while head is not None and head + 1 in self._future:
             block = self._future[head + 1]
-            tip = self.follower.blocks[-1]
             if block.parent_hash is not None and \
-                    block.parent_hash != tip.hash:
+                    block.parent_hash != self._hashes[head]:
                 # The buffered block belongs to the other side of a
                 # reorg (a stale fork block, or a canonical block while
                 # a fork is the current tip).  Leave it buffered: the
@@ -357,17 +360,18 @@ class StreamEngine:
                 # later announcement for its height supersedes it.
                 return
             self._append(self._future.pop(head + 1))
-            head = self.follower.height
+            head = self._head
 
     def _advance_watermark(self, depth: int) -> None:
         """Confirm every height at-or-below ``head - depth``."""
-        head = self.follower.height
+        head = self._head
         if head is None:
             return
         target = head - depth
         advanced = self._watermark < target
         while self._watermark < target:
             self._watermark += 1
+            self._retracted.pop(self._watermark, None)
             self.report.confirmed += 1
             self.report.confirmation_lags.append(head - self._watermark)
         if advanced:
@@ -393,7 +397,7 @@ class StreamEngine:
         ``MevInspector.run(config=RunConfig(chunk_size=1))`` over the
         canonical chain.
         """
-        head = self.follower.height
+        head = self._head
         if head is None:
             dataset = MevDataset()
             dataset.quality = DataQualityReport()
@@ -402,7 +406,7 @@ class StreamEngine:
             return dataset
         self._advance_watermark(0)
         self._save()
-        first = self.follower.blocks[0].number
+        first = self.first_block
         chunks = [(height, height) for height in range(first, head + 1)]
         state = {chunk_key(chunk): self._payloads[chunk[0]]
                  for chunk in chunks}

@@ -75,6 +75,8 @@ class TestReportSchema:
         stream = report["stream"]
         assert stream["events"] >= stream["reorgs"]
         assert stream["lag_p99_blocks"] >= stream["lag_p50_blocks"]
+        # a skipped rescan reuses a payload some retraction kept
+        assert 0 <= stream["rescans_skipped"] <= stream["retracted_blocks"]
 
     def test_profile_tables_cover_every_stage(self):
         report = run_bench(profile=True, **SMALL)

@@ -469,15 +469,6 @@ class TestSpillingBlockchain:
         assert node.get_logs(TransferEvent) \
             == ArchiveNode(plain).get_logs(TransferEvent)
 
-    def test_rollback_below_resident_window_raises(self, tmp_path):
-        _, spilling = self.spilled_pair(tmp_path)
-        resident_start = spilling.blocks[0].number
-        with pytest.raises(ValueError, match="chain starts at"):
-            spilling.rollback(resident_start - 2)
-        # Shallow rollbacks inside the window still work.
-        spilling.rollback(13)
-        assert spilling.height == 13
-
     def test_validation(self, tmp_path):
         store = SegmentStore.create(str(tmp_path / "segs"))
         with pytest.raises(ValueError):

@@ -6,13 +6,17 @@ an outage window — produces rows and a quality ledger *bit-identical*
 to ``MevInspector.run(chunk_size=1)`` over the final canonical chain.
 """
 
+from dataclasses import replace
+
 import pytest
 
+import repro.stream.engine as stream_engine
 from repro import RunConfig, follow_inspector, follow_reference
 from repro.chain.node import ArchiveNode
 from repro.faults import FAULT_PROFILES, FaultPlan
 from repro.faults.feed import ChainFeed, FaultyFeed
-from repro.stream import StreamDivergenceError, StreamEngine
+from repro.reliability import CheckpointStore
+from repro.stream import StreamDivergenceError, StreamEngine, StreamSubscriber
 
 from tests.stream.conftest import CHAOS_SEED
 
@@ -22,6 +26,19 @@ def make_engine(sim_result, prices, span, confirm_depth=3, **kwargs):
                         confirm_depth=confirm_depth,
                         flashbots_api=sim_result.flashbots_api,
                         observer=sim_result.observer, **kwargs)
+
+
+class Recorder(StreamSubscriber):
+    """Every ``block_indexed``/``block_retracted`` call, in order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def block_indexed(self, height, block_hash, rows):
+        self.calls.append(("indexed", height, block_hash))
+
+    def block_retracted(self, height, block_hash, rows_retracted):
+        self.calls.append(("retracted", height, block_hash))
 
 
 class TestConvergence:
@@ -161,3 +178,107 @@ class TestRetractionLedger:
         dataset = engine.finalize()
         assert dataset.to_rows() == []
         assert dataset.quality.chunks_total == 0
+
+
+class TestRescanReuse:
+    def test_each_block_scanned_once(self, sim_result, prices, span,
+                                     batch_baseline, monkeypatch):
+        """A block a reorg retracted and the feed re-delivers is served
+        from its kept payload: detection runs once per distinct
+        ``(height, hash)`` the follower ever appended."""
+        scanned = []
+        scan_block = stream_engine.scan_block
+
+        def counting_scan(block, prices):
+            scanned.append((block.number, block.hash))
+            return scan_block(block, prices)
+
+        monkeypatch.setattr(stream_engine, "scan_block", counting_scan)
+        plan = FaultPlan.from_profile("reorg", CHAOS_SEED, *span)
+        engine = make_engine(sim_result, prices, span)
+        recorder = Recorder()
+        engine.subscribe(recorder)
+        dataset = engine.run(FaultyFeed(sim_result.blockchain, plan))
+        appended = {(height, block_hash)
+                    for kind, height, block_hash in recorder.calls
+                    if kind == "indexed"}
+        assert len(scanned) == len(set(scanned))
+        assert set(scanned) == appended
+        report = engine.report
+        assert report.rescans_skipped == report.appended - len(scanned)
+        assert report.rescans_skipped > 0
+        assert report.payloads_reused == 0  # no checkpoint to reuse
+        assert report.to_dict()["rescans_skipped"] \
+            == report.rescans_skipped
+        assert dataset.fingerprint() == batch_baseline.fingerprint()
+
+    def test_kept_payloads_stay_above_watermark(self, sim_result,
+                                                prices, span):
+        """Retracted payloads are kept only while their height can
+        still be re-delivered, never at-or-below the watermark."""
+        plan = FaultPlan.from_profile("reorg", CHAOS_SEED, *span)
+        engine = make_engine(sim_result, prices, span)
+        for event in FaultyFeed(sim_result.blockchain, plan):
+            engine.ingest(event)
+            assert all(height > engine.watermark
+                       for height in engine._retracted)
+        engine.finalize()
+        assert engine.report.rescans_skipped > 0
+        assert all(height > engine.watermark
+                   for height in engine._retracted)
+
+    def test_resume_counts_only_checkpoint_reuse(self, sim_result,
+                                                 prices, span, tmp_path):
+        """A resumed follow over a faulted feed reports checkpoint reuse
+        as ``chunks_resumed``; skipped rescans are not resumed chunks."""
+        store = CheckpointStore(tmp_path / "stream.ckpt.json")
+        plan = FaultPlan.from_profile("reorg", CHAOS_SEED, *span)
+        events = list(FaultyFeed(sim_result.blockchain, plan))
+        crashed = make_engine(sim_result, prices, span, checkpoint=store)
+        for event in events[:len(events) // 2]:
+            crashed.ingest(event)
+        saved = {int(height): entry["hash"]
+                 for height, entry in store.load()["blocks"].items()}
+        resumed = make_engine(sim_result, prices, span, checkpoint=store,
+                              resume=True)
+        recorder = Recorder()
+        resumed.subscribe(recorder)
+        dataset = resumed.run(events)
+        report = resumed.report
+        from_checkpoint = sum(1 for kind, height, block_hash
+                              in recorder.calls
+                              if kind == "indexed"
+                              and saved.get(height) == block_hash)
+        assert report.payloads_reused == from_checkpoint > 0
+        assert report.rescans_skipped > 0
+        assert dataset.quality.chunks_resumed == report.payloads_reused
+
+
+class TestLinkValidation:
+    def test_parent_hash_mismatch_rejected_untouched(self, sim_result,
+                                                     prices, span):
+        blocks = sim_result.blockchain.blocks
+        engine = make_engine(sim_result, prices, span)
+        recorder = Recorder()
+        engine.subscribe(recorder)
+        for block in blocks[:2]:
+            engine.ingest(block)
+        head, calls = engine.head, list(recorder.calls)
+        payloads = dict(engine._payloads)
+        wrong = replace(blocks[2], parent_hash="0x" + "ab" * 32)
+        with pytest.raises(ValueError, match="parent hash mismatch"):
+            engine.ingest(wrong)
+        assert engine.head == head
+        assert engine._payloads == payloads
+        assert recorder.calls == calls
+        assert engine.report.appended == 2
+
+    def test_unlinked_block_stamped_with_tip_hash(self, sim_result,
+                                                  prices, span):
+        blocks = sim_result.blockchain.blocks
+        engine = make_engine(sim_result, prices, span)
+        engine.ingest(blocks[0])
+        unlinked = replace(blocks[1], parent_hash=None)
+        engine.ingest(unlinked)
+        assert unlinked.parent_hash == blocks[0].hash
+        assert engine.head == blocks[1].number
