@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, \
 from repro.chain.events import FlashLoanEvent
 from repro.chain.node import ArchiveNode
 from repro.chain.transaction import reset_tx_counter
-from repro.core.datasets import MevDataset
+from repro.core.datasets import ChunkPayload
 from repro.core.pipeline import plan_chunks
 from repro.core.profit import PriceService
 from repro.engine import RunConfig, effective_workers
@@ -217,13 +217,6 @@ def _percentile(samples: Sequence[int], pct: float) -> Optional[int]:
     return ordered[min(rank, len(ordered)) - 1]
 
 
-def _rows_of(dataset: MevDataset, flash_txs: Any) -> str:
-    """Canonical serialization of one chunk's detection output, for
-    the indexed-vs-linear identity check."""
-    return json.dumps({"rows": dataset.to_rows(),
-                       "flash_txs": sorted(flash_txs)}, sort_keys=True)
-
-
 def _rss_mb() -> Optional[float]:
     """Current resident-set size in MB (Linux; None elsewhere)."""
     try:
@@ -345,7 +338,7 @@ def run_bench(bpm: int = 60, seed: int = 7,
         detect_liquidations,
         detect_sandwiches,
     )
-    from repro.core.scan import scan_range
+    from repro.core.scan import Detector
 
     if quick:
         bpm = min(bpm, 10)
@@ -379,13 +372,13 @@ def run_bench(bpm: int = 60, seed: int = 7,
     # standalone detectors, each re-walking the chain linearly.  The
     # gap between these two stages is what the fused scan buys.
     indexed_node = ArchiveNode(result.blockchain)
-    indexed_rows: List[str] = []
+    detector = Detector(prices)
+    indexed_payloads: List[ChunkPayload] = []
 
     def _indexed_pass() -> None:
         for lo, hi in chunks:
-            partial, flash_txs = scan_range(indexed_node, prices,
-                                            lo, hi)
-            indexed_rows.append(_rows_of(partial, flash_txs))
+            indexed_payloads.append(
+                detector.scan_range(indexed_node, lo, hi))
 
     started = _clock()
     profiler.run("detection_indexed", _indexed_pass)
@@ -393,26 +386,21 @@ def run_bench(bpm: int = 60, seed: int = 7,
                          _clock() - started))
 
     linear_node = ArchiveNode(result.blockchain, indexed=False)
-    linear_rows: List[str] = []
+    linear_payloads: List[ChunkPayload] = []
 
     def _linear_pass() -> None:
         for lo, hi in chunks:
-            partial = MevDataset(
-                sandwiches=detect_sandwiches(linear_node, prices,
-                                             lo, hi),
-                arbitrages=detect_arbitrages(linear_node, prices,
-                                             lo, hi),
-                liquidations=detect_liquidations(linear_node, prices,
-                                                 lo, hi),
-            )
-            flash_txs = detect_flash_loan_txs(linear_node, lo, hi)
-            linear_rows.append(_rows_of(partial, flash_txs))
+            linear_payloads.append(ChunkPayload(
+                (*detect_sandwiches(linear_node, prices, lo, hi),
+                 *detect_arbitrages(linear_node, prices, lo, hi),
+                 *detect_liquidations(linear_node, prices, lo, hi)),
+                frozenset(detect_flash_loan_txs(linear_node, lo, hi))))
 
     started = _clock()
     profiler.run("detection_linear", _linear_pass)
     stages.append(_timed("detection_linear", blocks,
                          _clock() - started))
-    indexed_matches_linear = indexed_rows == linear_rows
+    indexed_matches_linear = indexed_payloads == linear_payloads
 
     # End to end: the full run_inspector pass (shielded detection,
     # merge, flash-loan / Flashbots / privacy labelling, quality

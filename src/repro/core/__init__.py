@@ -2,6 +2,7 @@
 
 from repro.core.datasets import (
     ArbitrageRecord,
+    ChunkPayload,
     FLASHBOTS_UNKNOWN,
     LiquidationRecord,
     MevDataset,
@@ -31,17 +32,17 @@ from repro.core.private_inference import (
     single_tx_privacy,
 )
 from repro.core.profit import PriceService, transaction_cost
-from repro.core.scan import BlockScan, BlockView, BlockVisitor, scan_range
+from repro.core.scan import BlockView, Detector
 
 __all__ = [
-    "ArbitrageRecord", "AttributionReport", "BlockScan", "BlockView",
-    "BlockVisitor", "FLASHBOTS_UNKNOWN",
+    "ArbitrageRecord", "AttributionReport", "BlockView", "ChunkPayload",
+    "Detector", "FLASHBOTS_UNKNOWN",
     "LiquidationRecord", "MevDataset", "MevInspector",
     "PRIVACY_FLASHBOTS", "PRIVACY_PRIVATE", "PRIVACY_PUBLIC",
     "PRIVACY_UNOBSERVED", "PriceService", "SandwichRecord",
     "absence_unprovable", "annotate_flashbots", "annotate_privacy",
     "attribute_private_pools", "classify_tx", "detect_arbitrages",
     "detect_flash_loan_txs", "detect_liquidations", "detect_sandwiches",
-    "plan_chunks", "sandwich_privacy", "scan_range", "single_tx_privacy",
+    "plan_chunks", "sandwich_privacy", "single_tx_privacy",
     "transaction_cost",
 ]

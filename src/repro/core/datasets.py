@@ -17,11 +17,13 @@ coverage travels with the data it degraded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import (
     IO,
     TYPE_CHECKING,
+    Any,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -128,25 +130,24 @@ RECORD_KINDS = {"sandwich": SandwichRecord,
                 "arbitrage": ArbitrageRecord,
                 "liquidation": LiquidationRecord}
 
-#: per-record-class field names, resolved once — row serialization is
-#: the dataset's hot path and ``dataclasses.fields`` is not cheap
-_ROW_FIELDS: Dict[Type[object], Tuple[str, ...]] = {}
+#: the ``kind`` tag of each record class (inverse of ``RECORD_KINDS``)
+_KIND_OF: Dict[Type[object], str] = {
+    cls: kind for kind, cls in RECORD_KINDS.items()}
+
+#: tuple-valued record fields, carried in rows as JSON lists
+_LIST_FIELDS = ("venues", "token_cycle")
 
 
-def _record_row(record: object) -> Dict[str, object]:
-    """One record as a field-name → value dict.
-
-    Equivalent to ``dataclasses.asdict`` for these records — every
-    field value is an immutable scalar or a tuple of strings, so the
-    deep copy ``asdict`` performs bought nothing but time (~40% of the
-    detection stage, profiled).
-    """
-    cls = type(record)
-    names = _ROW_FIELDS.get(cls)
-    if names is None:
-        names = tuple(f.name for f in fields(cls))  # type: ignore[arg-type]
-        _ROW_FIELDS[cls] = names
-    return {name: getattr(record, name) for name in names}
+def record_row(record: object) -> Dict[str, object]:
+    """The one record → row renderer: fields in declaration order (a
+    record's instance dict is exactly its fields), tuples as lists (as
+    JSON reads them back), then the ``kind`` tag."""
+    row = dict(record.__dict__)
+    for name in _LIST_FIELDS:
+        if name in row:
+            row[name] = list(row[name])
+    row["kind"] = _KIND_OF[type(record)]
+    return row
 
 
 @dataclass
@@ -172,11 +173,8 @@ class MevDataset:
     def count(self, strategy: str, via_flashbots: Optional[bool] = None,
               via_flashloan: Optional[bool] = None) -> int:
         """Count records of one strategy with optional label filters."""
-        records: Iterable = {"sandwich": self.sandwiches,
-                             "arbitrage": self.arbitrages,
-                             "liquidation": self.liquidations}[strategy]
         total = 0
-        for record in records:
+        for record in self._records_of(strategy):
             if via_flashbots is not None and \
                     record.via_flashbots != via_flashbots:
                 continue
@@ -203,28 +201,34 @@ class MevDataset:
     # Row serialization (shared by JSONL export and checkpoints) ----------
 
     def to_rows(self) -> List[Dict[str, object]]:
-        """Every record as a JSON-ready dict tagged with its kind."""
-        rows: List[Dict[str, object]] = []
-        for kind, records in (("sandwich", self.sandwiches),
-                              ("arbitrage", self.arbitrages),
-                              ("liquidation", self.liquidations)):
-            for record in records:
-                row = _record_row(record)
-                row["kind"] = kind
-                rows.append(row)
-        return rows
+        """Every record as a JSON-ready dict tagged with its kind
+        (:func:`record_row`)."""
+        return [record_row(record) for record in self.all_records()]
 
     def add_row(self, row: Dict[str, object]) -> None:
-        """Append one tagged row (inverse of :meth:`to_rows`)."""
+        """Append one tagged row (inverse of :meth:`to_rows`): only for
+        rows from outside the process, a checkpoint or a JSONL file."""
         data = dict(row)
         kind = data.pop("kind")
-        for key in ("venues", "token_cycle"):
+        for key in _LIST_FIELDS:
             if key in data and isinstance(data[key], list):
                 data[key] = tuple(data[key])
-        buckets = {"sandwich": self.sandwiches,
-                   "arbitrage": self.arbitrages,
-                   "liquidation": self.liquidations}
-        buckets[kind].append(RECORD_KINDS[kind](**data))
+        self._records_of(kind).append(RECORD_KINDS[kind](**data))
+
+    def _records_of(self, kind: str) -> List:
+        """The record list of one ``kind`` tag."""
+        return {"sandwich": self.sandwiches,
+                "arbitrage": self.arbitrages,
+                "liquidation": self.liquidations}[kind]
+
+    def extend(self, records: Iterable[object]) -> None:
+        """Append a copy of each record to its kind's list: the joins
+        relabel this dataset in place, and a payload keeps its
+        detection-time labels (the stream reuses it after a reorg,
+        checkpoints render it)."""
+        for record in records:
+            self._records_of(_KIND_OF[type(record)]).append(
+                type(record)(**record.__dict__))
 
     # Persistence ---------------------------------------------------------
 
@@ -242,3 +246,43 @@ class MevDataset:
                 continue
             dataset.add_row(json.loads(line))
         return dataset
+
+
+@dataclass
+class ChunkPayload:
+    """One detection call's output: a chunk's (or one streamed block's)
+    records before any join, in row order, plus its flash-loan
+    transactions.
+
+    Compares by value and is never relabelled: a merge takes copies
+    (:meth:`MevDataset.extend`).  :meth:`document` renders its rows,
+    for the checkpoint only, once.  Slotted, with an empty block's
+    records the shared empty tuple: the stream keeps one per height.
+    """
+
+    __slots__ = ("records", "flash_txs", "_document")
+    records: Tuple[object, ...]
+    flash_txs: FrozenSet[Hash32]
+
+    def __post_init__(self) -> None:
+        self._document: Optional[Dict[str, object]] = None
+
+    def document(self) -> Dict[str, object]:
+        """The checkpoint form, ``{"rows": [...], "flash_txs": [...]}``."""
+        if self._document is None:
+            self._document = {
+                "rows": [record_row(record) for record in self.records],
+                "flash_txs": sorted(self.flash_txs)}
+        return self._document
+
+    @classmethod
+    def from_document(cls, document: Dict[str, Any]) -> "ChunkPayload":
+        """Parse a checkpointed payload, keeping the document as its
+        rendered form."""
+        parsed = MevDataset()
+        for row in document["rows"]:
+            parsed.add_row(row)
+        payload = cls(tuple(parsed.all_records()),
+                      frozenset(document["flash_txs"]))
+        payload._document = document
+        return payload

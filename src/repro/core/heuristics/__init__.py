@@ -1,7 +1,7 @@
 """Detection heuristics: sandwich, arbitrage, liquidation, flash loans.
 
-Each heuristic has two faces: a per-block *visitor* consumed by
-:class:`repro.core.scan.BlockScan` (so one pass over a range feeds all
+Each heuristic has two faces: a per-block *visitor* held by
+:class:`repro.core.scan.Detector` (so one pass over a range feeds all
 four), and the standalone ``detect_*`` entry point, now a thin wrapper
 that runs its visitor over one range.
 """

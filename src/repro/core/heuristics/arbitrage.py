@@ -79,11 +79,12 @@ def _record_from_swaps(receipt: Receipt, swaps: List[SwapEvent],
 
 
 class ArbitrageVisitor:
-    """Per-block arbitrage detector for :class:`~repro.core.scan.BlockScan`.
+    """Per-block arbitrage detector for :class:`~repro.core.scan.Detector`.
 
     Entirely local: a cyclic arbitrage is decided from one receipt's
     swap events, so records are complete at ``visit`` time and
     ``finalize`` just hands them back — no archive traffic at all.
+    ``reset`` starts a new list, leaving the one handed back intact.
     """
 
     def __init__(self, prices: PriceService,
@@ -91,6 +92,9 @@ class ArbitrageVisitor:
         self.prices = prices
         self.venues = venues
         self._venue_set = frozenset(venues)
+        self.reset()
+
+    def reset(self) -> None:
         self._records: List[ArbitrageRecord] = []
 
     def visit(self, view: BlockView) -> None:

@@ -31,21 +31,25 @@ def flash_loan_hashes(events: Iterable[FlashLoanEvent],
 
 class FlashLoanVisitor:
     """Per-block flash-loan detector for
-    :class:`~repro.core.scan.BlockScan`.
+    :class:`~repro.core.scan.Detector`.
 
     Consumes the view's status-blind flash-loan bucket (matching the
     ``get_logs`` crawl, which never filtered on receipt status); no
-    archive traffic at any point.
+    archive traffic at any point.  ``reset`` starts a new set.
     """
 
     def __init__(self,
                  platforms: Sequence[str] = DEFAULT_PLATFORMS) -> None:
         self.platforms = platforms
+        self.reset()
+
+    def reset(self) -> None:
         self._hashes: Set[Hash32] = set()
 
     def visit(self, view: BlockView) -> None:
-        self._hashes |= flash_loan_hashes(view.flash_loans,
-                                          self.platforms)
+        if view.flash_loans:
+            self._hashes |= flash_loan_hashes(view.flash_loans,
+                                              self.platforms)
 
     def finalize(self) -> Set[Hash32]:
         return self._hashes

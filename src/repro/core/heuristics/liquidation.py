@@ -30,9 +30,9 @@ DEFAULT_PLATFORMS = ("AaveV1", "AaveV2", "Compound")
 
 class LiquidationVisitor:
     """Per-block liquidation detector for
-    :class:`~repro.core.scan.BlockScan`.
+    :class:`~repro.core.scan.Detector`.
 
-    ``visit`` collects the platform-covered liquidation events with
+    ``reset`` empties it for the next call; ``visit`` collects the platform-covered liquidation events with
     the liquidating transaction's receipt from the view's block;
     ``finalize`` builds the records — price checks and gas accounting —
     in discovery order.  No archive access.
@@ -42,6 +42,9 @@ class LiquidationVisitor:
                  platforms: Sequence[str] = DEFAULT_PLATFORMS) -> None:
         self.prices = prices
         self.platforms = platforms
+        self.reset()
+
+    def reset(self) -> None:
         self._pending: List[Tuple[LiquidationEvent, Address,
                                   Optional[Receipt]]] = []
 

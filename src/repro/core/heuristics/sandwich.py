@@ -101,9 +101,9 @@ def _pick_victim(swaps: List[SwapEvent], front_index: int,
 
 
 class SandwichVisitor:
-    """Per-block sandwich detector for :class:`~repro.core.scan.BlockScan`.
+    """Per-block sandwich detector for :class:`~repro.core.scan.Detector`.
 
-    ``visit`` finds the (front, victim, back) triples from the view's
+    ``reset`` empties it for the next call; ``visit`` finds the (front, victim, back) triples from the view's
     pre-bucketed swaps, keeping the two attacker receipts the view
     already holds; ``finalize`` builds the records — price checks and
     gas accounting — in discovery order.  No archive access.
@@ -114,6 +114,9 @@ class SandwichVisitor:
         self.prices = prices
         self.venues = venues
         self._venue_set = frozenset(venues)
+        self.reset()
+
+    def reset(self) -> None:
         self._pending: List[Tuple[Block, str, SwapEvent, SwapEvent,
                                   SwapEvent, List[Receipt]]] = []
 

@@ -31,17 +31,16 @@ builds a config once and threads it through unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.chain.node import ArchiveNode
 from repro.chain.p2p import MempoolObserver
-from repro.core.datasets import MevDataset
+from repro.core.datasets import ChunkPayload, MevDataset
 from repro.core.flashbots_join import annotate_flashbots
 from repro.core.private_inference import annotate_privacy
 from repro.core.profit import PriceService
 from repro.engine.config import RunConfig
 from repro.engine.executors import ParallelExecutor
-from repro.engine.merge import chunk_key, merge_flash_txs, merge_rows
 from repro.engine.runner import CHUNK_FAILURES, ChunkRunner
 from repro.flashbots.api import FlashbotsBlocksApi
 from repro.reliability.checkpoint import CheckpointError, CheckpointStore
@@ -50,7 +49,7 @@ from repro.reliability.sources import SourceStats, fresh_source, \
     source_stats
 
 __all__ = ["CHUNK_FAILURES", "MevInspector", "apply_joins",
-           "finish_quality", "plan_chunks"]
+           "finish_quality", "merge_payloads", "plan_chunks"]
 
 BlockRange = Tuple[int, int]
 
@@ -99,6 +98,28 @@ def _blocks_in(ranges: Tuple[BlockRange, ...]) -> int:
     return sum(hi - lo + 1 for lo, hi in ranges)
 
 
+def _chunk_key(chunk: BlockRange) -> str:
+    """The canonical checkpoint/state key for one chunk."""
+    return f"{chunk[0]}-{chunk[1]}"
+
+
+def merge_payloads(dataset: MevDataset,
+                   payloads: Iterable[Optional[ChunkPayload]]) -> Set[str]:
+    """Append copies of each payload's records to ``dataset`` and
+    return the union of their flash-loan transactions.
+
+    Payloads come in chunk order (``None`` for a failed chunk), so
+    every worker count merges alike; copies, so the joins never reach
+    a payload its owner keeps.  Shared with :mod:`repro.stream`.
+    """
+    flash_txs: Set[str] = set()
+    for payload in payloads:
+        if payload is not None:
+            dataset.extend(payload.records)
+            flash_txs.update(payload.flash_txs)
+    return flash_txs
+
+
 def apply_joins(dataset: MevDataset, flash_txs: Set[str],
                 quality: DataQualityReport,
                 flashbots_api: Optional[FlashbotsBlocksApi],
@@ -136,8 +157,8 @@ def _join_flash_loans(dataset: MevDataset, flash_txs: Set[str]) -> None:
                                 or record.back_tx in flash_txs)
 
 
-def finish_quality(quality: DataQualityReport, chunks: List[BlockRange],
-                   state: Dict[str, Any], failed: List[BlockRange],
+def finish_quality(quality: DataQualityReport, completed: int,
+                   failed: List[BlockRange],
                    detection_stats: SourceStats,
                    node: Optional[ArchiveNode],
                    flashbots_api: Optional[FlashbotsBlocksApi],
@@ -145,7 +166,8 @@ def finish_quality(quality: DataQualityReport, chunks: List[BlockRange],
     """Finalize the quality ledger for one completed run.
 
     Like :func:`apply_joins`, this is the single implementation both
-    the batch and streaming pipelines finish through.  ``node`` is the
+    the batch and streaming pipelines finish through.  ``completed``
+    counts the chunks whose payload was merged.  ``node`` is the
     archive surface whose retry counters land in the ``archive`` entry,
     plus ``detection_stats``, the chunks' ledgers summed in chunk
     order; the stream engine reads no archive and passes ``None`` and
@@ -153,8 +175,7 @@ def finish_quality(quality: DataQualityReport, chunks: List[BlockRange],
     """
     first, last = quality.from_block, quality.to_block
     total_blocks = last - first + 1
-    quality.chunks_completed = sum(
-        1 for chunk in chunks if chunk_key(chunk) in state)
+    quality.chunks_completed = completed
     quality.failed_ranges = tuple(sorted(failed))
 
     archive = quality.source("archive")
@@ -253,11 +274,11 @@ class MevInspector:
         failed: List[BlockRange] = []
         chunk_stats: Dict[BlockRange, SourceStats] = {}
         pending = [chunk for chunk in chunks
-                   if chunk_key(chunk) not in state]
+                   if _chunk_key(chunk) not in state]
         runner = ChunkRunner(node=node, prices=self.prices)
         executor = ParallelExecutor(config.workers)
         for result in executor.execute(runner, pending):
-            key = chunk_key(result.chunk)
+            key = _chunk_key(result.chunk)
             chunk_stats[result.chunk] = result.stats
             if result.failed:
                 failed.append(result.chunk)
@@ -267,8 +288,9 @@ class MevInspector:
                 self._save_state(store, first, last, config.chunk_size,
                                  state)
 
-        dataset = merge_rows(MevDataset(), chunks, state)
-        apply_joins(dataset, merge_flash_txs(chunks, state), quality,
+        payloads = [state.get(_chunk_key(chunk)) for chunk in chunks]
+        dataset = MevDataset()
+        apply_joins(dataset, merge_payloads(dataset, payloads), quality,
                     flashbots_api, observer)
         # Quality is finalized after the joins so the snapshot of each
         # source's retry/breaker counters includes the join traffic.
@@ -276,7 +298,8 @@ class MevInspector:
         for chunk in chunks:
             if chunk in chunk_stats:
                 detection_stats.add(chunk_stats[chunk])
-        finish_quality(quality, chunks, state, failed, detection_stats,
+        completed = sum(1 for payload in payloads if payload is not None)
+        finish_quality(quality, completed, failed, detection_stats,
                        node, flashbots_api, observer)
         dataset.quality = quality
         return dataset
@@ -286,7 +309,8 @@ class MevInspector:
     @staticmethod
     def _load_state(store: Optional[CheckpointStore], first: int,
                     last: int, chunk_size: Optional[int], resume: bool,
-                    quality: DataQualityReport) -> Dict[str, Any]:
+                    quality: DataQualityReport,
+                    ) -> Dict[str, ChunkPayload]:
         if store is None or not resume:
             return {}
         document = store.load()
@@ -299,7 +323,9 @@ class MevInspector:
             raise CheckpointError(
                 f"checkpoint {store.path} was written for "
                 f"{actual}, cannot resume a run over {expected}")
-        state = dict(document.get("chunks") or {})
+        state = {key: ChunkPayload.from_document(payload)
+                 for key, payload
+                 in (document.get("chunks") or {}).items()}
         quality.resumed = True
         quality.chunks_resumed = len(state)
         return state
@@ -307,6 +333,8 @@ class MevInspector:
     @staticmethod
     def _save_state(store: CheckpointStore, first: int, last: int,
                     chunk_size: Optional[int],
-                    state: Dict[str, Any]) -> None:
+                    state: Dict[str, ChunkPayload]) -> None:
         store.save({"from_block": first, "to_block": last,
-                    "chunk_size": chunk_size, "chunks": state})
+                    "chunk_size": chunk_size,
+                    "chunks": {key: payload.document()
+                               for key, payload in state.items()}})

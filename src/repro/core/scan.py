@@ -1,8 +1,8 @@
 """Single-pass detection: one ranged block read feeds every heuristic.
 
-:class:`BlockScan` walks a block range exactly once: every block is
+:class:`Detector` walks a block range exactly once: every block is
 bucketed into a :class:`BlockView` (swaps per successful receipt,
-liquidation events, flash-loan events) and each registered visitor
+liquidation events, flash-loan events) and each of its four visitors
 consumes that view.  The per-heuristic visitors live next to their
 standalone entry points in :mod:`repro.core.heuristics`; the standalone
 ``detect_*`` functions are thin wrappers over them and stay as the
@@ -14,14 +14,13 @@ once each, and never touch the archive: everything a record needs —
 the attacker receipts behind a sandwich's gas accounting, the
 liquidating transaction's receipt — is already in the view's block.
 A scanned range therefore costs one archive op, the ranged
-``iter_blocks(lo, hi)`` that :func:`read_views` issues, and extra
+``iter_blocks(lo, hi)`` of :meth:`Detector.scan_range`, and extra
 detection definitions plug in as further visitors at no read cost.
-:func:`scan_block` runs the same visitors over a block already in hand
-(the stream engine's) and costs no archive op at all.
-
-:func:`read_views` is the one read path: whatever the node — in
-memory, segment-backed, or wrapped by a fault/retry source — each block
-``iter_blocks`` yields is bucketed by one walk of its receipts.
+:meth:`Detector.scan_block` runs the same visitors over a block
+already in hand (the stream engine's) and costs no archive op at all.
+Whatever the node — in memory, segment-backed, or wrapped by a
+fault/retry source — each block it yields is bucketed by one walk of
+its receipts.
 
 Bucketing mirrors the heuristics' historical filters bit for bit:
 swap and liquidation events are taken from *successful* receipts only,
@@ -32,22 +31,19 @@ visitor — the buckets are shared, the coverage policies are not.
 
 from __future__ import annotations
 
-from typing import (Any, Iterable, List, Optional, Protocol, Sequence, Set,
-                    Tuple)
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.chain.block import Block
 from repro.chain.events import FlashLoanEvent, LiquidationEvent, SwapEvent
 from repro.chain.receipt import Receipt
-from repro.chain.types import Hash32
-from repro.core.datasets import MevDataset
+from repro.core.datasets import ChunkPayload
 from repro.core.heuristics.arbitrage import ArbitrageVisitor
 from repro.core.heuristics.flashloan import FlashLoanVisitor
 from repro.core.heuristics.liquidation import LiquidationVisitor
 from repro.core.heuristics.sandwich import SandwichVisitor
 from repro.core.profit import PriceService
 
-__all__ = ["BlockScan", "BlockView", "BlockVisitor", "read_views",
-           "scan_block", "scan_range"]
+__all__ = ["BlockView", "Detector"]
 
 # Log classification, memoized per concrete event class: the bucketing
 # below is the scan's innermost loop, and one dict probe beats a chain
@@ -122,70 +118,45 @@ class BlockView:
         return cls(block, swap_receipts, liquidations, flash_loans)
 
 
-def read_views(node: Any, from_block: Optional[int] = None,
-               to_block: Optional[int] = None) -> Iterable[BlockView]:
-    """One ranged ``iter_blocks`` read, each block bucketed by
-    :meth:`BlockView.of` — the only archive op a scan issues."""
-    return map(BlockView.of, node.iter_blocks(from_block, to_block))
+class Detector:
+    """The four heuristics' visitors, built once per consumer (each
+    :class:`~repro.engine.ChunkRunner` and
+    :class:`~repro.stream.StreamEngine`) and reused for every call.
 
+    A call buckets each block into one :class:`BlockView` for every
+    visitor and returns its :class:`~repro.core.datasets.ChunkPayload`.
+    It starts the visitors empty, so a call that raised part-way
+    leaves nothing behind for the next.
+    """
 
-class BlockVisitor(Protocol):
-    """A per-block heuristic consumer fed by :class:`BlockScan`."""
+    def __init__(self, prices: PriceService) -> None:
+        self._sandwich = SandwichVisitor(prices)
+        self._arbitrage = ArbitrageVisitor(prices)
+        self._liquidation = LiquidationVisitor(prices)
+        self._flash = FlashLoanVisitor()
+        self._visitors = (self._sandwich, self._arbitrage,
+                          self._liquidation, self._flash)
 
-    def visit(self, view: BlockView) -> None: ...
+    def scan_range(self, node: Any, from_block: Optional[int] = None,
+                   to_block: Optional[int] = None) -> ChunkPayload:
+        """A block range of ``node``; its one ranged ``iter_blocks``
+        read is the only archive op."""
+        return self._scan(node.iter_blocks(from_block, to_block))
 
+    def scan_block(self, block: Block) -> ChunkPayload:
+        """One block already in hand, with no archive read (the stream
+        engine's per-announcement path)."""
+        return self._scan((block,))
 
-class BlockScan:
-    """Walk blocks once, feeding every visitor from shared buckets."""
-
-    def __init__(self, visitors: Sequence[BlockVisitor]) -> None:
-        self.visitors = list(visitors)
-
-    def scan_views(self, views: Iterable[BlockView]) -> None:
-        """Feed views (e.g. from :func:`read_views`) to every visitor in
-        registration order, each view exactly once."""
-        visitors = self.visitors
-        for view in views:
+    def _scan(self, blocks: Iterable[Block]) -> ChunkPayload:
+        visitors = self._visitors
+        for visitor in visitors:
+            visitor.reset()
+        for block in blocks:
+            view = BlockView.of(block)
             for visitor in visitors:
                 visitor.visit(view)
-
-
-def _detect(views: Iterable[BlockView], prices: PriceService,
-            ) -> Tuple[MevDataset, Set[Hash32]]:
-    """All four heuristics over ascending block views in one pass.
-
-    Returns the partial dataset (sandwiches, arbitrages, liquidations —
-    no joins applied) and the flash-loan transaction hashes.  The one
-    visitor set and finalize step behind both :func:`scan_range` and
-    :func:`scan_block`, so batch and stream detection cannot drift.
-    """
-    sandwich = SandwichVisitor(prices)
-    arbitrage = ArbitrageVisitor(prices)
-    liquidation = LiquidationVisitor(prices)
-    flash = FlashLoanVisitor()
-    BlockScan([sandwich, arbitrage, liquidation, flash]).scan_views(views)
-    dataset = MevDataset(
-        sandwiches=sandwich.finalize(),
-        arbitrages=arbitrage.finalize(),
-        liquidations=liquidation.finalize(),
-    )
-    return dataset, flash.finalize()
-
-
-def scan_range(node: Any, prices: PriceService,
-               from_block: Optional[int] = None,
-               to_block: Optional[int] = None,
-               ) -> Tuple[MevDataset, Set[Hash32]]:
-    """All four heuristics over a block range of ``node`` in one pass.
-
-    The only archive traffic is the one ranged block read of
-    :func:`read_views`.
-    """
-    return _detect(read_views(node, from_block, to_block), prices)
-
-
-def scan_block(block: Block, prices: PriceService,
-               ) -> Tuple[MevDataset, Set[Hash32]]:
-    """All four heuristics over one block already in hand, with no
-    archive read (the stream engine's per-announcement path)."""
-    return _detect((BlockView.of(block),), prices)
+        return ChunkPayload((*self._sandwich.finalize(),
+                             *self._arbitrage.finalize(),
+                             *self._liquidation.finalize()),
+                            frozenset(self._flash.finalize()))

@@ -9,9 +9,8 @@ runs those chunks without touching what they compute:
   detections under chunk-isolated retry/breaker state;
 * :class:`ParallelExecutor` — the one executor: a process pool when
   more than one worker is effective, else in order in this process,
-  yielding a :class:`ChunkResult` per chunk either way;
-* :mod:`repro.engine.merge` — order-independent reassembly of rows
-  and flash-loan sets.
+  yielding a :class:`ChunkResult` per chunk either way, which the
+  pipeline merges back in chunk order.
 
 The invariant the whole package defends: for a fixed world, fault plan,
 and chunk plan, every worker count produces a bit-identical dataset
@@ -26,7 +25,6 @@ from repro.engine.executors import (
     SupportsRunChunk,
     effective_workers,
 )
-from repro.engine.merge import chunk_key, merge_flash_txs, merge_rows
 from repro.engine.runner import CHUNK_FAILURES, ChunkRunner
 
 __all__ = [
@@ -36,8 +34,5 @@ __all__ = [
     "ParallelExecutor",
     "RunConfig",
     "SupportsRunChunk",
-    "chunk_key",
     "effective_workers",
-    "merge_flash_txs",
-    "merge_rows",
 ]

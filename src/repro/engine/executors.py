@@ -26,8 +26,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor as _PoolExecutor
 from concurrent.futures import as_completed
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, \
-    Protocol, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Protocol, \
+    Tuple
 
 from repro.reliability.sources import SourceStats
 
@@ -38,14 +38,15 @@ BlockRange = Tuple[int, int]
 class ChunkResult:
     """One chunk's detection outcome.
 
-    ``payload is None`` means the chunk failed permanently (archive
-    unusable even through the resilience layer) and must be recorded as
-    a failed range.  ``stats`` is the archive source's resilience
+    ``payload`` is the chunk's
+    :class:`~repro.core.datasets.ChunkPayload`; ``None`` means the
+    chunk failed permanently (archive unusable even through the
+    resilience layer) and must be recorded as a failed range.  ``stats`` is the archive source's resilience
     ledger for the chunk's own reads.
     """
 
     chunk: BlockRange
-    payload: Optional[Dict[str, Any]]
+    payload: Optional[Any]
     stats: SourceStats = field(default_factory=SourceStats)
 
     @property

@@ -74,7 +74,9 @@ class CheckpointStore:
         tmp_path = self.path.with_name(self.path.name + ".tmp")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp_path, "w", encoding="utf-8") as stream:
-            json.dump(document, stream, sort_keys=True)
+            # One encode and one write: json.dump would stream the
+            # document in many small chunks, the same bytes far slower.
+            stream.write(json.dumps(document, sort_keys=True))
             stream.flush()
             os.fsync(stream.fileno())
         os.replace(tmp_path, self.path)

@@ -11,10 +11,10 @@ happen.  Serve imports stream, never the reverse
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Tuple
 
 from repro.chain.types import Hash32
-from repro.core.datasets import MevDataset
+from repro.core.datasets import MevDataset, record_row
 from repro.serve.service import MevQueryService
 from repro.serve.store import ColumnStore
 from repro.stream.engine import StreamEngine, StreamSubscriber
@@ -26,21 +26,24 @@ __all__ = ["StoreFeeder", "live_service", "service_from_dataset",
 class StoreFeeder(StreamSubscriber):
     """Mirror a :class:`StreamEngine`'s block events into a store.
 
-    Blocks with no detection rows are not ingested — a batch dataset
-    only materializes heights that hold rows, and the identity rule
-    needs both build paths to hold the same heights.  Retractions are
-    forwarded unconditionally (retracting an empty height is a no-op
-    with a generation bump, which correctly invalidates caches that
-    may have served the emptiness).
+    Indexed records are rendered to rows by the one renderer,
+    :func:`~repro.core.datasets.record_row`.  Blocks with no detection
+    rows are not ingested — a batch dataset only materializes heights
+    that hold rows, and the identity rule needs both build paths to
+    hold the same heights.  Retractions are forwarded unconditionally
+    (retracting an empty height is a no-op with a generation bump,
+    which correctly invalidates caches that may have served the
+    emptiness).
     """
 
     def __init__(self, store: ColumnStore) -> None:
         self.store = store
 
     def block_indexed(self, height: int, block_hash: Hash32,
-                      rows: List[Dict[str, Any]]) -> None:
-        if rows:
-            self.store.ingest_block(height, rows)
+                      records: Tuple[Any, ...]) -> None:
+        if records:
+            self.store.ingest_block(
+                height, [record_row(record) for record in records])
         self.store.meta["head"] = height
 
     def block_retracted(self, height: int, block_hash: Hash32,

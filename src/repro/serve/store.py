@@ -90,14 +90,6 @@ def decode_cursor(cursor: str) -> RowKey:
     return (height, rank, seq)
 
 
-def _canonical_row(row: Dict[str, Any]) -> Dict[str, Any]:
-    """A row dict normalized for serving: tuples become lists so the
-    in-memory stream payload and a JSON-roundtripped checkpoint payload
-    (and a batch dataset's rows) are indistinguishable."""
-    return {name: list(value) if isinstance(value, tuple) else value
-            for name, value in row.items()}
-
-
 def _actor_of(row: Dict[str, Any]) -> str:
     """The extracting account a leaderboard charges the row to."""
     if row["kind"] == "liquidation":
@@ -154,18 +146,19 @@ class ColumnStore:
                      rows: Iterable[Dict[str, Any]]) -> None:
         """Install (or supersede) one block's rows atomically.
 
-        Re-ingesting a height replaces its bucket wholesale — the
-        reorg path is *retract, then ingest the replacement*, and each
-        step is one generation.
+        ``rows`` are canonical rows (as
+        :func:`~repro.core.datasets.record_row` renders them, or as a
+        store serves them); the store keeps them as given and never
+        writes to them.  Re-ingesting a height replaces its bucket
+        wholesale — the reorg path is *retract, then ingest the
+        replacement*, and each step is one generation.
         """
-        bucket = []
-        for row in rows:
-            canonical = _canonical_row(row)
-            if int(canonical["block_number"]) != height:
+        bucket = list(rows)
+        for row in bucket:
+            if int(row["block_number"]) != height:
                 raise ValueError(
-                    f"row for block {canonical['block_number']} "
+                    f"row for block {row['block_number']} "
                     f"ingested at height {height}")
-            bucket.append(canonical)
         self._blocks[height] = bucket
         self._bump()
 
@@ -178,7 +171,7 @@ class ColumnStore:
     def load_dataset(self, dataset: MevDataset) -> None:
         """Cold-start: snapshot a completed batch run's dataset."""
         blocks: Dict[int, List[Dict[str, Any]]] = {}
-        for row in self._dataset_rows(dataset):
+        for row in dataset.to_rows():
             blocks.setdefault(int(row["block_number"]), []).append(row)
         self._blocks = blocks
         if dataset.quality is not None:
@@ -205,7 +198,7 @@ class ColumnStore:
         labelled one, never a half-labelled mix.
         """
         final: Dict[int, List[Dict[str, Any]]] = {}
-        for row in self._dataset_rows(dataset):
+        for row in dataset.to_rows():
             final.setdefault(int(row["block_number"]), []).append(row)
         live_heights = sorted(self._blocks)
         if live_heights != sorted(final):
@@ -232,10 +225,6 @@ class ColumnStore:
         if dataset.quality is not None:
             self._quality = dataset.quality.to_dict()
         self._bump()
-
-    @staticmethod
-    def _dataset_rows(dataset: MevDataset) -> List[Dict[str, Any]]:
-        return [_canonical_row(row) for row in dataset.to_rows()]
 
     # Snapshot ------------------------------------------------------------
 

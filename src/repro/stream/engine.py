@@ -21,10 +21,11 @@ construction, not by luck — to everything a real feed does:
   ``(height, hash)`` still matches, reproducing the uninterrupted run's
   rows bit-for-bit.
 
-Detection itself is *not* reimplemented: every appended block is
-scanned where it stands by :func:`~repro.core.scan.scan_block`, which
-runs the batch scan's own visitors and finalize step, and its payload
-has the batch chunk shape (:func:`~repro.engine.merge.chunk_payload`).
+Detection itself is *not* reimplemented: the engine owns one
+:class:`~repro.core.scan.Detector`, as each batch chunk runner does,
+and scans every appended block where it stands.  The typed
+:class:`~repro.core.datasets.ChunkPayload` it returns is kept per
+height; rows are rendered from it only for the checkpoint, once.
 :meth:`StreamEngine.finalize` assembles the dataset with the batch
 pipeline's own merge/join/quality functions over per-height chunks.
 Convergence with ``MevInspector.run(config=RunConfig(chunk_size=1))``
@@ -37,21 +38,15 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.chain.block import Block
 from repro.chain.p2p import MempoolObserver
 from repro.chain.types import Hash32
-from repro.core.datasets import MevDataset
-from repro.core.pipeline import apply_joins, finish_quality
+from repro.core.datasets import ChunkPayload, MevDataset
+from repro.core.pipeline import apply_joins, finish_quality, merge_payloads
 from repro.core.profit import PriceService
-from repro.core.scan import scan_block
-from repro.engine.merge import (
-    chunk_key,
-    chunk_payload,
-    merge_flash_txs,
-    merge_rows,
-)
+from repro.core.scan import Detector
 from repro.faults.feed import FeedEvent
 from repro.flashbots.api import FlashbotsBlocksApi
 from repro.reliability.checkpoint import CheckpointError, CheckpointStore
@@ -77,9 +72,10 @@ class StreamSubscriber:
     """
 
     def block_indexed(self, height: int, block_hash: Hash32,
-                      rows: List[Dict[str, Any]]) -> None:
+                      records: Tuple[Any, ...]) -> None:
         """``height`` joined the follower chain with these detection
-        rows (detection-time labels; joins happen at finalize)."""
+        records, in row order (detection-time labels; joins happen at
+        finalize).  They are the engine's own: never relabel them."""
 
     def block_retracted(self, height: int, block_hash: Hash32,
                         rows_retracted: int) -> None:
@@ -138,7 +134,8 @@ class StreamReport:
     retracted_rows: int = 0
     #: heights promoted behind the watermark
     confirmed: int = 0
-    #: payloads reused from a checkpoint instead of recomputed
+    #: appends served from a checkpointed payload instead of scanned
+    #: (a block re-appended after a reorg counts each time)
     payloads_reused: int = 0
     #: appends of a block a reorg had retracted, served from its kept
     #: payload instead of scanned again
@@ -162,9 +159,9 @@ class StreamEngine:
     contiguous from ``first_block`` to the head: it is grown one
     validated announcement at a time (contiguous number, parent hash
     equal to the tip's) and truncated across reorgs.  Beside it sits
-    one detection payload per appended height, computed by
-    :func:`~repro.core.scan.scan_block` over the block in hand the
-    moment it lands.  Heights at-or-below ``head - confirm_depth`` are
+    one detection payload per appended height, computed by the
+    engine's :class:`~repro.core.scan.Detector` over the block in hand
+    the moment it lands.  Heights at-or-below ``head - confirm_depth`` are
     *confirmed*: their payloads are immutable (a reorg reaching them is
     a :class:`StreamDivergenceError`) and checkpointed.
     """
@@ -184,27 +181,28 @@ class StreamEngine:
         self.flashbots_api = flashbots_api
         self.observer = observer
         self.report = StreamReport()
-        #: per appended height: the block's detection payload + hash
-        self._payloads: Dict[int, Dict[str, Any]] = {}
+        self._detector = Detector(prices)
+        self._payloads: Dict[int, ChunkPayload] = {}
         self._hashes: Dict[int, Hash32] = {}
         self._head: Optional[int] = None
         #: payloads a reorg retracted, per height by block hash; dropped
         #: as the watermark passes their height
-        self._retracted: Dict[int, Dict[Hash32, Dict[str, Any]]] = {}
+        self._retracted: Dict[int, Dict[Hash32, ChunkPayload]] = {}
         #: announcements above ``head + 1``, last-wins per height
         self._future: Dict[int, Block] = {}
         self._watermark = first_block - 1
         self._subscribers: List[StreamSubscriber] = []
         self._store = CheckpointStore.coerce(checkpoint)
         self._resumed = False
-        self._saved: Dict[int, Dict[str, Any]] = {}
+        #: per checkpointed height: its block hash and payload
+        self._saved: Dict[int, Tuple[Hash32, ChunkPayload]] = {}
         if resume and self._store is not None:
             self._saved = self._load_saved()
             self._resumed = bool(self._saved)
 
     # Construction helpers ------------------------------------------------
 
-    def _load_saved(self) -> Dict[int, Dict[str, Any]]:
+    def _load_saved(self) -> Dict[int, Tuple[Hash32, ChunkPayload]]:
         assert self._store is not None
         document = self._store.load()
         if document is None:
@@ -216,7 +214,9 @@ class StreamEngine:
             raise CheckpointError(
                 f"checkpoint {self._store.path} was written for "
                 f"{actual}, cannot resume a stream over {expected}")
-        return {int(height): entry for height, entry
+        return {int(height): (entry["hash"],
+                              ChunkPayload.from_document(entry["payload"]))
+                for height, entry
                 in (document.get("blocks") or {}).items()}
 
     def _save(self) -> None:
@@ -228,7 +228,7 @@ class StreamEngine:
             "confirm_depth": self.confirm_depth,
             "watermark": self._watermark,
             "blocks": {str(height): {"hash": self._hashes[height],
-                                     "payload": payload}
+                                     "payload": payload.document()}
                        for height, payload
                        in sorted(self._payloads.items())},
         })
@@ -302,19 +302,18 @@ class StreamEngine:
         self.report.appended += 1
         block_hash = block.hash
         saved = self._saved.get(number)
-        if saved is not None and saved.get("hash") == block_hash:
-            payload = saved["payload"]
+        if saved is not None and saved[0] == block_hash:
+            payload = saved[1]
             self.report.payloads_reused += 1
         elif block_hash in self._retracted.get(number, ()):
             payload = self._retracted[number].pop(block_hash)
             self.report.rescans_skipped += 1
         else:
-            payload = chunk_payload(*scan_block(block, self.prices))
+            payload = self._detector.scan_block(block)
         self._payloads[number] = payload
         self._hashes[number] = block_hash
         for subscriber in self._subscribers:
-            subscriber.block_indexed(number, block_hash,
-                                     payload["rows"])
+            subscriber.block_indexed(number, block_hash, payload.records)
 
     def _reorg(self, block: Block) -> None:
         """Replace the follower's suffix from ``block.number`` up."""
@@ -335,7 +334,7 @@ class StreamEngine:
             payload = self._payloads.pop(height)
             stale_hash = self._hashes.pop(height)
             self._retracted.setdefault(height, {})[stale_hash] = payload
-            rows = len(payload["rows"])
+            rows = len(payload.records)
             self.report.retracted_blocks += 1
             self.report.retracted_rows += rows
             self.report.ledger.append(RetractionEntry(
@@ -390,7 +389,9 @@ class StreamEngine:
         """Confirm the pending window and assemble the final dataset.
 
         Assembly is the batch pipeline, verbatim, over per-height
-        chunks: ``merge_rows`` in height order, then the shared
+        chunks: ``merge_payloads`` in height order (copies: the kept
+        payloads keep their detection-time labels, so finalizing twice
+        gives the same dataset), then the shared
         :func:`~repro.core.pipeline.apply_joins` and
         :func:`~repro.core.pipeline.finish_quality` — which is why a
         converged stream's dataset is bit-identical to
@@ -407,20 +408,23 @@ class StreamEngine:
         self._advance_watermark(0)
         self._save()
         first = self.first_block
-        chunks = [(height, height) for height in range(first, head + 1)]
-        state = {chunk_key(chunk): self._payloads[chunk[0]]
-                 for chunk in chunks}
+        heights = range(first, head + 1)
         quality = DataQualityReport(
             from_block=first, to_block=head, chunk_size=1,
-            chunks_total=len(chunks))
+            chunks_total=len(heights))
         if self._resumed:
             quality.resumed = True
-            quality.chunks_resumed = self.report.payloads_reused
-        dataset = merge_rows(MevDataset(), chunks, state)
-        apply_joins(dataset, merge_flash_txs(chunks, state), quality,
-                    self.flashbots_api, self.observer)
-        finish_quality(quality, chunks, state, [],
-                       SourceStats(), None,
+            # Final canonical heights whose payload is the checkpoint's
+            # (``payloads_reused`` also counts reuse after a reorg).
+            quality.chunks_resumed = sum(
+                1 for height, (block_hash, _) in self._saved.items()
+                if self._hashes.get(height) == block_hash)
+        dataset = MevDataset()
+        flash_txs = merge_payloads(
+            dataset, [self._payloads[height] for height in heights])
+        apply_joins(dataset, flash_txs, quality, self.flashbots_api,
+                    self.observer)
+        finish_quality(quality, len(heights), [], SourceStats(), None,
                        self.flashbots_api, self.observer)
         dataset.quality = quality
         for subscriber in self._subscribers:

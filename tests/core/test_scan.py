@@ -22,17 +22,18 @@ from repro.core.heuristics import (
     detect_liquidations,
     detect_sandwiches,
 )
+from repro.core.datasets import SandwichRecord
 from repro.core.profit import PriceService
-from repro.core.scan import (
-    BlockScan,
-    BlockView,
-    scan_block,
-    scan_range,
+from repro.core.heuristics import (
+    ArbitrageVisitor,
+    FlashLoanVisitor,
+    LiquidationVisitor,
+    SandwichVisitor,
 )
-from repro.engine.merge import chunk_payload
+from repro.core.scan import BlockView, Detector
 from repro.sim import ScenarioConfig, build_paper_scenario
 
-from tests.chain.test_node import make_block, make_receipt
+from tests.chain.test_node import chain_of, make_block, make_receipt
 
 
 class TestBlockView:
@@ -74,20 +75,23 @@ class TestBlockView:
         assert view.flash_loans == []
 
 
+VISITORS = (SandwichVisitor, ArbitrageVisitor, LiquidationVisitor,
+            FlashLoanVisitor)
+
+
 class TestBlockScanDispatch:
-    def test_each_visitor_sees_every_block_once_in_order(self):
-        class Recorder:
-            def __init__(self):
-                self.seen = []
+    def test_each_visitor_sees_every_block_once_in_order(
+            self, harness, monkeypatch):
+        seen = {cls: [] for cls in VISITORS}
+        for cls in VISITORS:
+            def recording(visitor, view, _cls=cls, _visit=cls.visit):
+                seen[_cls].append(view.block.number)
+                _visit(visitor, view)
 
-            def visit(self, view):
-                self.seen.append(view.block.number)
-
-        first, second = Recorder(), Recorder()
-        blocks = [make_block(n) for n in (1, 2, 3)]
-        BlockScan([first, second]).scan_views(map(BlockView.of, blocks))
-        assert first.seen == [1, 2, 3]
-        assert second.seen == [1, 2, 3]
+            monkeypatch.setattr(cls, "visit", recording)
+        Detector(harness.prices).scan_range(
+            ArchiveNode(chain_of([], [], [])))
+        assert all(numbers == [1, 2, 3] for numbers in seen.values())
 
 
 class TestScanRangeEquivalence:
@@ -95,27 +99,26 @@ class TestScanRangeEquivalence:
     record — the refactor's correctness contract."""
 
     def assert_equivalent(self, node, prices, lo=None, hi=None):
-        dataset, flash_txs = scan_range(node, prices, lo, hi)
-        assert dataset.sandwiches == detect_sandwiches(node, prices,
-                                                       lo, hi)
-        assert dataset.arbitrages == detect_arbitrages(node, prices,
-                                                       lo, hi)
-        assert dataset.liquidations == detect_liquidations(node, prices,
-                                                           lo, hi)
-        assert flash_txs == detect_flash_loan_txs(node, lo, hi)
-        return dataset
+        payload = Detector(prices).scan_range(node, lo, hi)
+        assert payload.records == (
+            *detect_sandwiches(node, prices, lo, hi),
+            *detect_arbitrages(node, prices, lo, hi),
+            *detect_liquidations(node, prices, lo, hi))
+        assert payload.flash_txs == detect_flash_loan_txs(node, lo, hi)
+        return payload
 
     def test_on_harness_sandwich(self, harness):
         harness.mine_sandwich()
-        dataset = self.assert_equivalent(harness.node, harness.prices)
-        assert len(dataset.sandwiches) == 1
+        payload = self.assert_equivalent(harness.node, harness.prices)
+        assert [type(record) for record in payload.records] \
+            == [SandwichRecord]
 
     def test_on_empty_range(self, harness):
         harness.mine_sandwich()
-        dataset, flash_txs = scan_range(harness.node, harness.prices,
-                                        99, 120)
-        assert dataset.all_records() == []
-        assert flash_txs == set()
+        payload = Detector(harness.prices).scan_range(harness.node,
+                                                      99, 120)
+        assert payload.records == ()
+        assert payload.flash_txs == set()
 
     def test_on_simulated_study_window(self, tmp_path):
         from repro.chain.transaction import reset_tx_counter
@@ -141,8 +144,8 @@ class TestScanRangeEquivalence:
         # and segment-backed.
         for node in (ArchiveNode(chain, indexed=False), spilled):
             other = self.assert_equivalent(node, prices, first, last)
-            assert dataset.records_equal(other)
-        assert dataset.all_records()  # the window actually has MEV
+            assert dataset == other
+        assert dataset.records  # the window actually has MEV
 
     def test_single_blocks_in_seeded_order_over_spilled_store(
             self, tmp_path):
@@ -168,12 +171,12 @@ class TestScanRangeEquivalence:
         memory = ArchiveNode(chain)
         numbers = [block.number for block in chain.blocks]
         rows = 0
+        detector = Detector(prices)
         for number in random.Random(5).sample(numbers, len(numbers)):
-            payload = chunk_payload(
-                *scan_range(spilled, prices, number, number))
-            assert payload == chunk_payload(
-                *scan_range(memory, prices, number, number)), number
-            rows += len(payload["rows"])
+            payload = detector.scan_range(spilled, number, number)
+            assert payload == detector.scan_range(
+                memory, number, number), number
+            rows += len(payload.records)
         assert len(result.blockchain.reader.resident_epochs) == 1
         assert rows  # the window actually has MEV
 
@@ -187,20 +190,21 @@ def default_world():
 
 
 class TestScanBlock:
-    """``scan_block`` over a block in hand is ``scan_range`` over that
-    block's one-block range: the stream detects exactly as batch does."""
+    """``Detector.scan_block`` over a block in hand is ``scan_range``
+    over that block's one-block range: the stream detects exactly as
+    batch does."""
 
     @pytest.mark.parametrize("indexed", [True, False],
                              ids=["indexed", "linear"])
     def test_matches_one_block_scan_range(self, default_world, indexed):
         prices = PriceService(default_world.oracle)
         node = ArchiveNode(default_world.blockchain, indexed=indexed)
+        detector = Detector(prices)
         rows = flash_txs = 0
         for block in default_world.blockchain.blocks:
             number = block.number
-            payload = chunk_payload(*scan_block(block, prices))
-            assert payload == chunk_payload(
-                *scan_range(node, prices, number, number))
-            rows += len(payload["rows"])
-            flash_txs += len(payload["flash_txs"])
+            payload = detector.scan_block(block)
+            assert payload == detector.scan_range(node, number, number)
+            rows += len(payload.records)
+            flash_txs += len(payload.flash_txs)
         assert rows and flash_txs  # the window actually has MEV

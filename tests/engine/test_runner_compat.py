@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.core.datasets import MevDataset
+from repro.core.datasets import ChunkPayload
 from repro.core.heuristics import (
     detect_arbitrages,
     detect_flash_loan_txs,
@@ -60,13 +60,10 @@ def _reference_payload(sim_result, chunk):
     """The chunk's payload from the standalone detectors."""
     node, prices = sim_result.node, PriceService(sim_result.oracle)
     lo, hi = chunk
-    partial = MevDataset(
-        sandwiches=detect_sandwiches(node, prices, lo, hi),
-        arbitrages=detect_arbitrages(node, prices, lo, hi),
-        liquidations=detect_liquidations(node, prices, lo, hi),
-    )
-    return {"rows": partial.to_rows(),
-            "flash_txs": sorted(detect_flash_loan_txs(node, lo, hi))}
+    return ChunkPayload((*detect_sandwiches(node, prices, lo, hi),
+                         *detect_arbitrages(node, prices, lo, hi),
+                         *detect_liquidations(node, prices, lo, hi)),
+                        frozenset(detect_flash_loan_txs(node, lo, hi)))
 
 
 def assert_rows_match_reference(sim_result, span, plan, complete):
@@ -133,6 +130,40 @@ class TestChunkContract:
         assert result.failed and result.payload is None
         assert result.stats.requests == 1
         assert result.stats.exhausted == 1
+
+    @pytest.mark.parametrize("blackout", ["whole_read", "mid_read"])
+    def test_failed_chunk_leaves_nothing_behind(self, sim_result, span,
+                                                blackout):
+        """The runner's one detector starts every chunk empty: a chunk
+        lost to an archive blackout, then a good chunk, gives the good
+        chunk exactly the rows a fresh runner gives it."""
+        prices = PriceService(sim_result.oracle)
+        fresh = ChunkRunner(node=sim_result.node, prices=prices)
+        results = {chunk: fresh.run_chunk(chunk)
+                   for chunk in _chunks(span)}
+        bad, good = [chunk for chunk, result in results.items()
+                     if result.payload.records][:2]
+        if blackout == "whole_read":
+            plan = FaultPlan(archive_blackouts=(bad,))
+            node, _, _ = shield(sim_result.node, plan=plan)
+        else:
+            class GapMidRead:
+                """Serves the chunk's first half, then loses history."""
+
+                def iter_blocks(self, lo, hi):
+                    yield from sim_result.node.iter_blocks(
+                        lo, (lo + hi) // 2)
+                    raise SourceGapError("archive range pruned")
+
+            node = GapMidRead()
+        runner = ChunkRunner(node=node, prices=prices)
+        assert runner.run_chunk(bad).failed
+        if blackout == "mid_read":
+            runner.node = sim_result.node
+        outcome = runner.run_chunk(good)
+        assert outcome.payload == results[good].payload
+        assert outcome.payload.document() \
+            == results[good].payload.document()
 
 
 class TestSinglePassMatchesLegacy:

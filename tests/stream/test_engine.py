@@ -6,13 +6,15 @@ an outage window — produces rows and a quality ledger *bit-identical*
 to ``MevInspector.run(chunk_size=1)`` over the final canonical chain.
 """
 
+import dataclasses
 from dataclasses import replace
 
 import pytest
 
-import repro.stream.engine as stream_engine
 from repro import RunConfig, follow_inspector, follow_reference
 from repro.chain.node import ArchiveNode
+from repro.core.datasets import record_row
+from repro.core.scan import Detector
 from repro.faults import FAULT_PROFILES, FaultPlan
 from repro.faults.feed import ChainFeed, FaultyFeed
 from repro.reliability import CheckpointStore
@@ -187,13 +189,13 @@ class TestRescanReuse:
         from its kept payload: detection runs once per distinct
         ``(height, hash)`` the follower ever appended."""
         scanned = []
-        scan_block = stream_engine.scan_block
+        scan_block = Detector.scan_block
 
-        def counting_scan(block, prices):
+        def counting_scan(detector, block):
             scanned.append((block.number, block.hash))
-            return scan_block(block, prices)
+            return scan_block(detector, block)
 
-        monkeypatch.setattr(stream_engine, "scan_block", counting_scan)
+        monkeypatch.setattr(Detector, "scan_block", counting_scan)
         plan = FaultPlan.from_profile("reorg", CHAOS_SEED, *span)
         engine = make_engine(sim_result, prices, span)
         recorder = Recorder()
@@ -229,8 +231,11 @@ class TestRescanReuse:
 
     def test_resume_counts_only_checkpoint_reuse(self, sim_result,
                                                  prices, span, tmp_path):
-        """A resumed follow over a faulted feed reports checkpoint reuse
-        as ``chunks_resumed``; skipped rescans are not resumed chunks."""
+        """A resumed follow over a faulted feed counts as
+        ``chunks_resumed`` the final canonical heights whose payload
+        came from the checkpoint: at most ``chunks_total``, however
+        often a reorg re-appended a checkpointed block.  Skipped
+        rescans are not resumed chunks."""
         store = CheckpointStore(tmp_path / "stream.ckpt.json")
         plan = FaultPlan.from_profile("reorg", CHAOS_SEED, *span)
         events = list(FaultyFeed(sim_result.blockchain, plan))
@@ -251,7 +256,14 @@ class TestRescanReuse:
                               and saved.get(height) == block_hash)
         assert report.payloads_reused == from_checkpoint > 0
         assert report.rescans_skipped > 0
-        assert dataset.quality.chunks_resumed == report.payloads_reused
+        canonical = {block.number: block.hash
+                     for block in sim_result.blockchain.blocks}
+        quality = dataset.quality
+        assert quality.chunks_resumed == sum(
+            1 for height, block_hash in saved.items()
+            if canonical.get(height) == block_hash) > 0
+        assert quality.chunks_resumed <= quality.chunks_total
+        assert quality.chunks_resumed <= report.payloads_reused
 
 
 class TestLinkValidation:
@@ -282,3 +294,75 @@ class TestLinkValidation:
         engine.ingest(unlinked)
         assert unlinked.parent_hash == blocks[0].hash
         assert engine.head == blocks[1].number
+
+
+class TestTypedPayloads:
+    def test_finalize_twice_keeps_detection_labels(self, sim_result,
+                                                   prices, span,
+                                                   batch_baseline,
+                                                   tmp_path):
+        """The joins relabel copies: finalizing twice gives the same
+        dataset, and the kept payloads and the checkpoint written at
+        finalize still carry detection-time labels."""
+        store = CheckpointStore(tmp_path / "stream.ckpt.json")
+        plan = FaultPlan.from_profile("reorg", CHAOS_SEED, *span)
+        engine = make_engine(sim_result, prices, span, checkpoint=store)
+        first = engine.run(FaultyFeed(sim_result.blockchain, plan))
+        second = engine.finalize()
+        assert first.fingerprint() == second.fingerprint() \
+            == batch_baseline.fingerprint()
+        # The joins did relabel the finalized dataset...
+        assert any(record.via_flashbots or record.via_flashloan
+                   or record.privacy is not None
+                   for record in first.all_records())
+        # ...but neither a kept payload nor the checkpoint.
+        kept = [record for payload in engine._payloads.values()
+                for record in payload.records]
+        assert len(kept) == len(first.all_records())
+        saved = [row for entry in store.load()["blocks"].values()
+                 for row in entry["payload"]["rows"]]
+        assert len(saved) == len(kept)
+        for labels in ([(r.via_flashbots, r.via_flashloan, r.privacy)
+                        for r in kept],
+                       [(row["via_flashbots"], row["via_flashloan"],
+                         row["privacy"]) for row in saved]):
+            assert set(labels) == {(False, False, None)}
+
+    def test_indexed_records_render_as_canonical_rows(self, sim_result,
+                                                      prices, span):
+        """Every record ``block_indexed`` hands out renders, through
+        the one renderer, to the row the serve store used to build:
+        ``to_rows()`` normalized tuple-for-list, for every kind."""
+        def canonical(record, kind):
+            row = {name: list(value) if isinstance(value, tuple)
+                   else value for name, value
+                   in dataclasses.asdict(record).items()}
+            row["kind"] = kind
+            return row
+
+        class Rows(StreamSubscriber):
+            def __init__(self):
+                self.records = []
+
+            def block_indexed(self, height, block_hash, records):
+                self.records.extend(records)
+
+        engine = make_engine(sim_result, prices, span)
+        rows = Rows()
+        engine.subscribe(rows)
+        engine.run(ChainFeed(sim_result.blockchain))
+        kinds = {"SandwichRecord": "sandwich",
+                 "ArbitrageRecord": "arbitrage",
+                 "LiquidationRecord": "liquidation"}
+        seen = set()
+        for record in rows.records:
+            kind = kinds[type(record).__name__]
+            rendered = record_row(record)
+            assert rendered == canonical(record, kind)
+            assert list(rendered) == list(canonical(record, kind))
+            seen.add(kind)
+            if kind == "arbitrage":
+                assert isinstance(record.venues, tuple)
+                assert isinstance(rendered["venues"], list)
+                assert isinstance(rendered["token_cycle"], list)
+        assert seen == set(kinds.values())
