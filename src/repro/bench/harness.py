@@ -367,34 +367,33 @@ def run_bench(bpm: int = 60, seed: int = 7,
     sim_identical = (block_sequence(reference.blockchain.blocks)
                      == block_sequence(result.blockchain.blocks))
 
-    # The chunks through the bare read paths, no shield: the
-    # single-pass scan over offset-sliced ranges vs. the four
-    # standalone detectors, each re-walking the chain linearly.  The
-    # gap between these two stages is what the fused scan buys.
-    indexed_node = ArchiveNode(result.blockchain)
+    # The chunks through the bare read path, no shield: the
+    # single-pass scan vs. the four standalone detectors, each
+    # re-reading every range.  The gap between these two stages is what
+    # the fused scan buys.
+    node = ArchiveNode(result.blockchain)
     detector = Detector(prices)
     indexed_payloads: List[ChunkPayload] = []
 
     def _indexed_pass() -> None:
         for lo, hi in chunks:
             indexed_payloads.append(
-                detector.scan_range(indexed_node, lo, hi))
+                detector.scan_range(node, lo, hi))
 
     started = _clock()
     profiler.run("detection_indexed", _indexed_pass)
     stages.append(_timed("detection_indexed", blocks,
                          _clock() - started))
 
-    linear_node = ArchiveNode(result.blockchain, indexed=False)
     linear_payloads: List[ChunkPayload] = []
 
     def _linear_pass() -> None:
         for lo, hi in chunks:
             linear_payloads.append(ChunkPayload(
-                (*detect_sandwiches(linear_node, prices, lo, hi),
-                 *detect_arbitrages(linear_node, prices, lo, hi),
-                 *detect_liquidations(linear_node, prices, lo, hi)),
-                frozenset(detect_flash_loan_txs(linear_node, lo, hi))))
+                (*detect_sandwiches(node, prices, lo, hi),
+                 *detect_arbitrages(node, prices, lo, hi),
+                 *detect_liquidations(node, prices, lo, hi)),
+                frozenset(detect_flash_loan_txs(node, lo, hi))))
 
     started = _clock()
     profiler.run("detection_linear", _linear_pass)

@@ -16,7 +16,6 @@ from repro.chain.events import EventLog
 from repro.chain.receipt import Receipt
 from repro.chain.transaction import Transaction
 from repro.chain.types import Hash32
-from repro.markers import fast_path
 
 E = TypeVar("E", bound=EventLog)
 
@@ -110,15 +109,11 @@ class ArchiveNode:
 
     Ranged queries read the chain's own :meth:`~Blockchain.iter_range`:
     an offset slice of an in-memory chain, or the segment reader plus
-    the resident tail of a spillable one.  ``indexed=False`` keeps the
-    historical linear scan of ``iter_blocks``, preserved as a reference
-    (benchmark baselines and equivalence tests compare the two paths
-    element for element).
+    the resident tail of a spillable one.
     """
 
-    def __init__(self, chain: Blockchain, indexed: bool = True) -> None:
+    def __init__(self, chain: Blockchain) -> None:
         self.chain = chain
-        self.indexed = indexed
 
     # Block-level queries -----------------------------------------------------
 
@@ -131,7 +126,6 @@ class ArchiveNode:
     def get_block(self, number: int) -> Optional[Block]:
         return self.chain.block_by_number(number)
 
-    @fast_path(reference="_linear_iter_blocks", toggle="indexed")
     def iter_blocks(self, from_block: Optional[int] = None,
                     to_block: Optional[int] = None) -> Iterator[Block]:
         """Yield blocks in ``[from_block, to_block]`` (inclusive bounds).
@@ -147,21 +141,7 @@ class ArchiveNode:
                 return
             if to_block is not None and from_block > to_block:
                 return
-        if not self.indexed:
-            yield from self._linear_iter_blocks(from_block, to_block)
-            return
         yield from self.chain.iter_range(from_block, to_block)
-
-    def _linear_iter_blocks(self, from_block: Optional[int],
-                            to_block: Optional[int]) -> Iterator[Block]:
-        """The historical O(chain) scan from the first stored block,
-        kept as the reference path."""
-        for block in self.chain.iter_range():
-            if from_block is not None and block.number < from_block:
-                continue
-            if to_block is not None and block.number > to_block:
-                break
-            yield block
 
     # Transaction-level queries -----------------------------------------------
 

@@ -1,9 +1,12 @@
 """Spillable block storage: fingerprinted, block-addressable segment files.
 
 A :class:`SegmentStore` persists completed epochs of a chain as segment
-files under one directory, indexed by a JSON manifest that records each
-segment's block range and content fingerprint.  A segment file (format
-2) is a header, a per-block index of ``(number, hash, tx_count, offset,
+files under one directory, indexed by a manifest that records each
+segment's block range and content fingerprint.  The manifest is a
+:class:`~repro.durable.RecordLog`: a format header, then one line per
+spill, so a spill costs one appended line however many segments the
+store holds, and a re-spilled epoch's last line wins.  A segment file
+is a header, a per-block index of ``(number, hash, tx_count, offset,
 length)`` entries, and then one pickle frame per block, so a read
 decodes only the blocks it asks for.  :class:`SpillingBlockchain` is a
 drop-in :class:`~repro.chain.node.Blockchain` that spills every
@@ -21,37 +24,43 @@ frame is used, the index must reproduce the manifest fingerprint and
 its frames must tile the rest of the file exactly; every decoded frame
 must then match its index entry on number, hash and transaction count.
 *Any* anomaly (missing or truncated file, an index that overruns the
-file, fingerprint mismatch, a corrupt frame, unknown manifest format)
-raises :class:`SegmentIntegrityError` with a clear message, and callers
-respond by re-simulating from scratch (`SegmentStore.open_or_create`),
-never by trusting a partially readable store.
+file, fingerprint mismatch, a corrupt frame, a malformed manifest line,
+unknown manifest format) raises :class:`SegmentIntegrityError` with a
+clear message, and callers respond by re-simulating from scratch
+(`SegmentStore.open_or_create`), never by trusting a partially
+readable store.  The one exception is a torn last manifest line, the
+trace of a crash mid-append: its segment was never acknowledged, so
+the line is dropped and the next spill truncates it away.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-import json
 import operator
 import os
 import pickle
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from repro.chain.block import Block
 from repro.chain.node import Blockchain
 from repro.chain.types import Hash32
+from repro.durable import RecordLog, write_atomic
 from repro.markers import fast_path
 
 #: On-disk layout version.  Bumped whenever the manifest schema or the
 #: segment file layout changes; stores written by other versions are
-#: rejected with a clear message, not a pickle error.
-SEGMENT_FORMAT = 2
+#: rejected with a clear message, not a pickle error.  Format 3 is the
+#: append-only manifest log.
+SEGMENT_FORMAT = 3
 
-MANIFEST_NAME = "manifest.json"
+MANIFEST_NAME = "manifest.log"
+#: The whole-document manifest of formats 1 and 2.
+_OLD_MANIFEST_NAME = "manifest.json"
 
 #: Segment file header: magic, format, number of index entries.
 _HEADER = struct.Struct(">4sHI")
@@ -76,41 +85,14 @@ class SegmentIntegrityError(RuntimeError):
     """A segment store is unreadable, inconsistent, or wrong-format.
 
     Callers must treat this as "the cache does not exist": wipe and
-    re-simulate (the PR-4 rule), never trust partial contents.
+    re-simulate, never trust partial contents.
     """
 
 
-def _fsync_dir(directory: str) -> None:
-    """Fsync a directory so a rename into it survives a crash.
+class _Manifest(RecordLog):
+    """The store's manifest log: one :class:`SegmentInfo` per line."""
 
-    Best effort on platforms where directories cannot be opened for
-    sync; the file-level fsync still ran.
-    """
-    try:
-        fd = os.open(directory, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def _write_durable(path: str, data: bytes) -> None:
-    """Crash-safe write: temp file, flush+fsync, atomic rename, then
-    directory fsync — readers see the old bytes or the new bytes,
-    never a partial file, even across power loss (the
-    :class:`~repro.reliability.checkpoint.CheckpointStore` protocol).
-    """
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(os.path.dirname(path) or ".")
+    error = SegmentIntegrityError
 
 
 def _materialize_hashes(blocks: Sequence[Block]) -> None:
@@ -143,7 +125,7 @@ def _fingerprint_blocks(blocks: Sequence[Block]) -> str:
 
 
 def _encode_segment(blocks: Sequence[Block]) -> bytes:
-    """Format-2 segment bytes: header, index, one frame per block."""
+    """Segment file bytes: header, index, one frame per block."""
     frames = [pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
               for block in blocks]
     parts = [_HEADER.pack(_MAGIC, SEGMENT_FORMAT, len(blocks))]
@@ -278,75 +260,64 @@ class SegmentFile:
 class SegmentStore:
     """Directory of fingerprinted per-epoch segment files + manifest.
 
-    Opening an existing directory validates the manifest format and
-    raises :class:`SegmentIntegrityError` on any anomaly — including a
-    monolithic or version-less cache written by an older repro.  Use
+    Opening an existing directory replays the manifest log and raises
+    :class:`SegmentIntegrityError` on any anomaly — including a
+    whole-document ``manifest.json`` written by an older repro.  Use
     :meth:`open_or_create` for the standard anomaly-means-fresh policy.
     """
 
     def __init__(self, root: str) -> None:
         self.root = root
-        #: manifest entries ordered by epoch, and their first blocks —
-        #: kept in step on open and write so lookups bisect them as is.
-        self._segments: List[SegmentInfo] = []
-        self._starts: List[int] = []
-        self._by_epoch: Dict[int, SegmentInfo] = {}
         #: background writer for overlapped spill I/O (None = synchronous)
         self._writer = None
         #: epochs whose segment file is still being written in the
         #: background; reads of these epochs are served from memory.
         self._in_flight: Dict[int, List[Block]] = {}
-        manifest = os.path.join(root, MANIFEST_NAME)
-        if not os.path.exists(manifest):
-            if os.path.isdir(root) and os.listdir(root):
-                raise SegmentIntegrityError(
-                    f"{root} is not a segment store (no manifest); "
-                    f"refusing to adopt a non-empty directory — wipe it "
-                    f"or use SegmentStore.create()")
-            os.makedirs(root, exist_ok=True)
-            self._write_manifest()
-            return
+        if os.path.exists(os.path.join(root, _OLD_MANIFEST_NAME)):
+            raise SegmentIntegrityError(
+                f"segment store at {root} keeps a whole-document "
+                f"{_OLD_MANIFEST_NAME}: it was written by an older repro "
+                f"(format 2 or older); this repro reads format "
+                f"{SEGMENT_FORMAT} — delete the store and re-simulate")
+        self._manifest = _Manifest(os.path.join(root, MANIFEST_NAME))
+        fresh = not self._manifest.exists()
+        if fresh and os.path.isdir(root) and os.listdir(root):
+            raise SegmentIntegrityError(
+                f"{root} is not a segment store (no manifest); "
+                f"refusing to adopt a non-empty directory — wipe it "
+                f"or use SegmentStore.create()")
+        os.makedirs(root, exist_ok=True)
+        records = self._manifest.open({"format": SEGMENT_FORMAT}, "epoch",
+                                      resume=True)
+        if fresh:
+            self._manifest.start()
         try:
-            with open(manifest, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, ValueError) as exc:
+            infos = [SegmentInfo(**record) for record in records.values()]
+        except TypeError as exc:
             raise SegmentIntegrityError(
-                f"segment manifest at {manifest} is unreadable "
-                f"({exc}); re-simulate from scratch")
-        if not isinstance(doc, dict) or "format" not in doc:
-            raise SegmentIntegrityError(
-                f"cache at {root} has no format marker — it was written "
-                f"by an older repro (<= 1.5.0 monolithic layout); "
-                f"delete it and re-simulate")
-        if doc["format"] != SEGMENT_FORMAT:
-            raise SegmentIntegrityError(
-                f"segment store at {root} is format {doc['format']!r}; "
-                f"this repro reads format {SEGMENT_FORMAT} — delete the "
-                f"store and re-simulate")
-        try:
-            infos = [SegmentInfo(**entry) for entry in doc["segments"]]
-        except (KeyError, TypeError) as exc:
-            raise SegmentIntegrityError(
-                f"segment manifest at {manifest} is malformed ({exc})")
+                f"segment manifest in {root} is malformed ({exc})")
         infos.sort(key=_epoch_of)
-        self._segments = infos
-        self._starts = [info.first_block for info in infos]
-        self._by_epoch = {info.epoch: info for info in infos}
+        #: manifest entries ordered by epoch, and their first blocks —
+        #: kept in step on open and write so lookups bisect them as is.
+        self._segments: List[SegmentInfo] = infos
+        self._starts: List[int] = [info.first_block for info in infos]
+        self._by_epoch: Dict[int, SegmentInfo] = {
+            info.epoch: info for info in infos}
 
     @classmethod
     def create(cls, root: str) -> "SegmentStore":
         """Initialize a fresh store at ``root``, wiping any prior one."""
         os.makedirs(root, exist_ok=True)
         for name in os.listdir(root):
-            if name == MANIFEST_NAME or name.endswith(".pkl") \
-                    or name.endswith(".tmp"):
+            if name in (MANIFEST_NAME, _OLD_MANIFEST_NAME) \
+                    or name.endswith(".pkl") or name.endswith(".tmp"):
                 os.remove(os.path.join(root, name))
         return cls(root)
 
     @classmethod
     def open_or_create(cls, root: str) -> "SegmentStore":
-        """Open ``root``; on *any* anomaly wipe it and start fresh
-        (the PR-4 cache rule: never trust a partially readable store)."""
+        """Open ``root``; on *any* anomaly wipe it and start fresh: a
+        store that is not wholly readable counts as no store at all."""
         try:
             return cls(root)
         except SegmentIntegrityError:
@@ -403,35 +374,17 @@ class SegmentStore:
             self._starts.insert(index, info.first_block)
         self._by_epoch[info.epoch] = info
 
-    def _manifest_payload(self) -> bytes:
-        doc = {
-            "format": SEGMENT_FORMAT,
-            "segments": [
-                {"epoch": info.epoch, "first_block": info.first_block,
-                 "last_block": info.last_block,
-                 "filename": info.filename,
-                 "fingerprint": info.fingerprint,
-                 "tx_count": info.tx_count}
-                for info in self._segments
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")
-
-    def _write_manifest(self) -> None:
-        _write_durable(os.path.join(self.root, MANIFEST_NAME),
-                       self._manifest_payload())
-
     # Overlapped writes ----------------------------------------------------
 
     def attach_writer(self, writer) -> None:
         """Route subsequent segment writes through a
         :class:`~repro.sim.overlap.BackgroundWriter`.
 
-        Each write then happens off the simulation thread: the segment
-        file and a manifest snapshot captured at submit time are written
-        durably by the worker, in submission order — so the on-disk
-        manifest only ever references fully durable segment files, and
-        a crash loses at most the still-queued tail.  Detach by passing
+        Each write then happens off the simulation thread: the worker
+        writes the segment file durably and only then appends its
+        manifest line, in submission order — so the manifest only ever
+        names fully durable segment files, and a crash loses at most
+        the still-queued tail.  Detach by passing
         ``None`` (pending writes must be flushed first by the caller).
         """
         self._writer = writer
@@ -450,14 +403,15 @@ class SegmentStore:
 
     def write_segment(self, epoch: int,
                       blocks: Sequence[Block]) -> SegmentInfo:
-        """Spill one epoch's blocks; durable file write + manifest update.
+        """Spill one epoch's blocks: a durable file write, then one
+        appended manifest line.
 
-        With a writer attached (:meth:`attach_writer`) the file write
-        and fsyncs happen on the background thread and this call returns
-        as soon as the job is queued; the manifest recorded with the job
-        is a snapshot taken now, which is correct because jobs complete
-        in order — every earlier segment it references is already
-        durable by the time it lands.  The pickle itself stays on the
+        With a writer attached (:meth:`attach_writer`) the file write,
+        the append and their fsyncs happen on the background thread and
+        this call returns as soon as the job is queued; jobs complete
+        in order, so the log's lines land in the same order, and with
+        the same bytes, as on the synchronous path.  The pickle itself
+        stays on the
         calling thread: it holds the GIL either way (offloading it buys
         nothing), and serializing *now* snapshots the blocks before the
         simulation mutates anything they reference — which, with the
@@ -482,17 +436,16 @@ class SegmentStore:
             fingerprint=_fingerprint_blocks(blocks),
             tx_count=sum(len(b.transactions) for b in blocks))
         self._record(info)
+        record = asdict(info)
         if self._writer is None:
-            _write_durable(path, payload)
-            self._write_manifest()
+            write_atomic(path, payload)
+            self._manifest.append(record)
             return info
         self._in_flight[epoch] = blocks
-        manifest_path = os.path.join(self.root, MANIFEST_NAME)
-        manifest_payload = self._manifest_payload()
 
         def job() -> None:
-            _write_durable(path, payload)
-            _write_durable(manifest_path, manifest_payload)
+            write_atomic(path, payload)
+            self._manifest.append(record)
             self._in_flight.pop(epoch, None)
 
         # BackgroundWriter.submit hands the closure to a same-process
@@ -537,7 +490,7 @@ class SegmentStore:
     # Sidecar files --------------------------------------------------------
     #
     # Epoch seals ride alongside the segments as ``seal-NNNNNN.pkl``
-    # sidecar files: durable (same temp+fsync+rename protocol) but not
+    # sidecar files: durable (written by ``write_atomic``) but not
     # manifest-indexed — a seal is an optimization for resume, never a
     # source of truth, so a missing or stale sidecar only costs a
     # re-simulation.
@@ -549,11 +502,11 @@ class SegmentStore:
         path = os.path.join(self.root, name)
         payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         if self._writer is None:
-            _write_durable(path, payload)
+            write_atomic(path, payload)
             return path
         # Same-process thread queue; the lambda is never pickled.
         self._writer.submit(f"sidecar {name}",  # repro-lint: disable=R103
-                            lambda: _write_durable(path, payload))
+                            lambda: write_atomic(path, payload))
         return path
 
     def load_sidecar(self, name: str) -> object:

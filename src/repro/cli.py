@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro run [--bpm N] [--seed S]        # full report
-    python -m repro run --checkpoint ck.json --resume   # resume a crash
+    python -m repro run --checkpoint ck.log --resume    # resume a crash
     python -m repro run --fault-profile chaos --fault-seed 3  # chaos run
     python -m repro table1 [--bpm N] [--seed S]     # just Table 1
     python -m repro figures [--bpm N] [--seed S]    # figure series
@@ -78,7 +78,8 @@ def _add_reliability(parser: argparse.ArgumentParser) -> None:
                         help="measure N blocks per checkpointable chunk "
                              "(default: the whole range in one chunk)")
     parser.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="write completed chunks to this JSON file")
+                        help="append each completed chunk to this "
+                             "checkpoint log")
     parser.add_argument("--resume", action="store_true",
                         help="continue from an existing checkpoint file "
                              "instead of starting over")
@@ -174,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="blocks behind the head before a streamed "
                              "block is confirmed (default 3)")
     stream.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="checkpoint the watermark and pending "
-                             "window to this JSON file")
+                        help="append each followed block's payload to "
+                             "this checkpoint log")
     stream.add_argument("--resume", action="store_true",
                         help="reuse payloads from an existing stream "
                              "checkpoint instead of recomputing")

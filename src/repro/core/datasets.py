@@ -255,34 +255,25 @@ class ChunkPayload:
     transactions.
 
     Compares by value and is never relabelled: a merge takes copies
-    (:meth:`MevDataset.extend`).  :meth:`document` renders its rows,
-    for the checkpoint only, once.  Slotted, with an empty block's
-    records the shared empty tuple: the stream keeps one per height.
+    (:meth:`MevDataset.extend`).  :meth:`document` renders its rows for
+    the checkpoint.  Slotted, with an empty block's records the shared
+    empty tuple: the stream keeps one per height.
     """
 
-    __slots__ = ("records", "flash_txs", "_document")
+    __slots__ = ("records", "flash_txs")
     records: Tuple[object, ...]
     flash_txs: FrozenSet[Hash32]
 
-    def __post_init__(self) -> None:
-        self._document: Optional[Dict[str, object]] = None
-
     def document(self) -> Dict[str, object]:
         """The checkpoint form, ``{"rows": [...], "flash_txs": [...]}``."""
-        if self._document is None:
-            self._document = {
-                "rows": [record_row(record) for record in self.records],
+        return {"rows": [record_row(record) for record in self.records],
                 "flash_txs": sorted(self.flash_txs)}
-        return self._document
 
     @classmethod
     def from_document(cls, document: Dict[str, Any]) -> "ChunkPayload":
-        """Parse a checkpointed payload, keeping the document as its
-        rendered form."""
+        """Parse a checkpointed payload."""
         parsed = MevDataset()
         for row in document["rows"]:
             parsed.add_row(row)
-        payload = cls(tuple(parsed.all_records()),
-                      frozenset(document["flash_txs"]))
-        payload._document = document
-        return payload
+        return cls(tuple(parsed.all_records()),
+                   frozenset(document["flash_txs"]))

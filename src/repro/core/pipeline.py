@@ -10,7 +10,7 @@ The run is engineered for imperfect sources, the way the real study's
 five-month crawl had to be:
 
 * the block range is processed in **chunks**; each completed chunk is
-  written to an atomic JSON checkpoint, so a crashed run restarted with
+  appended to a checkpoint log, so a crashed run restarted with
   ``RunConfig(resume=True)`` skips finished work and still produces a
   bit-identical dataset;
 * chunks execute through :class:`~repro.engine.ParallelExecutor` —
@@ -43,7 +43,7 @@ from repro.engine.config import RunConfig
 from repro.engine.executors import ParallelExecutor
 from repro.engine.runner import CHUNK_FAILURES, ChunkRunner
 from repro.flashbots.api import FlashbotsBlocksApi
-from repro.reliability.checkpoint import CheckpointError, CheckpointStore
+from repro.reliability.checkpoint import CheckpointStore
 from repro.reliability.quality import DataQualityReport, SourceQuality
 from repro.reliability.sources import SourceStats, fresh_source, \
     source_stats
@@ -268,8 +268,15 @@ class MevInspector:
             from_block=first, to_block=last,
             chunk_size=config.chunk_size or (last - first + 1),
             chunks_total=len(chunks))
-        state = self._load_state(store, first, last, config.chunk_size,
-                                 config.resume, quality)
+        state: Dict[str, ChunkPayload] = {}
+        if store is not None:
+            records = store.open(
+                {"from_block": first, "to_block": last,
+                 "chunk_size": config.chunk_size}, "key", config.resume)
+            state = {key: ChunkPayload.from_document(record["payload"])
+                     for key, record in records.items()}
+            quality.resumed = bool(state)
+            quality.chunks_resumed = len(state)
 
         failed: List[BlockRange] = []
         chunk_stats: Dict[BlockRange, SourceStats] = {}
@@ -285,8 +292,8 @@ class MevInspector:
                 continue
             state[key] = result.payload
             if store is not None:
-                self._save_state(store, first, last, config.chunk_size,
-                                 state)
+                store.append({"key": key,
+                              "payload": result.payload.document()})
 
         payloads = [state.get(_chunk_key(chunk)) for chunk in chunks]
         dataset = MevDataset()
@@ -303,38 +310,3 @@ class MevInspector:
                        node, flashbots_api, observer)
         dataset.quality = quality
         return dataset
-
-    # Range & chunk machinery ---------------------------------------------
-
-    @staticmethod
-    def _load_state(store: Optional[CheckpointStore], first: int,
-                    last: int, chunk_size: Optional[int], resume: bool,
-                    quality: DataQualityReport,
-                    ) -> Dict[str, ChunkPayload]:
-        if store is None or not resume:
-            return {}
-        document = store.load()
-        if document is None:
-            return {}
-        expected = {"from_block": first, "to_block": last,
-                    "chunk_size": chunk_size}
-        actual = {key: document.get(key) for key in expected}
-        if actual != expected:
-            raise CheckpointError(
-                f"checkpoint {store.path} was written for "
-                f"{actual}, cannot resume a run over {expected}")
-        state = {key: ChunkPayload.from_document(payload)
-                 for key, payload
-                 in (document.get("chunks") or {}).items()}
-        quality.resumed = True
-        quality.chunks_resumed = len(state)
-        return state
-
-    @staticmethod
-    def _save_state(store: CheckpointStore, first: int, last: int,
-                    chunk_size: Optional[int],
-                    state: Dict[str, ChunkPayload]) -> None:
-        store.save({"from_block": first, "to_block": last,
-                    "chunk_size": chunk_size,
-                    "chunks": {key: payload.document()
-                               for key, payload in state.items()}})

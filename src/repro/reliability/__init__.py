@@ -9,7 +9,7 @@ survive it:
   bit-for-bit;
 * :class:`CircuitBreaker` — per-source breaker with half-open probing,
   cooled down in call counts rather than wall-clock time (again R002);
-* :class:`CheckpointStore` — atomic JSON checkpoints of completed
+* :class:`CheckpointStore` — an append-only log of completed
   block-range chunks, enabling ``repro run --resume`` after a crash;
 * :class:`DataQualityReport` — per-source coverage, retries, breaker
   trips and gap ranges, attached to every :class:`MevDataset` so

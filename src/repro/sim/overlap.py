@@ -2,8 +2,8 @@
 
 Long sharded runs spend their per-epoch budget in two places that have
 nothing to do with simulating blocks: durably writing the completed
-epoch's artifacts (segment pickle, manifest, seal snapshot) and cyclic
-garbage collection over an ever-larger heap.  This module removes both
+epoch's artifacts (segment pickle, manifest line, seal snapshot) and
+cyclic garbage collection over an ever-larger heap.  This module removes both
 from the simulation thread:
 
 * :class:`BackgroundWriter` — a single worker thread fed through a
@@ -23,9 +23,9 @@ from the simulation thread:
   draws and touches no simulated state, so simulated output is
   byte-identical with the regime on or off.
 
-Crash safety is owned by the callers' write protocols (temp file +
-``fsync`` + ``os.replace`` + directory ``fsync``, with the manifest
-written only after its segment is durable — see
+Crash safety is owned by the callers' write protocols
+(:func:`repro.durable.write_atomic` for whole files, and the segment's
+manifest line appended only after its segment is durable — see
 :mod:`repro.chain.segments`); this module only supplies the ordered,
 observable execution lane those protocols run in.
 """

@@ -15,17 +15,18 @@ construction, not by luck — to everything a real feed does:
   that comes back reuses its retracted payload); a fork that reaches
   at-or-below the confirmation watermark raises
   :class:`StreamDivergenceError`, because confirmed rows are immutable;
-* **crashes** — the watermark and the per-height payload window are
-  checkpointed through :class:`~repro.reliability.checkpoint.CheckpointStore`;
-  a resumed run replays the feed and reuses every payload whose
-  ``(height, hash)`` still matches, reproducing the uninterrupted run's
-  rows bit-for-bit.
+* **crashes** — every appended block's ``(height, hash, payload)`` is
+  one record appended to a
+  :class:`~repro.reliability.checkpoint.CheckpointStore` log; a resumed
+  run replays the feed and reuses every payload whose ``(height,
+  hash)`` is the log's last record for that height, reproducing the
+  uninterrupted run's rows bit-for-bit.
 
 Detection itself is *not* reimplemented: the engine owns one
 :class:`~repro.core.scan.Detector`, as each batch chunk runner does,
 and scans every appended block where it stands.  The typed
 :class:`~repro.core.datasets.ChunkPayload` it returns is kept per
-height; rows are rendered from it only for the checkpoint, once.
+height; rows are rendered from it only for the checkpoint.
 :meth:`StreamEngine.finalize` assembles the dataset with the batch
 pipeline's own merge/join/quality functions over per-height chunks.
 Convergence with ``MevInspector.run(config=RunConfig(chunk_size=1))``
@@ -49,7 +50,7 @@ from repro.core.profit import PriceService
 from repro.core.scan import Detector
 from repro.faults.feed import FeedEvent
 from repro.flashbots.api import FlashbotsBlocksApi
-from repro.reliability.checkpoint import CheckpointError, CheckpointStore
+from repro.reliability.checkpoint import CheckpointStore
 from repro.reliability.quality import DataQualityReport
 from repro.reliability.sources import SourceStats
 
@@ -161,9 +162,10 @@ class StreamEngine:
     equal to the tip's) and truncated across reorgs.  Beside it sits
     one detection payload per appended height, computed by the
     engine's :class:`~repro.core.scan.Detector` over the block in hand
-    the moment it lands.  Heights at-or-below ``head - confirm_depth`` are
-    *confirmed*: their payloads are immutable (a reorg reaching them is
-    a :class:`StreamDivergenceError`) and checkpointed.
+    the moment it lands, and appended to the checkpoint log.  Heights
+    at-or-below ``head - confirm_depth`` are *confirmed*: their payloads
+    are immutable (a reorg reaching them is a
+    :class:`StreamDivergenceError`).
     """
 
     def __init__(self, prices: PriceService, first_block: int,
@@ -193,45 +195,18 @@ class StreamEngine:
         self._watermark = first_block - 1
         self._subscribers: List[StreamSubscriber] = []
         self._store = CheckpointStore.coerce(checkpoint)
-        self._resumed = False
-        #: per checkpointed height: its block hash and payload
+        #: the resumed log's last record per height: its block hash
+        #: and payload
         self._saved: Dict[int, Tuple[Hash32, ChunkPayload]] = {}
-        if resume and self._store is not None:
-            self._saved = self._load_saved()
-            self._resumed = bool(self._saved)
-
-    # Construction helpers ------------------------------------------------
-
-    def _load_saved(self) -> Dict[int, Tuple[Hash32, ChunkPayload]]:
-        assert self._store is not None
-        document = self._store.load()
-        if document is None:
-            return {}
-        expected = {"stream": True, "first_block": self.first_block,
-                    "confirm_depth": self.confirm_depth}
-        actual = {key: document.get(key) for key in expected}
-        if actual != expected:
-            raise CheckpointError(
-                f"checkpoint {self._store.path} was written for "
-                f"{actual}, cannot resume a stream over {expected}")
-        return {int(height): (entry["hash"],
-                              ChunkPayload.from_document(entry["payload"]))
-                for height, entry
-                in (document.get("blocks") or {}).items()}
-
-    def _save(self) -> None:
-        if self._store is None:
-            return
-        self._store.save({
-            "stream": True,
-            "first_block": self.first_block,
-            "confirm_depth": self.confirm_depth,
-            "watermark": self._watermark,
-            "blocks": {str(height): {"hash": self._hashes[height],
-                                     "payload": payload.document()}
-                       for height, payload
-                       in sorted(self._payloads.items())},
-        })
+        if self._store is not None:
+            records = self._store.open(
+                {"stream": True, "first_block": first_block,
+                 "confirm_depth": confirm_depth}, "height", resume)
+            self._saved = {
+                height: (record["hash"],
+                         ChunkPayload.from_document(record["payload"]))
+                for height, record in records.items()}
+        self._resumed = bool(self._saved)
 
     # Subscribers ---------------------------------------------------------
 
@@ -278,7 +253,6 @@ class StreamEngine:
             self._append(block)
         self._drain_future()
         self._advance_watermark(self.confirm_depth)
-        self._save()
 
     def _append(self, block: Block) -> None:
         """Link ``block`` to the tip as ``Blockchain.append`` does,
@@ -305,11 +279,15 @@ class StreamEngine:
         if saved is not None and saved[0] == block_hash:
             payload = saved[1]
             self.report.payloads_reused += 1
-        elif block_hash in self._retracted.get(number, ()):
-            payload = self._retracted[number].pop(block_hash)
-            self.report.rescans_skipped += 1
         else:
-            payload = self._detector.scan_block(block)
+            if block_hash in self._retracted.get(number, ()):
+                payload = self._retracted[number].pop(block_hash)
+                self.report.rescans_skipped += 1
+            else:
+                payload = self._detector.scan_block(block)
+            if self._store is not None:
+                self._store.append({"height": number, "hash": block_hash,
+                                    "payload": payload.document()})
         self._payloads[number] = payload
         self._hashes[number] = block_hash
         for subscriber in self._subscribers:
@@ -406,7 +384,6 @@ class StreamEngine:
                 subscriber.stream_finalized(dataset)
             return dataset
         self._advance_watermark(0)
-        self._save()
         first = self.first_block
         heights = range(first, head + 1)
         quality = DataQualityReport(

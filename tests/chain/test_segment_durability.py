@@ -1,14 +1,14 @@
 """Durability tests for the segment store's crash-safe write protocol.
 
-Segment and manifest writes follow the
-:class:`~repro.reliability.checkpoint.CheckpointStore` protocol — temp
-file, flush+fsync, atomic rename, directory fsync — and with a
-:class:`~repro.sim.overlap.BackgroundWriter` attached the manifest
-snapshot recorded with each job only ever references segments that are
-already durable.  These tests pin the consequences: two fsyncs per
-write, a previous generation surviving a crash mid-write, in-flight
-epochs served from memory, and a SIGKILLed writer leaving a manifest
-whose every entry loads cleanly.
+Segment files are written by :func:`repro.durable.write_atomic` — temp
+file, flush+fsync, atomic rename, directory fsync — and only then is
+the segment's line appended to the manifest log, so with a
+:class:`~repro.sim.overlap.BackgroundWriter` attached the manifest only
+ever names segments that are already durable.  These tests pin the
+consequences: two fsyncs per file write, a crash mid-write leaving the
+manifest without the torn segment, in-flight epochs served from
+memory, and a SIGKILLed writer leaving a manifest whose every entry
+loads cleanly.
 """
 
 import os
@@ -58,8 +58,8 @@ class TestDurableWrite:
 
     def test_crash_mid_write_keeps_previous_generation(self, tmp_path,
                                                        monkeypatch):
-        """A crash *before* the rename leaves the old manifest — which
-        never references the segment whose write was torn."""
+        """A crash *before* the segment file's rename appends nothing to
+        the manifest, so it never names the torn segment."""
         root = str(tmp_path / "segs")
         store = SegmentStore.create(root)
         blocks = build_blocks(6)
@@ -166,8 +166,11 @@ class TestCrashSafety:
         assert process.returncode == -9  # really died by SIGKILL
 
         # The store reopens without open_or_create falling back to a
-        # wipe: the manifest is intact and references only epochs that
-        # were durable before the kill.
+        # wipe: the manifest is intact — its header and one line per
+        # durable epoch — and references only epochs that were durable
+        # before the kill.
+        with open(os.path.join(root, MANIFEST_NAME), "rb") as handle:
+            assert handle.read().count(b"\n") == 3
         store = SegmentStore(root)
         durable = [info.epoch for info in store.segments]
         assert durable == [0, 1]

@@ -73,10 +73,11 @@ class TestSegmentStore:
         loaded = store.load_segment(1)
         assert [b.number for b in loaded] == [4, 5, 6]
         assert [b.hash for b in loaded] == [b.hash for b in blocks[3:6]]
-        manifest = json.loads(
-            (tmp_path / "segs" / MANIFEST_NAME).read_text())
-        assert manifest["format"] == SEGMENT_FORMAT
-        assert len(manifest["segments"]) == 4
+        header, *entries = (tmp_path / "segs" / MANIFEST_NAME) \
+            .read_text().splitlines()
+        assert json.loads(header) == {"format": SEGMENT_FORMAT}
+        assert [json.loads(entry)["epoch"] for entry in entries] \
+            == [0, 1, 2, 3]
 
     def test_segment_for_block_bisects(self, tmp_path):
         store, _ = filled_store(tmp_path)
@@ -246,40 +247,58 @@ class TestFormat2Integrity:
         assert_fails_closed(store, 0, 2, "overruns")
 
 
+def write_manifest(root, header, *entries):
+    """A manifest log by hand: a header line, then one line per entry."""
+    (root / MANIFEST_NAME).write_text("".join(
+        json.dumps(line) + "\n" for line in (header, *entries)))
+
+
 class TestFormatRejection:
     def test_formatless_manifest_names_the_old_layout(self, tmp_path):
-        """A cache written by <= 1.5.0 (no format marker) is rejected
-        with a message that says so, never a pickle traceback."""
+        """A whole-document ``manifest.json`` (formats 1 and 2, with or
+        without a format marker) is rejected with a message that says
+        so, never a pickle traceback."""
         root = tmp_path / "old"
         root.mkdir()
-        (root / MANIFEST_NAME).write_text(json.dumps({"segments": []}))
+        (root / "manifest.json").write_text(json.dumps({"segments": []}))
         with pytest.raises(SegmentIntegrityError,
-                           match=r"older repro \(<= 1\.5\.0"):
+                           match=r"manifest\.json: it was written by an "
+                                 r"older repro \(format 2 or older\)"):
             SegmentStore(str(root))
 
     def test_future_format_rejected_clearly(self, tmp_path):
         root = tmp_path / "future"
         root.mkdir()
-        (root / MANIFEST_NAME).write_text(
-            json.dumps({"format": SEGMENT_FORMAT + 1, "segments": []}))
+        write_manifest(root, {"format": SEGMENT_FORMAT + 1})
         with pytest.raises(SegmentIntegrityError,
-                           match=f"format {SEGMENT_FORMAT}"):
+                           match=f"format={SEGMENT_FORMAT + 1}; this run "
+                                 f"needs format={SEGMENT_FORMAT}"):
             SegmentStore(str(root))
 
     def test_format_1_store_is_rejected_then_wiped(self, tmp_path):
         """A whole-epoch-pickle store (format 1) is refused by name, and
-        open_or_create answers it with a fresh format-2 store."""
-        root = tmp_path / "v1"
+        open_or_create answers it with a fresh store."""
+        self.assert_rejected_then_wiped(tmp_path, old_format=1)
+
+    def test_format_2_store_is_rejected_then_wiped(self, tmp_path):
+        """An indexed-frame store with a whole-document manifest
+        (format 2) is refused the same way."""
+        self.assert_rejected_then_wiped(tmp_path, old_format=2)
+
+    @staticmethod
+    def assert_rejected_then_wiped(tmp_path, old_format):
+        root = tmp_path / f"v{old_format}"
         root.mkdir()
         blocks = build_blocks(3)
-        (root / MANIFEST_NAME).write_text(json.dumps({
-            "format": 1,
+        (root / "manifest.json").write_text(json.dumps({
+            "format": old_format,
             "segments": [{"epoch": 0, "first_block": 1, "last_block": 3,
                           "filename": "seg-000000.pkl",
                           "fingerprint": "0" * 64, "tx_count": 3}]}))
         (root / "seg-000000.pkl").write_bytes(pickle.dumps(blocks))
         with pytest.raises(SegmentIntegrityError,
-                           match="is format 1; this repro reads format 2"):
+                           match=f"this repro reads format "
+                                 f"{SEGMENT_FORMAT}"):
             SegmentStore(str(root))
         store = SegmentStore.open_or_create(str(root))
         assert store.segments == []
@@ -295,15 +314,31 @@ class TestFormatRejection:
     def test_garbage_manifest(self, tmp_path):
         root = tmp_path / "garbage"
         root.mkdir()
-        (root / MANIFEST_NAME).write_text("{not json")
-        with pytest.raises(SegmentIntegrityError, match="unreadable"):
+        (root / MANIFEST_NAME).write_text("{not json\n")
+        with pytest.raises(SegmentIntegrityError,
+                           match="line 1 is malformed"):
             SegmentStore(str(root))
 
+    def test_malformed_entry_fails_closed(self, tmp_path):
+        """Only a torn *last* line is a crash artefact: a bad line with
+        entries after it, or an entry of the wrong shape, is not."""
+        store, _ = filled_store(tmp_path)
+        path = tmp_path / "segs" / MANIFEST_NAME
+        header, *entries = path.read_text().splitlines(keepends=True)
+        path.write_text(header + entries[0] + '{"epoch": 9, "fi\n'
+                        + "".join(entries[1:]))
+        with pytest.raises(SegmentIntegrityError,
+                           match="line 3 is malformed"):
+            SegmentStore(store.root)
+        path.write_text(header + '{"epoch": 0}\n')
+        with pytest.raises(SegmentIntegrityError, match="malformed"):
+            SegmentStore(store.root)
+
     def test_open_or_create_answers_anomaly_with_fresh(self, tmp_path):
-        """The PR-4 rule: any anomaly means re-simulate from scratch."""
+        """Any anomaly means re-simulate from scratch."""
         root = tmp_path / "recover"
         root.mkdir()
-        (root / MANIFEST_NAME).write_text(json.dumps({"segments": []}))
+        write_manifest(root, {"format": SEGMENT_FORMAT}, {"epoch": 0})
         (root / "seg-000000.pkl").write_bytes(b"stale garbage")
         store = SegmentStore.open_or_create(str(root))
         assert store.segments == []
@@ -312,6 +347,45 @@ class TestFormatRejection:
         store.write_segment(0, blocks)
         assert [b.hash for b in store.load_segment(0)] == \
             [b.hash for b in blocks]
+
+
+class TestManifestLog:
+    def test_each_spill_appends_one_line(self, tmp_path):
+        store = SegmentStore.create(str(tmp_path / "segs"))
+        path = tmp_path / "segs" / MANIFEST_NAME
+        blocks = build_blocks(9)
+        assert len(path.read_bytes().splitlines()) == 1  # the header
+        for epoch in range(3):
+            before = path.read_bytes()
+            store.write_segment(epoch, blocks[epoch * 3:epoch * 3 + 3])
+            after = path.read_bytes()
+            assert after.startswith(before)
+            assert after[len(before):].count(b"\n") == 1
+
+    def test_torn_last_line_is_dropped_then_truncated(self, tmp_path):
+        """A crash mid-append leaves a torn last line: the store reopens
+        without it, and the next spill starts a clean line over it."""
+        store, blocks = filled_store(tmp_path, epochs=3)
+        path = tmp_path / "segs" / MANIFEST_NAME
+        with open(path, "ab") as handle:
+            handle.write(b'{"epoch": 3, "filename": "seg-0000')
+        reopened = SegmentStore(store.root)
+        assert [info.epoch for info in reopened.segments] == [0, 1, 2]
+        more = build_blocks(12)[9:]
+        reopened.write_segment(3, more)
+        again = SegmentStore(store.root)
+        assert [info.epoch for info in again.segments] == [0, 1, 2, 3]
+        assert [b.hash for b in again.load_segment(3)] == \
+            [b.hash for b in more]
+        assert all(json.loads(line) for line in
+                   path.read_text().splitlines())
+
+    def test_create_wipes_an_old_manifest(self, tmp_path):
+        root = tmp_path / "segs"
+        root.mkdir()
+        (root / "manifest.json").write_text(json.dumps({"format": 2}))
+        SegmentStore.create(str(root))
+        assert sorted(os.listdir(root)) == [MANIFEST_NAME]
 
 
 @pytest.fixture
@@ -405,7 +479,7 @@ class TestSegmentReader:
 
 class TestSpillingBlockchain:
     def spilled_pair(self, tmp_path, num_blocks=14, epoch_blocks=3,
-                     max_resident=2):
+                     max_resident=2, bounded=True):
         """The same block sequence appended to a plain chain and a
         spilling chain (shared objects; both stamp identical linkage)."""
         blocks = build_blocks(num_blocks)
@@ -413,7 +487,7 @@ class TestSpillingBlockchain:
         store = SegmentStore.create(str(tmp_path / "segs"))
         spilling = SpillingBlockchain(
             store, epoch_blocks=epoch_blocks,
-            max_resident_epochs=max_resident)
+            max_resident_epochs=max_resident, bounded=bounded)
         for block in blocks:
             plain.append(block)
             spilling.append(block)
@@ -451,13 +525,15 @@ class TestSpillingBlockchain:
         assert block.number == 1 and position == 0
         assert spilling.locate_transaction("0x" + "00" * 32) is None
 
-    @pytest.mark.parametrize("indexed", [True, False],
+    @pytest.mark.parametrize("bounded", [True, False],
                              ids=["sliced", "linear"])
-    def test_archive_node_reads_spilled_blocks(self, tmp_path, indexed):
-        """Both node read paths go through the chain's ``iter_range``:
-        spilled segments first, never only the resident tail."""
-        plain, spilling = self.spilled_pair(tmp_path)
-        node = ArchiveNode(spilling, indexed=indexed)
+    def test_archive_node_reads_spilled_blocks(self, tmp_path, bounded):
+        """The node reads through the chain's ``iter_range`` — spilled
+        segments first, never only the resident tail — over both
+        segment read paths: the LRU's sliced reads and the unbounded
+        reference's linear manifest walk."""
+        plain, spilling = self.spilled_pair(tmp_path, bounded=bounded)
+        node = ArchiveNode(spilling)
         assert spilling.blocks[0].number > 1  # blocks 1.. were evicted
         assert node.earliest_block_number() == 1
         for lo, hi in ((None, None), (-3, 4), (2, 12), (13, 99)):

@@ -77,7 +77,7 @@ class TestParallelCrashResume:
             resume_workers):
         first, last = span
         cutoff = first + (last - first) // 2
-        crashed_ck = tmp_path / "crashed.json"
+        crashed_ck = tmp_path / "crashed.log"
 
         crashing = make_inspector(
             sim_result, node=BlockCutoffNode(sim_result.node, cutoff))
@@ -90,7 +90,7 @@ class TestParallelCrashResume:
 
         # Resume the same checkpoint at different worker counts; each
         # resume gets its own copy so the runs cannot interfere.
-        ck = tmp_path / f"resume-{resume_workers}.json"
+        ck = tmp_path / f"resume-{resume_workers}.log"
         shutil.copy(crashed_ck, ck)
         resumed = make_inspector(sim_result).run(
             config=RunConfig(chunk_size=25, checkpoint=ck, resume=True,
@@ -107,7 +107,7 @@ class TestParallelCrashResume:
         full quality ledger, not just the rows."""
         first, last = span
         cutoff = first + (last - first) // 2
-        crashed_ck = tmp_path / "crashed.json"
+        crashed_ck = tmp_path / "crashed.log"
         crashing = make_inspector(
             sim_result, node=BlockCutoffNode(sim_result.node, cutoff))
         with pytest.raises(SimulatedCrash):
@@ -117,7 +117,7 @@ class TestParallelCrashResume:
 
         prints = []
         for workers in (1, 4):
-            ck = tmp_path / f"q-{workers}.json"
+            ck = tmp_path / f"q-{workers}.log"
             shutil.copy(crashed_ck, ck)
             resumed = make_inspector(sim_result).run(
                 config=RunConfig(chunk_size=25, checkpoint=ck,

@@ -157,7 +157,6 @@ class TestRepoIsDeepClean:
                    for d in fn.decorators):
                 marked.add(name)
         assert "repro.chain.mempool:Mempool.ordered" in marked
-        assert "repro.chain.node:ArchiveNode.iter_blocks" in marked
         assert "repro.agents.searcher:Searcher._probe_cycle" in marked \
             or ("repro.agents.searcher:ArbitrageSearcher._probe_cycle"
                 in marked)

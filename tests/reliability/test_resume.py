@@ -82,11 +82,11 @@ class TestChunking:
 
     def test_checkpointed_run_equals_plain_run(self, sim_result,
                                                baseline, tmp_path):
-        store = CheckpointStore(tmp_path / "full.json")
+        store = CheckpointStore(tmp_path / "full.log")
         dataset = run_inspector(sim_result, config=RunConfig(
             chunk_size=CHUNK, checkpoint=store))
         assert dataset.records_equal(baseline)
-        assert len(store.load()["chunks"]) == 10
+        assert len(store.load("key")[1]) == 10
 
 
 class TestCrashResume:
@@ -99,16 +99,16 @@ class TestCrashResume:
         assert counter.calls > 0
 
         # Kill the run halfway through its archive traffic.
-        store = CheckpointStore(tmp_path / "crash.json")
+        store = CheckpointStore(tmp_path / "crash.log")
         crasher = CrashingProxy(sim_result.node, counter.calls // 2)
         with pytest.raises(SimulatedCrash):
             make_inspector(sim_result, crasher).run(config=RunConfig(
                 chunk_size=CHUNK, checkpoint=store))
 
         # The checkpoint survived the crash with a strict subset done.
-        saved = store.load()
+        saved = store.load("key")
         assert saved is not None
-        completed = len(saved["chunks"])
+        completed = len(saved[1])
         assert 0 < completed < 10
 
         # Restart against the healthy node: identical records, and the
@@ -122,7 +122,7 @@ class TestCrashResume:
 
     def test_resume_of_a_finished_run_recomputes_nothing(
             self, sim_result, baseline, tmp_path):
-        store = CheckpointStore(tmp_path / "done.json")
+        store = CheckpointStore(tmp_path / "done.log")
         run_inspector(sim_result, config=RunConfig(
             chunk_size=CHUNK, checkpoint=store))
 
@@ -138,7 +138,7 @@ class TestCrashResume:
             self, sim_result, tmp_path):
         """A checkpoint written for one (range, chunk_size) must never
         silently seed a different run."""
-        store = CheckpointStore(tmp_path / "mismatch.json")
+        store = CheckpointStore(tmp_path / "mismatch.log")
         run_inspector(sim_result, config=RunConfig(
             chunk_size=CHUNK, checkpoint=store))
         with pytest.raises(CheckpointError):
@@ -147,7 +147,7 @@ class TestCrashResume:
 
     def test_without_resume_flag_checkpoint_is_ignored(
             self, sim_result, baseline, tmp_path):
-        store = CheckpointStore(tmp_path / "cold.json")
+        store = CheckpointStore(tmp_path / "cold.log")
         run_inspector(sim_result, config=RunConfig(
             chunk_size=CHUNK, checkpoint=store))
         # A fresh run (no --resume) recomputes and overwrites cleanly.

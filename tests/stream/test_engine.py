@@ -236,14 +236,14 @@ class TestRescanReuse:
         came from the checkpoint: at most ``chunks_total``, however
         often a reorg re-appended a checkpointed block.  Skipped
         rescans are not resumed chunks."""
-        store = CheckpointStore(tmp_path / "stream.ckpt.json")
+        store = CheckpointStore(tmp_path / "stream.ckpt.log")
         plan = FaultPlan.from_profile("reorg", CHAOS_SEED, *span)
         events = list(FaultyFeed(sim_result.blockchain, plan))
         crashed = make_engine(sim_result, prices, span, checkpoint=store)
         for event in events[:len(events) // 2]:
             crashed.ingest(event)
-        saved = {int(height): entry["hash"]
-                 for height, entry in store.load()["blocks"].items()}
+        saved = {height: entry["hash"]
+                 for height, entry in store.load("height")[1].items()}
         resumed = make_engine(sim_result, prices, span, checkpoint=store,
                               resume=True)
         recorder = Recorder()
@@ -302,9 +302,9 @@ class TestTypedPayloads:
                                                    batch_baseline,
                                                    tmp_path):
         """The joins relabel copies: finalizing twice gives the same
-        dataset, and the kept payloads and the checkpoint written at
-        finalize still carry detection-time labels."""
-        store = CheckpointStore(tmp_path / "stream.ckpt.json")
+        dataset, and the kept payloads and the checkpoint log still
+        carry detection-time labels."""
+        store = CheckpointStore(tmp_path / "stream.ckpt.log")
         plan = FaultPlan.from_profile("reorg", CHAOS_SEED, *span)
         engine = make_engine(sim_result, prices, span, checkpoint=store)
         first = engine.run(FaultyFeed(sim_result.blockchain, plan))
@@ -319,7 +319,7 @@ class TestTypedPayloads:
         kept = [record for payload in engine._payloads.values()
                 for record in payload.records]
         assert len(kept) == len(first.all_records())
-        saved = [row for entry in store.load()["blocks"].values()
+        saved = [row for entry in store.load("height")[1].values()
                  for row in entry["payload"]["rows"]]
         assert len(saved) == len(kept)
         for labels in ([(r.via_flashbots, r.via_flashloan, r.privacy)

@@ -1,8 +1,8 @@
 """Crash-kill a mid-stream follower, resume, and land bit-identically.
 
-The checkpoint carries the watermark plus every pending ``(height,
-hash, payload)``; a resumed engine replays the feed and reuses each
-payload whose identity still matches — so the resumed run's dataset is
+The checkpoint log holds one ``(height, hash, payload)`` record per
+appended block; a resumed engine replays the feed and reuses each
+payload whose identity matches the log's last record for its height — so the resumed run's dataset is
 indistinguishable from the uninterrupted run's, modulo the honest
 ``resumed`` markers in the quality report.
 """
@@ -11,6 +11,8 @@ import json
 
 import pytest
 
+from repro import run_inspector
+from repro.engine import RunConfig
 from repro.faults import FaultPlan
 from repro.faults.feed import ChainFeed, FaultyFeed
 from repro.reliability import CheckpointError, CheckpointStore
@@ -30,7 +32,7 @@ def modulo_resume(dataset):
 
 @pytest.fixture
 def store(tmp_path):
-    return CheckpointStore(tmp_path / "stream.ckpt.json")
+    return CheckpointStore(tmp_path / "stream.ckpt.log")
 
 
 def make_engine(sim_result, prices, span, **kwargs):
@@ -61,7 +63,7 @@ class TestCrashResume:
         for event in events[:len(events) // 2]:
             crashed.ingest(event)
         assert store.exists()
-        saved = store.load()["blocks"]
+        _, saved = store.load("height")
 
         resumed_engine = make_engine(sim_result, prices, span,
                                      checkpoint=store, resume=True)
@@ -75,7 +77,7 @@ class TestCrashResume:
         assert quality.chunks_resumed == sum(
             1 for height, entry in saved.items()
             if sim_result.blockchain.block_by_number(
-                int(height)).hash == entry["hash"])
+                height).hash == entry["hash"])
         assert 0 < quality.chunks_resumed <= quality.chunks_total
         assert quality.chunks_resumed \
             <= resumed_engine.report.payloads_reused
@@ -97,7 +99,7 @@ class TestCrashResume:
         crashed = make_engine(sim_result, prices, span, checkpoint=store)
         for event in list(FaultyFeed(sim_result.blockchain, plan))[:40]:
             crashed.ingest(event)
-        saved = store.load()["blocks"]
+        _, saved = store.load("height")
         # Resume over the *clean* feed: any saved fork-block payload is
         # stale; canonical heights still reuse.
         resumed_engine = make_engine(sim_result, prices, span,
@@ -106,7 +108,7 @@ class TestCrashResume:
         canonical_saved = sum(
             1 for height, entry in saved.items()
             if sim_result.blockchain.block_by_number(
-                int(height)).hash == entry["hash"])
+                height).hash == entry["hash"])
         assert resumed_engine.report.payloads_reused == canonical_saved
         baseline = make_engine(sim_result, prices, span).run(
             ChainFeed(sim_result.blockchain))
@@ -127,7 +129,43 @@ class TestCheckpointIdentity:
 
     def test_batch_checkpoint_rejected(self, sim_result, prices, span,
                                        store):
-        store.save({"from_block": span[0], "chunks": {}})
+        store.open({"from_block": span[0], "to_block": span[1],
+                    "chunk_size": 1}, "key", resume=False)
+        store.append({"key": f"{span[0]}-{span[0]}", "payload": {
+            "rows": [], "flash_txs": []}})
         with pytest.raises(CheckpointError):
             make_engine(sim_result, prices, span, checkpoint=store,
                         resume=True)
+
+
+class LineCountingStore(CheckpointStore):
+    """A checkpoint that checks, at every append, that the file is its
+    header plus exactly one line per append so far."""
+
+    appends = 0
+
+    def append(self, record):
+        super().append(record)
+        self.appends += 1
+        assert self.path.read_bytes().count(b"\n") == 1 + self.appends
+
+
+class TestLogGrowth:
+    def test_each_chunk_and_block_appends_one_line(self, sim_result,
+                                                   prices, span,
+                                                   tmp_path):
+        """A save costs one line whatever the run's length: a
+        ``chunk_size=1`` batch run appends one per completed chunk and
+        a follow over a reorging feed one per appended block."""
+        batch = LineCountingStore(tmp_path / "batch.log")
+        dataset = run_inspector(sim_result, config=RunConfig(
+            chunk_size=1, checkpoint=batch))
+        assert batch.appends == dataset.quality.chunks_completed \
+            == span[1] - span[0] + 1
+
+        stream = LineCountingStore(tmp_path / "stream.log")
+        plan = FaultPlan.from_profile("reorg", CHAOS_SEED, *span)
+        engine = make_engine(sim_result, prices, span, checkpoint=stream)
+        engine.run(FaultyFeed(sim_result.blockchain, plan))
+        assert engine.report.reorgs > 0
+        assert stream.appends == engine.report.appended
