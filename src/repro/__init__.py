@@ -217,7 +217,9 @@ def quick_study(blocks_per_month: int = 60, seed: int = 7,
     feasible on a small box.  Spilled runs write segments on a
     background thread and use the flat-GC long-run regime by default
     (``overlap_io=False`` restores fully synchronous spills; the files
-    are byte-identical either way).
+    are byte-identical either way).  The run re-simulates from genesis,
+    so any store already in ``segment_dir`` is wiped first and a rerun
+    leaves the same store as the first run.
     """
     config = ScenarioConfig(blocks_per_month=blocks_per_month, seed=seed,
                             **config_overrides)
@@ -226,7 +228,7 @@ def quick_study(blocks_per_month: int = 60, seed: int = 7,
     if segment_dir is not None:
         from repro.chain.segments import SegmentStore
         world.attach_segment_store(
-            SegmentStore.open_or_create(str(segment_dir)),
+            SegmentStore.create(str(segment_dir)),
             max_resident_epochs=max_resident_epochs
             if max_resident_epochs is not None else 2,
             overlap_io=overlap_io)

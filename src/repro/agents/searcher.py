@@ -20,12 +20,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chain.transaction import Transaction
 from repro.chain.types import Address, Hash32, address_from_label
-from repro.dex.amm import ConstantProductPool, get_amount_out
+from repro.dex.amm import ConstantProductPool
 from repro.dex.arbitrage_math import optimal_two_pool_arbitrage, \
     plan_sandwich
 from repro.dex.registry import SANDWICH_VENUES, ExchangeRegistry
-from repro.dex.stableswap import StableSwapPool, stable_amount_out
-from repro.dex.weighted import WeightedPool, weighted_amount_out
 from repro.dex.router import ArbitrageIntent, SwapAllIntent, SwapIntent
 from repro.dex.token import WETH
 from repro.agents.fees import FeeModel
@@ -56,13 +54,6 @@ _PROBE_CACHE: Dict[Any, Any] = {}
 _PROBE_CACHE_MAX = 65_536
 
 _MISS = object()
-
-
-def _quote_via_pool(amount: int, pool: Any, state: Any,
-                    token_in: str) -> int:
-    """Pure-shape adapter for pool kinds without an extracted quote
-    function (none exist today, but probe routes are caller-supplied)."""
-    return pool.quote_out(state, token_in, amount)
 
 
 @dataclass(frozen=True)
@@ -589,11 +580,11 @@ class ArbitrageSearcher(Searcher):
         """Geometric probe search for non-CP legs.
 
         On the fast path the route's reserves are read once and the whole
-        probe ladder is evaluated through the pools' pure quote functions
-        (``get_amount_out``/``stable_amount_out``/``weighted_amount_out``
-        — each exactly equals ``quote_out`` given the same reserves, and
-        reserves cannot change between rungs because probing mutates no
-        state).  The reference path quotes through the pools per rung.
+        probe ladder is evaluated through each pool's pure
+        ``amount_out`` — it exactly equals ``quote_out`` given the same
+        reserves, and reserves cannot change between rungs because
+        probing mutates no state.  The reference path quotes through the
+        pools per rung.
         """
         capital = max(view.state.token_balance(WETH, self.address),
                       10**20)
@@ -653,10 +644,11 @@ class ArbitrageSearcher(Searcher):
     @staticmethod
     def _route_hops(view: MarketView, route: List[str], capital: int,
                     ) -> Tuple[Optional[list], Optional[tuple]]:
-        """Resolve a WETH cycle into per-hop pure quote closures.
+        """Resolve a WETH cycle into per-hop pure quotes.
 
-        Returns ``(hops, signature)`` where each hop is ``(fn, args)``
-        with ``fn(amount, *args) == pool.quote_out(state, token, amount)``
+        Returns ``(hops, signature)`` where each hop is
+        ``(pool.amount_out, (reserve_in, reserve_out, token_in))``, so
+        ``fn(amount, *args) == pool.quote_out(state, token_in, amount)``,
         and the signature keys the cross-block probe cache on every
         reserve the ladder reads.  ``hops`` is None when the route is
         invalid (unknown pool, token mismatch, or not a WETH cycle) —
@@ -686,20 +678,8 @@ class ArbitrageSearcher(Searcher):
             else:
                 reserve_in, reserve_out = reserve1, reserve0
                 token = pool.token0
-            if isinstance(pool, ConstantProductPool):
-                hops.append((get_amount_out,
-                             (reserve_in, reserve_out, pool.fee_bps)))
-            elif isinstance(pool, StableSwapPool):
-                hops.append((stable_amount_out,
-                             (reserve_in, reserve_out, pool.amp,
-                              pool.fee_bps)))
-            elif isinstance(pool, WeightedPool):
-                hops.append((weighted_amount_out,
-                             (reserve_in, reserve_out,
-                              pool.weight_of(token_in),
-                              pool.weight_of(token), pool.fee_bps)))
-            else:  # unknown pool kind: quote through the pool itself
-                hops.append((_quote_via_pool, (pool, state, token_in)))
+            hops.append((pool.amount_out,
+                         (reserve_in, reserve_out, token_in)))
         sig = (tuple(route), capital, tuple(parts))
         if not valid or token != WETH:
             return None, sig

@@ -20,7 +20,6 @@ from repro.chain.types import Address, address_from_label, ether
 from repro.dex.amm import ConstantProductPool, get_amount_out
 from repro.dex.registry import ExchangeRegistry
 from repro.dex.router import ArbitrageIntent, SwapIntent
-from repro.dex.stableswap import StableSwapPool, stable_amount_out
 from repro.dex.token import WETH
 from repro.lending.oracle import OracleUpdateIntent, PriceOracle
 from repro.lending.pool import BorrowIntent, LendingPool
@@ -197,14 +196,7 @@ class TraderPopulation:
         # Stable rotations are large relative to spot trades.
         amount = ether(self.rng.uniform(10_000, 400_000))
         state.mint_token(token_in, account, amount)
-        if isinstance(pool, StableSwapPool):
-            quote = stable_amount_out(amount, reserve_in, reserve_out,
-                                      pool.amp, pool.fee_bps)
-        elif isinstance(pool, ConstantProductPool):
-            quote = get_amount_out(amount, reserve_in, reserve_out,
-                                   pool.fee_bps)
-        else:
-            quote = pool.quote_out(state, token_in, amount)
+        quote = pool.amount_out(amount, reserve_in, reserve_out, token_in)
         if quote <= 0:
             return None
         return Transaction(

@@ -53,8 +53,10 @@ class MempoolObserver:
                 raise ValueError(f"bad downtime range ({lo}, {hi})")
         self._first_seen: Dict[Hash32, int] = {}
         #: in-window transactions the gossip layer offered but this
-        #: observer failed to see (lossy sampling or downtime)
-        self._missed: Set[Hash32] = set()
+        #: observer failed to see (lossy sampling or downtime); a dict
+        #: used as an insertion-ordered set, so sealed worlds pickle to
+        #: the same bytes under any hash seed
+        self._missed: Dict[Hash32, None] = {}
 
     def in_window(self, block_number: int) -> bool:
         if block_number < self.start_block:
@@ -73,18 +75,18 @@ class MempoolObserver:
         if not self.in_window(block_number):
             return
         if self.was_down(block_number):
-            self._missed.add(tx.hash)
+            self._missed[tx.hash] = None
             return
         self._first_seen.setdefault(tx.hash, block_number)
         # A later successful observation supersedes an earlier miss.
-        self._missed.discard(tx.hash)
+        self._missed.pop(tx.hash, None)
 
     def record_missed(self, tx: Transaction, block_number: int) -> None:
         """Account for an in-window gossip event this node failed to see."""
         if not self.in_window(block_number):
             return
         if tx.hash not in self._first_seen:
-            self._missed.add(tx.hash)
+            self._missed[tx.hash] = None
 
     def was_observed(self, tx_hash: Hash32) -> bool:
         return tx_hash in self._first_seen

@@ -27,10 +27,11 @@ must then match its index entry on number, hash and transaction count.
 file, fingerprint mismatch, a corrupt frame, a malformed manifest line,
 unknown manifest format) raises :class:`SegmentIntegrityError` with a
 clear message, and callers respond by re-simulating from scratch
-(`SegmentStore.open_or_create`), never by trusting a partially
-readable store.  The one exception is a torn last manifest line, the
-trace of a crash mid-append: its segment was never acknowledged, so
-the line is dropped and the next spill truncates it away.
+(`SegmentStore.create` wipes the directory first), never by trusting a
+partially readable store.  The one exception is a torn last manifest
+line, the trace of a crash mid-append: its segment was never
+acknowledged, so the line is dropped and the next spill truncates it
+away.
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ class SegmentStore:
     Opening an existing directory replays the manifest log and raises
     :class:`SegmentIntegrityError` on any anomaly — including a
     whole-document ``manifest.json`` written by an older repro.  Use
-    :meth:`open_or_create` for the standard anomaly-means-fresh policy.
+    :meth:`create` to start fresh, wiping whatever store was there.
     """
 
     def __init__(self, root: str) -> None:
@@ -313,15 +314,6 @@ class SegmentStore:
                     or name.endswith(".pkl") or name.endswith(".tmp"):
                 os.remove(os.path.join(root, name))
         return cls(root)
-
-    @classmethod
-    def open_or_create(cls, root: str) -> "SegmentStore":
-        """Open ``root``; on *any* anomaly wipe it and start fresh: a
-        store that is not wholly readable counts as no store at all."""
-        try:
-            return cls(root)
-        except SegmentIntegrityError:
-            return cls.create(root)
 
     # Manifest ------------------------------------------------------------
 

@@ -4,6 +4,7 @@ from repro.dex.amm import (
     DEFAULT_FEE_BPS,
     FEE_DENOMINATOR,
     ConstantProductPool,
+    Pool,
     get_amount_in,
     get_amount_out,
 )
@@ -28,7 +29,6 @@ from repro.dex.registry import (
     VENUE_FEE_BPS,
     ZEROX,
     ExchangeRegistry,
-    Pool,
 )
 from repro.dex.router import (
     ArbitrageIntent,

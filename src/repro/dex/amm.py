@@ -1,10 +1,21 @@
-"""Constant-product AMM pools (Uniswap-V2 exact integer math).
+"""The two-token pool shell and the constant-product curve.
+
+:class:`Pool` is the one shell every curve shares: canonical token
+order, the pool address, reserve reads, liquidity minting, quoting and
+swap execution.  A curve subclass adds its parameters, its address
+label and a pure ``amount_out(amount_in, reserve_in, reserve_out,
+token_in)``; callers that already hold the reserves (the searcher's
+probe ladder, the trader's quote) call ``amount_out`` directly, and
+``quote_out`` is the same function fed from live reserves.
 
 The pool's reserves are its token balances in world state, so swaps through
 the pool are ordinary journaled state mutations and revert cleanly with the
 enclosing transaction.  Fees stay in the pool (as on mainnet), which is what
 makes sandwich frontrunning *actually* profitable in this simulator rather
 than something we merely label.
+
+:class:`ConstantProductPool` is the Uniswap-V2 curve, in exact integer
+math.
 """
 
 from __future__ import annotations
@@ -52,13 +63,17 @@ def get_amount_in(amount_out: int, reserve_in: int, reserve_out: int,
 
 
 @dataclass
-class ConstantProductPool:
-    """A two-token constant-product pool on a named venue."""
+class Pool:
+    """A two-token pool on a named venue: the shell every curve shares.
+
+    Subclasses declare ``fee_bps`` (after their own curve parameters,
+    so positional construction follows the field order), name the pool
+    in :meth:`_label` and price trades in :meth:`amount_out`.
+    """
 
     venue: str
     token0: str
     token1: str
-    fee_bps: int = DEFAULT_FEE_BPS
 
     def __post_init__(self) -> None:
         if self.token0 == self.token1:
@@ -68,9 +83,18 @@ class ConstantProductPool:
         # Canonical token ordering keeps pair lookups deterministic.
         if self.token0 > self.token1:
             self.token0, self.token1 = self.token1, self.token0
-        self.address: Address = address_from_label(
-            f"pool:{self.venue}:{self.token0}/{self.token1}:{self.fee_bps}")
+        self.address: Address = address_from_label(self._label())
         self._ledger_cache: Optional[Tuple[WorldState, dict, dict]] = None
+
+    def _label(self) -> str:
+        """The address label: curve kind, venue, pair and parameters."""
+        raise NotImplementedError
+
+    def amount_out(self, amount_in: int, reserve_in: int,
+                   reserve_out: int, token_in: str) -> int:
+        """Output for an exact input of member ``token_in`` at the given
+        reserves — pure: equals ``quote_out`` at those reserves."""
+        raise NotImplementedError
 
     # Reserve access ---------------------------------------------------------
 
@@ -134,18 +158,8 @@ class ConstantProductPool:
                   amount_in: int) -> int:
         """Output of swapping ``amount_in`` of ``token_in`` right now."""
         token_out = self.other(token_in)
-        return get_amount_out(amount_in,
-                              self.reserve_of(state, token_in),
-                              self.reserve_of(state, token_out),
-                              self.fee_bps)
-
-    def spot_price(self, state: WorldState, token: str) -> float:
-        """Marginal price of ``token`` denominated in the other token."""
-        other = self.other(token)
-        reserve_token = self.reserve_of(state, token)
-        if reserve_token == 0:
-            raise ValueError("pool has no liquidity")
-        return self.reserve_of(state, other) / reserve_token
+        return self.amount_out(amount_in, self.reserve_of(state, token_in),
+                               self.reserve_of(state, token_out), token_in)
 
     # Swapping -----------------------------------------------------------------
 
@@ -179,3 +193,27 @@ class ConstantProductPool:
                            token1=self.token1, reserve0=reserve0,
                            reserve1=reserve1))
         return amount_out
+
+
+@dataclass
+class ConstantProductPool(Pool):
+    """A two-token constant-product pool on a named venue."""
+
+    fee_bps: int = DEFAULT_FEE_BPS
+
+    def _label(self) -> str:
+        return (f"pool:{self.venue}:{self.token0}/{self.token1}:"
+                f"{self.fee_bps}")
+
+    def amount_out(self, amount_in: int, reserve_in: int,
+                   reserve_out: int, token_in: str) -> int:
+        return get_amount_out(amount_in, reserve_in, reserve_out,
+                              self.fee_bps)
+
+    def spot_price(self, state: WorldState, token: str) -> float:
+        """Marginal price of ``token`` denominated in the other token."""
+        other = self.other(token)
+        reserve_token = self.reserve_of(state, token)
+        if reserve_token == 0:
+            raise ValueError("pool has no liquidity")
+        return self.reserve_of(state, other) / reserve_token

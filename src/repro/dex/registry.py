@@ -9,15 +9,13 @@ single lookup surface for cross-venue price comparisons.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.chain.state import WorldState
 from repro.chain.types import Address
-from repro.dex.amm import ConstantProductPool
+from repro.dex.amm import ConstantProductPool, Pool
 from repro.dex.stableswap import StableSwapPool
 from repro.dex.weighted import WeightedPool
-
-Pool = Union[ConstantProductPool, StableSwapPool, WeightedPool]
 
 # Venue names used across the codebase (match the paper's exchange lists).
 UNISWAP_V1 = "UniswapV1"

@@ -2,23 +2,22 @@
 
 Implements the classic Curve integer math: the invariant
 ``A·n^n·S + D = A·D·n^n + D^(n+1)/(n^n·Πx)`` solved by Newton iteration.
-Exposes the same interface as :class:`~repro.dex.amm.ConstantProductPool`
-so routers, searchers and detection heuristics treat venues uniformly.
+:class:`StableSwapPool` is a :class:`~repro.dex.amm.Pool`: it adds only
+the amplification, its address label, ``amount_out`` (which wraps
+:func:`stable_amount_out`) and a probe-based spot price, so routers,
+searchers and detection heuristics treat venues uniformly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
-from repro.chain.events import SwapEvent, SyncEvent
-from repro.chain.execution import ExecutionContext, Revert
 from repro.chain.state import WorldState
-from repro.chain.types import Address, address_from_label
+from repro.dex.amm import FEE_DENOMINATOR, Pool
 
 N_COINS = 2
-FEE_DENOMINATOR = 10_000
 
 
 def compute_d(amp: int, balances: Tuple[int, int]) -> int:
@@ -79,9 +78,7 @@ def stable_amount_out(amount_in: int, reserve_in: int, reserve_out: int,
                       amp: int, fee_bps: int) -> int:
     """Stableswap output for an exact input, net of fee (pure form).
 
-    This is :meth:`StableSwapPool.quote_out` with the reserves passed in
-    explicitly — callers that already hold the reserves (the searcher's
-    probe ladder) can quote without re-reading world state.
+    :meth:`StableSwapPool.amount_out` with the pool's parameters bound.
     """
     if amount_in <= 0:
         raise ValueError("amount_in must be positive")
@@ -96,81 +93,24 @@ def stable_amount_out(amount_in: int, reserve_in: int, reserve_out: int,
 
 
 @dataclass
-class StableSwapPool:
+class StableSwapPool(Pool):
     """A two-coin amplified pool (Curve-like)."""
 
-    venue: str
-    token0: str
-    token1: str
     amp: int = 100
     fee_bps: int = 4  # Curve's typical 4 bps
 
     def __post_init__(self) -> None:
-        if self.token0 == self.token1:
-            raise ValueError("pool tokens must differ")
         if self.amp <= 0:
             raise ValueError("amplification must be positive")
-        if not 0 <= self.fee_bps < FEE_DENOMINATOR:
-            raise ValueError("fee out of range")
-        if self.token0 > self.token1:
-            self.token0, self.token1 = self.token1, self.token0
-        self.address: Address = address_from_label(
-            f"stable:{self.venue}:{self.token0}/{self.token1}:{self.amp}")
-        self._ledger_cache: Optional[Tuple[WorldState, dict, dict]] = None
+        super().__post_init__()
 
-    # Shared pool interface -----------------------------------------------------
+    def _label(self) -> str:
+        return (f"stable:{self.venue}:{self.token0}/{self.token1}:"
+                f"{self.amp}")
 
-    def _ledgers(self, state: WorldState) -> Tuple[dict, dict]:
-        """Per-state ledger cache (see ConstantProductPool._ledgers)."""
-        cached = self._ledger_cache
-        if cached is not None and cached[0] is state:
-            return cached[1], cached[2]
-        ledger0 = state.token_ledger(self.token0)
-        ledger1 = state.token_ledger(self.token1)
-        self._ledger_cache = (state, ledger0, ledger1)
-        return ledger0, ledger1
-
-    def reserves(self, state: WorldState) -> Tuple[int, int]:
-        ledger0, ledger1 = self._ledgers(state)
-        addr = self.address
-        return (ledger0.get(addr, 0), ledger1.get(addr, 0))
-
-    def reserve_of(self, state: WorldState, token: str) -> int:
-        ledger0, ledger1 = self._ledgers(state)
-        if token == self.token0:
-            return ledger0.get(self.address, 0)
-        if token == self.token1:
-            return ledger1.get(self.address, 0)
-        self._require_member(token)
-        raise AssertionError("unreachable")
-
-    def other(self, token: str) -> str:
-        self._require_member(token)
-        return self.token1 if token == self.token0 else self.token0
-
-    def has_token(self, token: str) -> bool:
-        return token in (self.token0, self.token1)
-
-    def _require_member(self, token: str) -> None:
-        if not self.has_token(token):
-            raise ValueError(f"{token} is not in pool "
-                             f"{self.token0}/{self.token1}")
-
-    def add_liquidity(self, state: WorldState, **amounts: int) -> None:
-        """Mint reserves keyed by token symbol (see ConstantProductPool)."""
-        for token, amount in amounts.items():
-            self._require_member(token)
-            if amount < 0:
-                raise ValueError("liquidity amounts cannot be negative")
-            state.mint_token(token, self.address, amount)
-
-    def quote_out(self, state: WorldState, token_in: str,
-                  amount_in: int) -> int:
-        """Stableswap output for an exact input, net of fee."""
-        token_out = self.other(token_in)
-        return stable_amount_out(amount_in,
-                                 self.reserve_of(state, token_in),
-                                 self.reserve_of(state, token_out),
+    def amount_out(self, amount_in: int, reserve_in: int,
+                   reserve_out: int, token_in: str) -> int:
+        return stable_amount_out(amount_in, reserve_in, reserve_out,
                                  self.amp, self.fee_bps)
 
     def spot_price(self, state: WorldState, token: str) -> float:
@@ -178,28 +118,3 @@ class StableSwapPool:
         reserve = self.reserve_of(state, token)
         probe = max(1, reserve // 100_000)
         return self.quote_out(state, token, probe) / probe
-
-    def swap(self, ctx: ExecutionContext, token_in: str, amount_in: int,
-             recipient: Address, min_amount_out: int = 0) -> int:
-        token_out = self.other(token_in)
-        try:
-            amount_out = self.quote_out(ctx.state, token_in, amount_in)
-        except (ValueError, ArithmeticError) as exc:
-            raise Revert(str(exc))
-        if amount_out <= 0:
-            raise Revert("insufficient output amount")
-        if amount_out < min_amount_out:
-            raise Revert("slippage limit exceeded")
-        taker = ctx.tx.sender
-        ctx.state.transfer_token(token_in, taker, self.address, amount_in)
-        ctx.state.transfer_token(token_out, self.address, recipient,
-                                 amount_out)
-        ctx.emit(SwapEvent(address=self.address, venue=self.venue,
-                           taker=taker, recipient=recipient,
-                           token_in=token_in, token_out=token_out,
-                           amount_in=amount_in, amount_out=amount_out))
-        reserve0, reserve1 = self.reserves(ctx.state)
-        ctx.emit(SyncEvent(address=self.address, token0=self.token0,
-                           token1=self.token1, reserve0=reserve0,
-                           reserve1=reserve1))
-        return amount_out

@@ -11,19 +11,19 @@ exponent is a rational ``p/q`` and the whole computation stays in exact
 integer arithmetic via ``q``-th roots (floor), preserving the
 no-free-money property bit-for-bit like the rest of the DEX layer.
 A 1:1 weighting reduces to the constant-product formula exactly.
+
+:class:`WeightedPool` is a :class:`~repro.dex.amm.Pool`: it adds only
+the weights (which follow the tokens into canonical order), its address
+label, ``amount_out`` (which wraps :func:`weighted_amount_out`) and the
+weighted spot price.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
-from repro.chain.events import SwapEvent, SyncEvent
-from repro.chain.execution import ExecutionContext, Revert
 from repro.chain.state import WorldState
-from repro.chain.types import Address, address_from_label
-
-FEE_DENOMINATOR = 10_000
+from repro.dex.amm import FEE_DENOMINATOR, Pool
 
 
 def integer_nth_root(value: int, n: int) -> int:
@@ -95,93 +95,43 @@ def weighted_amount_out(amount_in: int, reserve_in: int,
 
 
 @dataclass
-class WeightedPool:
+class WeightedPool(Pool):
     """A two-token weighted pool (Balancer-like).
 
     ``weight0``/``weight1`` are small integers; an 80/20 WETH pool is
     ``weight(WETH)=4, weight(other)=1``.
     """
 
-    venue: str
-    token0: str
-    token1: str
     weight0: int = 1
     weight1: int = 1
     fee_bps: int = 25
 
     def __post_init__(self) -> None:
-        if self.token0 == self.token1:
-            raise ValueError("pool tokens must differ")
         if self.weight0 <= 0 or self.weight1 <= 0:
             raise ValueError("weights must be positive")
-        if not 0 <= self.fee_bps < FEE_DENOMINATOR:
-            raise ValueError("fee out of range")
+        # The weights follow their tokens into canonical order.
         if self.token0 > self.token1:
-            self.token0, self.token1 = self.token1, self.token0
             self.weight0, self.weight1 = self.weight1, self.weight0
-        self.address: Address = address_from_label(
-            f"weighted:{self.venue}:{self.token0}/{self.token1}:"
-            f"{self.weight0}:{self.weight1}:{self.fee_bps}")
-        self._ledger_cache: Optional[Tuple[WorldState, dict, dict]] = None
+        super().__post_init__()
 
-    # Shared pool interface ---------------------------------------------------
-
-    def _ledgers(self, state: WorldState) -> Tuple[dict, dict]:
-        """Per-state ledger cache (see ConstantProductPool._ledgers)."""
-        cached = self._ledger_cache
-        if cached is not None and cached[0] is state:
-            return cached[1], cached[2]
-        ledger0 = state.token_ledger(self.token0)
-        ledger1 = state.token_ledger(self.token1)
-        self._ledger_cache = (state, ledger0, ledger1)
-        return ledger0, ledger1
-
-    def reserves(self, state: WorldState) -> Tuple[int, int]:
-        ledger0, ledger1 = self._ledgers(state)
-        addr = self.address
-        return (ledger0.get(addr, 0), ledger1.get(addr, 0))
-
-    def reserve_of(self, state: WorldState, token: str) -> int:
-        ledger0, ledger1 = self._ledgers(state)
-        if token == self.token0:
-            return ledger0.get(self.address, 0)
-        if token == self.token1:
-            return ledger1.get(self.address, 0)
-        self._require_member(token)
-        raise AssertionError("unreachable")
+    def _label(self) -> str:
+        return (f"weighted:{self.venue}:{self.token0}/{self.token1}:"
+                f"{self.weight0}:{self.weight1}:{self.fee_bps}")
 
     def weight_of(self, token: str) -> int:
         self._require_member(token)
         return self.weight0 if token == self.token0 else self.weight1
 
-    def other(self, token: str) -> str:
-        self._require_member(token)
-        return self.token1 if token == self.token0 else self.token0
-
-    def has_token(self, token: str) -> bool:
-        return token in (self.token0, self.token1)
-
-    def _require_member(self, token: str) -> None:
-        if not self.has_token(token):
-            raise ValueError(f"{token} is not in pool "
-                             f"{self.token0}/{self.token1}")
-
-    def add_liquidity(self, state: WorldState, **amounts: int) -> None:
-        """Mint reserves keyed by token symbol."""
-        for token, amount in amounts.items():
-            self._require_member(token)
-            if amount < 0:
-                raise ValueError("liquidity amounts cannot be negative")
-            state.mint_token(token, self.address, amount)
-
-    def quote_out(self, state: WorldState, token_in: str,
-                  amount_in: int) -> int:
-        token_out = self.other(token_in)
-        return weighted_amount_out(
-            amount_in, self.reserve_of(state, token_in),
-            self.reserve_of(state, token_out),
-            self.weight_of(token_in), self.weight_of(token_out),
-            self.fee_bps)
+    def amount_out(self, amount_in: int, reserve_in: int,
+                   reserve_out: int, token_in: str) -> int:
+        # Direct comparisons, not weight_of: this runs on every probe
+        # rung of the searcher's ladder.
+        if token_in == self.token0:
+            weight_in, weight_out = self.weight0, self.weight1
+        else:
+            weight_in, weight_out = self.weight1, self.weight0
+        return weighted_amount_out(amount_in, reserve_in, reserve_out,
+                                   weight_in, weight_out, self.fee_bps)
 
     def spot_price(self, state: WorldState, token: str) -> float:
         """Marginal price of ``token`` in the other token:
@@ -192,29 +142,3 @@ class WeightedPool:
             raise ValueError("pool has no liquidity")
         return ((self.reserve_of(state, other) / self.weight_of(other))
                 / (reserve_token / self.weight_of(token)))
-
-    def swap(self, ctx: ExecutionContext, token_in: str, amount_in: int,
-             recipient: Address, min_amount_out: int = 0) -> int:
-        token_out = self.other(token_in)
-        try:
-            amount_out = self.quote_out(ctx.state, token_in, amount_in)
-        except (ValueError, ArithmeticError) as exc:
-            raise Revert(str(exc))
-        if amount_out <= 0:
-            raise Revert("insufficient output amount")
-        if amount_out < min_amount_out:
-            raise Revert("slippage limit exceeded")
-        taker = ctx.tx.sender
-        ctx.state.transfer_token(token_in, taker, self.address,
-                                 amount_in)
-        ctx.state.transfer_token(token_out, self.address, recipient,
-                                 amount_out)
-        ctx.emit(SwapEvent(address=self.address, venue=self.venue,
-                           taker=taker, recipient=recipient,
-                           token_in=token_in, token_out=token_out,
-                           amount_in=amount_in, amount_out=amount_out))
-        reserve0, reserve1 = self.reserves(ctx.state)
-        ctx.emit(SyncEvent(address=self.address, token0=self.token0,
-                           token1=self.token1, reserve0=reserve0,
-                           reserve1=reserve1))
-        return amount_out

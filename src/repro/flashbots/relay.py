@@ -22,9 +22,11 @@ class Relay:
         self.name = name
         self.max_bundles_per_searcher_per_block = \
             max_bundles_per_searcher_per_block
-        self._searchers: Set[Address] = set()
-        self._miners: Set[Address] = set()
-        self._banned: Set[Address] = set()
+        # Dicts used as insertion-ordered sets, so sealed worlds pickle
+        # to the same bytes under any hash seed.
+        self._searchers: Dict[Address, None] = {}
+        self._miners: Dict[Address, None] = {}
+        self._banned: Dict[Address, None] = {}
         self._pending: Dict[int, List[Bundle]] = {}
         self.rejected_count = 0
 
@@ -33,12 +35,12 @@ class Relay:
     def register_searcher(self, searcher: Address) -> None:
         if searcher in self._banned:
             raise PermissionError(f"{searcher} is banned from Flashbots")
-        self._searchers.add(searcher)
+        self._searchers[searcher] = None
 
     def register_miner(self, miner: Address) -> None:
         if miner in self._banned:
             raise PermissionError(f"{miner} is banned from Flashbots")
-        self._miners.add(miner)
+        self._miners[miner] = None
 
     def is_searcher(self, addr: Address) -> bool:
         return addr in self._searchers and addr not in self._banned
@@ -55,7 +57,7 @@ class Relay:
     def ban(self, addr: Address, reason: str = "equivocation") -> None:
         """Permanent ban (miners that tamper with bundles, abusive
         searchers).  The address stays registered but loses access."""
-        self._banned.add(addr)
+        self._banned[addr] = None
 
     def is_banned(self, addr: Address) -> bool:
         return addr in self._banned

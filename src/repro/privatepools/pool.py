@@ -54,7 +54,9 @@ class PrivatePool:
         if ttl_blocks is not None and ttl_blocks <= 0:
             raise ValueError("ttl_blocks must be positive (or None)")
         self.name = name
-        self.miners: Set[Address] = set(miners)
+        #: member miners: a dict used as an insertion-ordered set, so
+        #: sealed worlds pickle to the same bytes under any hash seed
+        self.miners: Dict[Address, None] = dict.fromkeys(miners)
         self.shutdown_block = shutdown_block
         #: ``None`` disables expiry (a channel that never drops flow).
         self.ttl_blocks = ttl_blocks

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.sim.calendar import STUDY_MONTHS
@@ -81,8 +81,6 @@ class ScenarioConfig:
     #: RNG streams from ``(seed, epoch_index)`` so any epoch can be
     #: resumed from its seal on a fresh worker (see repro.sim.shard).
     epoch_blocks: Optional[int] = None
-
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.blocks_per_month <= 0:

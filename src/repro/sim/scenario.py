@@ -47,6 +47,7 @@ from repro.dex.registry import (
     ExchangeRegistry,
 )
 from repro.dex.token import WETH
+from repro.dex.weighted import WeightedPool
 from repro.flashbots.relay import Relay
 from repro.lending.flashloan import FlashLoanProvider
 from repro.lending.oracle import PRICE_SCALE, PriceOracle
@@ -102,7 +103,7 @@ def _build_markets(config: ScenarioConfig, state: WorldState,
         # retail flow keeps replenishing.
         skew = 1.0 + rng.uniform(-0.007, 0.007)
         token_reserve = int(weth_reserve * PRICE_SCALE // price * skew)
-        if hasattr(pool, "weight_of"):
+        if isinstance(pool, WeightedPool):
             # Weighted pools price at (B/w) ratios: rebalance the token
             # side so the initial spot price still matches the oracle.
             token_reserve = (token_reserve * pool.weight_of(token)

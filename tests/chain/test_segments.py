@@ -3,7 +3,7 @@
 The segment store follows the fail-closed integrity rule: any anomaly
 — missing manifest, unknown format, truncated or tampered segment —
 raises :class:`SegmentIntegrityError` with a clear message, and
-``open_or_create`` answers every anomaly with a fresh store.  The
+``SegmentStore.create`` answers every anomaly with a fresh store.  The
 spilling chain must serve reads bit-identically to a plain in-memory
 :class:`Blockchain` while keeping only a bounded tail resident.
 """
@@ -277,7 +277,7 @@ class TestFormatRejection:
 
     def test_format_1_store_is_rejected_then_wiped(self, tmp_path):
         """A whole-epoch-pickle store (format 1) is refused by name, and
-        open_or_create answers it with a fresh store."""
+        create() answers it with a fresh store."""
         self.assert_rejected_then_wiped(tmp_path, old_format=1)
 
     def test_format_2_store_is_rejected_then_wiped(self, tmp_path):
@@ -300,7 +300,7 @@ class TestFormatRejection:
                            match=f"this repro reads format "
                                  f"{SEGMENT_FORMAT}"):
             SegmentStore(str(root))
-        store = SegmentStore.open_or_create(str(root))
+        store = SegmentStore.create(str(root))
         assert store.segments == []
         assert sorted(os.listdir(root)) == [MANIFEST_NAME]
 
@@ -334,13 +334,16 @@ class TestFormatRejection:
         with pytest.raises(SegmentIntegrityError, match="malformed"):
             SegmentStore(store.root)
 
-    def test_open_or_create_answers_anomaly_with_fresh(self, tmp_path):
-        """Any anomaly means re-simulate from scratch."""
+    def test_anomaly_is_rejected_then_wiped_fresh(self, tmp_path):
+        """Any anomaly means re-simulate from scratch: opening refuses
+        the store, and create() wipes it."""
         root = tmp_path / "recover"
         root.mkdir()
         write_manifest(root, {"format": SEGMENT_FORMAT}, {"epoch": 0})
         (root / "seg-000000.pkl").write_bytes(b"stale garbage")
-        store = SegmentStore.open_or_create(str(root))
+        with pytest.raises(SegmentIntegrityError, match="malformed"):
+            SegmentStore(str(root))
+        store = SegmentStore.create(str(root))
         assert store.segments == []
         assert not (root / "seg-000000.pkl").exists()
         blocks = build_blocks(2)

@@ -1,4 +1,5 @@
-"""Tests for constant-product AMM math and swap execution."""
+"""Tests for constant-product AMM math, the shared pool shell, and swap
+execution."""
 
 import pytest
 from hypothesis import given
@@ -7,12 +8,16 @@ from hypothesis import strategies as st
 from repro.chain.execution import ExecutionContext, Revert
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
+from repro.chain.events import SwapEvent, SyncEvent
 from repro.chain.types import address_from_label, ether
 from repro.dex.amm import (
     ConstantProductPool,
+    Pool,
     get_amount_in,
     get_amount_out,
 )
+from repro.dex.stableswap import StableSwapPool
+from repro.dex.weighted import WeightedPool
 
 TRADER = address_from_label("trader")
 MINER = address_from_label("miner")
@@ -187,3 +192,77 @@ class TestSwapExecution:
         first = pool.swap(ctx, "WETH", ether(1), TRADER)
         second = pool.swap(ctx, "WETH", ether(1), TRADER)
         assert second < first
+
+
+# One pool of each curve, built with its tokens out of canonical order
+# (and, for the weighted pool, unequal weights) so ordering is exercised.
+SHELL_KINDS = {
+    "constant-product": lambda: ConstantProductPool("UniswapV2", "WETH",
+                                                    "DAI"),
+    "stableswap": lambda: StableSwapPool("Curve", "WETH", "DAI", 100),
+    "weighted": lambda: WeightedPool("Balancer", "WETH", "DAI", 4, 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHELL_KINDS))
+class TestPoolShell:
+    """The behaviour every curve inherits from :class:`Pool`."""
+
+    @pytest.fixture
+    def funded(self, kind):
+        state = WorldState()
+        pool = SHELL_KINDS[kind]()
+        pool.add_liquidity(state, WETH=ether(1_000), DAI=ether(900_000))
+        state.mint_token("WETH", TRADER, ether(10))
+        return state, pool
+
+    def test_is_a_pool(self, kind):
+        assert isinstance(SHELL_KINDS[kind](), Pool)
+
+    def test_amount_out_equals_quote_out_both_ways(self, funded):
+        state, pool = funded
+        for token_in, amount in (("WETH", ether(3)), ("DAI", ether(500))):
+            reserve_in = pool.reserve_of(state, token_in)
+            reserve_out = pool.reserve_of(state, pool.other(token_in))
+            assert pool.amount_out(amount, reserve_in, reserve_out,
+                                   token_in) == \
+                pool.quote_out(state, token_in, amount) > 0
+
+    def test_non_member_token_raises(self, funded):
+        state, pool = funded
+        with pytest.raises(ValueError, match="not in pool"):
+            pool.other("USDC")
+        with pytest.raises(ValueError, match="not in pool"):
+            pool.reserve_of(state, "USDC")
+        with pytest.raises(ValueError, match="not in pool"):
+            pool.add_liquidity(state, USDC=1)
+        assert not pool.has_token("USDC")
+
+    def test_canonical_order_carries_the_weights(self, kind):
+        pool = SHELL_KINDS[kind]()
+        assert (pool.token0, pool.token1) == ("DAI", "WETH")
+        twin = SHELL_KINDS[kind]()
+        assert twin.address == pool.address
+        if isinstance(pool, WeightedPool):
+            assert (pool.weight0, pool.weight1) == (1, 4)
+            assert pool.weight_of("WETH") == 4
+
+    def test_swap_emits_swap_then_sync(self, funded):
+        state, pool = funded
+        ctx = make_ctx(state, pool)
+        out = pool.swap(ctx, "WETH", ether(1), TRADER)
+        assert [type(log) for log in ctx.logs] == [SwapEvent, SyncEvent]
+        swap, sync = ctx.logs
+        assert (swap.address, swap.token_in, swap.token_out,
+                swap.amount_in, swap.amount_out) == \
+            (pool.address, "WETH", "DAI", ether(1), out)
+        assert (sync.reserve0, sync.reserve1) == pool.reserves(state)
+
+    def test_swap_reverts_past_slippage_limit(self, funded):
+        state, pool = funded
+        ctx = make_ctx(state, pool)
+        quoted = pool.quote_out(state, "WETH", ether(1))
+        with pytest.raises(Revert, match="slippage"):
+            pool.swap(ctx, "WETH", ether(1), TRADER,
+                      min_amount_out=quoted + 1)
+        assert ctx.logs == []

@@ -111,6 +111,15 @@ class TestWeightedPool:
         assert pool.spot_price(state, "WETH") == \
             pytest.approx(25 / 350, rel=1e-9)
 
+    def test_quote_weighs_the_input_side(self, setup):
+        state, pool = setup
+        weth, wbtc = ether(1_400), ether(25)
+        assert pool.quote_out(state, "WETH", ether(1)) == \
+            weighted_amount_out(ether(1), weth, wbtc, 4, 1, pool.fee_bps)
+        assert pool.quote_out(state, "WBTC", ether(1) // 10) == \
+            weighted_amount_out(ether(1) // 10, wbtc, weth, 1, 4,
+                                pool.fee_bps)
+
     def test_swap_moves_tokens_and_emits(self, setup):
         state, pool = setup
         tx = Transaction(sender=TRADER, nonce=0, to=pool.address)

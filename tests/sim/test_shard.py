@@ -8,6 +8,10 @@ collector outage window — and a full sharded re-simulation splices
 back bit-identically to the serial reference.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.chain.transaction import reset_tx_counter
@@ -114,6 +118,32 @@ class TestSealDeterminism:
         tampered = dataclasses.replace(seal, payload=seal.payload + b"x")
         with pytest.raises(ValueError, match="fingerprint"):
             tampered.carried()
+
+    def test_seal_bytes_do_not_depend_on_hash_seed(self):
+        """Two processes with different ``PYTHONHASHSEED`` seal the same
+        world to the same fingerprints: no carried set pickles in hash
+        order."""
+        script = (
+            "from repro.chain.transaction import reset_tx_counter\n"
+            "from repro.sim import ScenarioConfig, build_paper_scenario\n"
+            "reset_tx_counter()\n"
+            "world = build_paper_scenario("
+            "ScenarioConfig(blocks_per_month=10, seed=7))\n"
+            "seals = {}\n"
+            "world.run(collect_seals=seals)\n"
+            "for index in sorted(seals):\n"
+            "    print(index, seals[index].fingerprint)\n")
+
+        def fingerprints(hash_seed):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            return subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout
+
+        first = fingerprints("1")
+        assert len(first.splitlines()) == 24  # genesis + 23 month ends
+        assert fingerprints("2") == first
 
 
 class TestSpliceIdentity:

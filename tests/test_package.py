@@ -41,6 +41,29 @@ class TestTopLevel:
         rows = study.table1
         assert rows[-1].strategy == "Total"
 
+    def test_spilled_rerun_leaves_a_clean_store(self, tmp_path):
+        """A rerun into the same ``segment_dir`` re-simulates from
+        genesis, so it must leave the store the first run left: one
+        header line plus one manifest line per epoch, and the same
+        segment bytes."""
+        from repro.chain.segments import MANIFEST_NAME
+        from repro.chain.transaction import reset_tx_counter
+
+        def spill():
+            reset_tx_counter()
+            repro.quick_study(blocks_per_month=6, seed=2, blocks=30,
+                              epoch_blocks=5, segment_dir=tmp_path)
+            segments = {path.name: path.read_bytes()
+                        for path in sorted(tmp_path.glob("*.pkl"))}
+            return (tmp_path / MANIFEST_NAME).read_bytes(), segments
+
+        first_manifest, first_segments = spill()
+        second_manifest, second_segments = spill()
+        assert len(first_manifest.splitlines()) == 1 + 30 // 5
+        assert second_manifest == first_manifest
+        assert len(first_segments) == 30 // 5
+        assert second_segments == first_segments
+
     def test_run_inspector_reusable(self):
         study = repro.quick_study(blocks_per_month=6, seed=2)
         again = repro.run_inspector(study.result)
