@@ -16,8 +16,10 @@ from benchmarks.conftest import emit
 
 
 def test_ablation_auction_mechanisms(benchmark):
-    result = benchmark(compare_mechanisms, random.Random(3),
-                       opportunities=300)
+    # A fresh generator per round: the emitted split must not depend on
+    # how many rounds pytest-benchmark chose to run.
+    result = benchmark(
+        lambda: compare_mechanisms(random.Random(3), opportunities=300))
 
     emit("ablation_auction_mechanisms", render_table(
         ["Mechanism", "Miner share of MEV",

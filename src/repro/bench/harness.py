@@ -196,9 +196,10 @@ def _simulate(config: ScenarioConfig, profiler: _StageProfiler,
 def _lint_self() -> float:
     """Wall time of a syntactic lint pass over this package's tree.
 
-    Deliberately the cheap single-module pass (no ``--deep`` flow
-    analysis): the number tracks how much a pre-commit hook or CI
-    gate pays per run, and stays comparable as the rule set grows.
+    Deliberately the default per-module rules R001–R007 only
+    (``LintConfig()`` builds no project for R101–R103): the number
+    tracks how much a pre-commit hook or CI gate pays per run, and
+    stays comparable as the rule set grows.
     """
     from repro.lint import LintConfig, lint_paths
 

@@ -51,7 +51,6 @@ from repro.chain.block import Block
 from repro.chain.node import Blockchain
 from repro.chain.types import Hash32
 from repro.durable import RecordLog, write_atomic
-from repro.markers import fast_path
 
 #: On-disk layout version.  Bumped whenever the manifest schema or the
 #: segment file layout changes; stores written by other versions are
@@ -521,23 +520,19 @@ class SegmentStore:
 class SegmentReader:
     """Ranged reads over a store's spilled blocks.
 
-    The default path keeps at most ``max_resident`` opened segments in
-    memory (LRU), resolves ranges by bisecting the manifest, and decodes
-    only the blocks a read covers (:meth:`SegmentFile.read`).  The
-    reference path (``bounded=False``) decodes whole epochs and never
-    evicts — the in-memory behaviour the bounded path must match
-    element for element.
+    Keeps at most ``max_resident`` opened segments in memory (LRU),
+    resolves ranges by bisecting the manifest, and decodes only the
+    blocks a read covers (:meth:`SegmentFile.read`).  The in-memory
+    chain the blocks were spilled from is the reference its reads must
+    match element for element.
     """
 
-    def __init__(self, store: SegmentStore, max_resident: int = 2,
-                 bounded: bool = True) -> None:
+    def __init__(self, store: SegmentStore,
+                 max_resident: int = 2) -> None:
         if max_resident <= 0:
             raise ValueError("max_resident must be positive")
         self.store = store
         self.max_resident = max_resident
-        #: when False, opened segments are never evicted — the unbounded
-        #: in-memory reference the LRU fast path is checked against.
-        self.bounded = bounded
         self._resident: "OrderedDict[int, SegmentFile]" = OrderedDict()
 
     @property
@@ -552,9 +547,8 @@ class SegmentReader:
             return segment
         segment = self.store.open_segment(epoch)
         self._resident[epoch] = segment
-        if self.bounded:
-            while len(self._resident) > self.max_resident:
-                self._resident.popitem(last=False)
+        while len(self._resident) > self.max_resident:
+            self._resident.popitem(last=False)
         return segment
 
     def block(self, number: int) -> Optional[Block]:
@@ -563,7 +557,6 @@ class SegmentReader:
             return None
         return self._open(info.epoch).read(number, number)[0]
 
-    @fast_path(reference="_iter_range_unbounded", toggle="bounded")
     def iter_range(self, from_block: Optional[int] = None,
                    to_block: Optional[int] = None) -> Iterator[Block]:
         """Yield spilled blocks in ``[from_block, to_block]`` in order.
@@ -573,9 +566,6 @@ class SegmentReader:
         the blocks in range, so a narrow range costs O(range) frames
         regardless of epoch or store size.
         """
-        if not self.bounded:
-            yield from self._iter_range_unbounded(from_block, to_block)
-            return
         if from_block is not None and to_block is not None \
                 and from_block > to_block:
             return
@@ -585,27 +575,6 @@ class SegmentReader:
             high = info.last_block if to_block is None \
                 else min(to_block, info.last_block)
             yield from self._open(info.epoch).read(low, high)
-
-    def _iter_range_unbounded(self, from_block: Optional[int],
-                              to_block: Optional[int],
-                              ) -> Iterator[Block]:
-        """Reference path: linear manifest walk, whole-epoch decode, no
-        eviction — every touched segment stays resident, as an
-        in-memory chain would."""
-        for info in self.store.segments:
-            if to_block is not None and info.first_block > to_block:
-                break
-            if from_block is not None and info.last_block < from_block:
-                continue
-            for block in self._open(info.epoch).read():
-                if from_block is not None \
-                        and block.number < from_block:
-                    continue
-                if to_block is not None and block.number > to_block:
-                    break
-                yield block
-
-
 
 
 class SpillingBlockchain(Blockchain):
@@ -621,8 +590,8 @@ class SpillingBlockchain(Blockchain):
     """
 
     def __init__(self, store: SegmentStore, epoch_blocks: int,
-                 first_block: int = 1, max_resident_epochs: int = 2,
-                 bounded: bool = True) -> None:
+                 first_block: int = 1,
+                 max_resident_epochs: int = 2) -> None:
         if epoch_blocks <= 0:
             raise ValueError("epoch_blocks must be positive")
         if max_resident_epochs <= 0:
@@ -633,8 +602,7 @@ class SpillingBlockchain(Blockchain):
         self.first_block = first_block
         self.max_resident_epochs = max_resident_epochs
         self.reader = SegmentReader(store,
-                                    max_resident=max_resident_epochs,
-                                    bounded=bounded)
+                                    max_resident=max_resident_epochs)
 
     def flush(self) -> None:
         """Drain any overlapped spill writes to durable storage."""

@@ -276,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Listed for --help only: main() forwards everything after
     # ``lint`` verbatim to repro.lint.cli, the one lint option table.
     sub.add_parser("lint", add_help=False,
-                   help="run the domain-invariant linter (R001–R007; "
-                        "--deep adds R101–R103) over source paths; "
+                   help="run the domain-invariant linter (R001–R007 "
+                        "and R101–R103 in one pass) over source paths; "
                         "takes every option of python -m repro.lint")
     return parser
 

@@ -5,7 +5,8 @@ tests cannot guard (they hold *by construction* until someone edits the
 wrong file): value stays integer wei inside the EVM state, seeded runs
 replay exactly, heuristics never peek at ground truth, heuristics and
 emitters agree on the event schema, and the public measurement API is
-typed.  Each invariant is a rule:
+typed.  Each invariant is a rule; R001–R007 check one module at a
+time, R101–R103 (:mod:`repro.lint.flow`) check the whole linted tree:
 
 =====  ====================  =======================================
 Rule   Name                  Guards
@@ -15,17 +16,23 @@ R002   determinism           no ambient entropy or hash-order loops
 R003   layering              measurement blind to simulator truth
 R004   event-schema          emitters/readers match events.py
 R005   public-api-hygiene    typed public functions in repro.core
+R006   no-silent-except      no handler that swallows an error
+R007   banned-api            retired identifiers stay gone
+R101   determinism-taint     no entropy flows into hashes or rows
+R102   fast-path-pairing     fast paths keep a tested reference
+R103   parallel-safety       no shared module state in the engine
 =====  ====================  =======================================
 
-Run with ``python -m repro.lint [paths]`` or ``python -m repro lint``.
-Suppress a deliberate exception with ``# repro-lint: disable=R00X`` on
-the flagged line (or the line above), or file-wide with
+Run with ``python -m repro.lint [paths]`` or ``python -m repro lint``;
+every enabled rule runs in one pass over the files.  Suppress a
+deliberate exception with ``# repro-lint: disable=R00X`` on the
+flagged line (or the line above), or file-wide with
 ``# repro-lint: disable-file=R00X``.  Configure via the
 ``[tool.repro-lint]`` table in ``pyproject.toml``.
 """
 
 from repro.lint.config import LintConfig, load_config
-from repro.lint.engine import lint_file, lint_paths, lint_source
+from repro.lint.engine import lint_paths, lint_source
 from repro.lint.findings import ERROR, WARNING, Finding
 from repro.lint.registry import Rule, all_rules, make_rules, register
 from repro.lint.reporters import render_json, render_text
@@ -37,7 +44,6 @@ __all__ = [
     "LintConfig",
     "Rule",
     "all_rules",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "load_config",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import ast
 import os
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Union
 
 from repro.lint.config import LintConfig
 from repro.lint.context import (
@@ -19,7 +19,9 @@ from repro.lint.context import (
     module_name_for,
 )
 from repro.lint.findings import ERROR, Finding
-from repro.lint.registry import Rule, make_rules
+from repro.lint.flow.callgraph import build_call_graph
+from repro.lint.flow.project import Project
+from repro.lint.registry import ProjectRule, Rule, make_rules
 from repro.lint.suppress import build_index, extend_index
 
 #: Rule id used for files that fail to parse at all.
@@ -58,66 +60,91 @@ def iter_python_files(paths: Iterable[Path],
             yield candidate
 
 
-def lint_file(path: Path, config: LintConfig, rules: List[Rule],
-              src_root: Optional[Path] = None,
-              display_path: Optional[str] = None) -> List[Finding]:
-    """Lint one file with pre-instantiated rules."""
-    display = display_path if display_path is not None else str(path)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        return [Finding(path=display, line=1, rule_id=PARSE_RULE_ID,
-                        severity=ERROR,
-                        message=f"cannot read file: {exc}")]
-    return lint_source(source, path=path, config=config, rules=rules,
-                       src_root=src_root, display_path=display)
-
-
 def lint_source(source: str, path: Path, config: LintConfig,
                 rules: List[Rule], src_root: Optional[Path] = None,
                 display_path: Optional[str] = None,
                 module: Optional[str] = None) -> List[Finding]:
-    """Lint in-memory source (the unit tests' entrypoint).
+    """Lint in-memory source with per-module rules (the unit tests'
+    entrypoint).
 
     ``module`` overrides dotted-name derivation so fixture snippets can
     pose as e.g. ``repro.chain.fixture`` without living under ``src/``.
     """
     display = display_path if display_path is not None else str(path)
+    if src_root is None:
+        src_root = find_src_root(path)
+    ctx = _parse(source, path, config, src_root, display, module)
+    if isinstance(ctx, Finding):
+        return [ctx]
+    return _check(ctx, rules)
+
+
+def _parse(source: str, path: Path, config: LintConfig,
+           src_root: Optional[Path], display: str,
+           module: Optional[str] = None) -> Union[ModuleContext, Finding]:
+    """One module's context, or the E000 finding when it does not parse."""
     try:
         tree = ast.parse(source, filename=display)
     except SyntaxError as exc:
-        return [Finding(path=display, line=exc.lineno or 1,
-                        rule_id=PARSE_RULE_ID, severity=ERROR,
-                        message=f"syntax error: {exc.msg}")]
-    if src_root is None:
-        src_root = find_src_root(path)
+        return Finding(path=display, line=exc.lineno or 1,
+                       rule_id=PARSE_RULE_ID, severity=ERROR,
+                       message=f"syntax error: {exc.msg}")
     if module is None:
         module = module_name_for(path, src_root)
-    ctx = ModuleContext(
+    return ModuleContext(
         path=path, display_path=display, module=module, source=source,
         tree=tree, suppressions=extend_index(build_index(source), tree),
         config=config, src_root=src_root)
-    findings: List[Finding] = []
-    for rule in rules:
-        for finding in rule.check(ctx):
+
+
+def _check(ctx: ModuleContext, rules: List[Rule]) -> List[Finding]:
+    return [finding for rule in rules for finding in rule.check(ctx)
             if not ctx.suppressions.is_suppressed(finding.rule_id,
-                                                  finding.line):
-                findings.append(finding)
-    return findings
+                                                  finding.line)]
 
 
 def lint_paths(paths: Iterable[Path],
                config: Optional[LintConfig] = None) -> List[Finding]:
-    """Lint every python file under ``paths`` and return sorted findings."""
+    """Lint every python file under ``paths`` and return sorted findings.
+
+    One pass: each file is read, parsed and suppression-indexed once.
+    The per-module rules check that tree; when a project rule is
+    enabled, the same tree and index also go into one
+    :class:`~repro.lint.flow.project.Project`, whose call graph is
+    resolved once after the walk.
+    """
     config = config if config is not None else LintConfig()
     rules = make_rules(config.enable, config.options_for)
+    project_rules = [rule for rule in rules
+                     if isinstance(rule, ProjectRule)]
+    project = Project() if project_rules else None
     findings: List[Finding] = []
     for path in iter_python_files(list(paths), config):
-        src_root = find_src_root(path)
         display = _display_path(path)
-        findings.extend(lint_file(path, config, rules,
-                                  src_root=src_root,
-                                  display_path=display))
+        try:
+            source = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            findings.append(Finding(path=display, line=1,
+                                    rule_id=PARSE_RULE_ID,
+                                    severity=ERROR,
+                                    message=f"cannot read file: {exc}"))
+            continue
+        ctx = _parse(source, path, config, find_src_root(path), display)
+        if isinstance(ctx, Finding):
+            findings.append(ctx)
+            continue
+        findings.extend(_check(ctx, rules))
+        if project is not None:
+            project.add(ctx.module, display, ctx.tree, ctx.suppressions)
+    if project is not None:
+        project.build_indexes()
+        graph = build_call_graph(project)
+        for rule in project_rules:
+            for finding in rule.check_project(project, graph):
+                index = project.suppressions.get(finding.path)
+                if index is None or not index.is_suppressed(
+                        finding.rule_id, finding.line):
+                    findings.append(finding)
     findings.sort(key=Finding.sort_key)
     return findings
 

@@ -35,7 +35,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.lint.findings import ERROR, Finding
 from repro.lint.flow.project import Project, split_qualname
+from repro.lint.flow.callgraph import CallGraph
 from repro.lint.flow.summary import FunctionSummary
+from repro.lint.registry import ProjectRule, register
 
 RULE_ID = "R102"
 
@@ -192,3 +194,16 @@ def analyze(project: Project, options: Optional[dict] = None,
                              "call the fast path and flip its "
                              "toggle instead")))
     return findings
+
+
+@register
+class PairingRule(ProjectRule):
+    rule_id = RULE_ID
+    title = "fast-path-pairing"
+    rationale = ("every @fast_path keeps a live same-module reference, "
+                 "equivalence coverage, and toggle-respecting call "
+                 "sites")
+
+    def check_project(self, project: Project,
+                      graph: CallGraph) -> List[Finding]:
+        return analyze(project, self.options)

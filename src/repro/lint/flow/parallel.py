@@ -37,6 +37,7 @@ from typing import List, Optional, Tuple
 from repro.lint.findings import ERROR, Finding
 from repro.lint.flow.callgraph import CallGraph
 from repro.lint.flow.project import Project, split_qualname
+from repro.lint.registry import ProjectRule, register
 
 RULE_ID = "R103"
 
@@ -114,3 +115,15 @@ def analyze(project: Project, graph: CallGraph,
                 message=(f"{fn.name}() (reachable via {witness}) "
                          f"{submission['detail']}")))
     return findings
+
+
+@register
+class ParallelRule(ProjectRule):
+    rule_id = RULE_ID
+    title = "parallel-safety"
+    rationale = ("code reachable from the chunk engine must not write "
+                 "module-level state or submit unpicklable callables")
+
+    def check_project(self, project: Project,
+                      graph: CallGraph) -> List[Finding]:
+        return analyze(project, graph, self.options)

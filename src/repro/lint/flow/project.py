@@ -1,9 +1,10 @@
-"""Whole-program view: load, summarize, and index every module.
+"""Whole-program view: summarize and index every module.
 
-:class:`Project` walks the same file set the per-file engine lints,
-parses each module once, and turns it into a
-:class:`~repro.lint.flow.summary.ModuleSummary`.  It then exposes the
-cross-module indexes the analyzers query:
+The engine hands :meth:`Project.add` each tree and suppression index
+it already parsed for the per-module rules, which turns the tree into
+a :class:`~repro.lint.flow.summary.ModuleSummary`.  After the walk,
+:meth:`Project.build_indexes` builds the cross-module indexes the
+analyzers query:
 
 * ``functions`` — ``"pkg.mod:Class.meth"`` / ``"pkg.mod:func"`` →
   summary (the *qualname* space all call-graph edges live in);
@@ -14,31 +15,22 @@ cross-module indexes the analyzers query:
   findings honour the same ``# repro-lint: disable=`` directives as
   the syntactic rules.
 
-Unparseable files are *skipped* here, never fatal: the syntactic pass
-already reports them as E000, and a broken file cannot contribute
-summaries anyway.
+Unparseable files never reach the project: the engine reports them
+as E000, and a broken file cannot contribute summaries anyway.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
-from repro.lint.config import LintConfig
-from repro.lint.context import find_src_root, module_name_for
-from repro.lint.engine import _display_path, iter_python_files
 from repro.lint.flow.summary import (
     FunctionSummary,
     ModuleSummary,
     summarize_module,
 )
-from repro.lint.suppress import (
-    SuppressionIndex,
-    build_index,
-    extend_index,
-)
+from repro.lint.suppress import SuppressionIndex
 
 
 def qualname(module: str, qualkey: str) -> str:
@@ -60,6 +52,24 @@ class Project:
     methods_by_name: Dict[str, List[str]] = field(default_factory=dict)
     suppressions: Dict[str, SuppressionIndex] = field(
         default_factory=dict)
+
+    def add(self, module: str, path: str, tree: ast.Module,
+            suppressions: SuppressionIndex) -> None:
+        """Summarize one parsed module; ``path`` is its display path."""
+        self.modules[module] = summarize_module(module, path, tree)
+        self.suppressions[path] = suppressions
+
+    def build_indexes(self) -> None:
+        """Cross-module indexes over every module added so far."""
+        for module, summary in self.modules.items():
+            for key, fn in summary.functions.items():
+                self.functions[qualname(module, key)] = fn
+                if "." in key:
+                    bare = key.split(".", 1)[1]
+                    self.methods_by_name.setdefault(bare, []).append(
+                        qualname(module, key))
+            for cls in summary.classes:
+                self.classes.setdefault(cls, []).append(module)
 
     def function(self, name: str) -> Optional[FunctionSummary]:
         return self.functions.get(name)
@@ -102,40 +112,3 @@ class Project:
                 if cls in info["bases"]:
                     out.append((mod, name))
         return out
-
-
-def load_project(paths: Iterable[Path], config: LintConfig) -> Project:
-    """Parse + summarize every python file under ``paths``."""
-    project = Project()
-    for path in iter_python_files(list(paths), config):
-        try:
-            source = path.read_text(encoding="utf-8")
-        except OSError:
-            continue
-        src_root = find_src_root(path)
-        module = module_name_for(path, src_root)
-        display = _display_path(path)
-        try:
-            tree = ast.parse(source, filename=display)
-        except SyntaxError:
-            continue
-        project.modules[module] = summarize_module(module, display, tree)
-        index = build_index(source)
-        if index.by_line:
-            # Structural widening needs the AST.
-            index = extend_index(index, tree)
-        project.suppressions[display] = index
-    _build_indexes(project)
-    return project
-
-
-def _build_indexes(project: Project) -> None:
-    for module, summary in project.modules.items():
-        for key, fn in summary.functions.items():
-            project.functions[qualname(module, key)] = fn
-            if "." in key:
-                bare = key.split(".", 1)[1]
-                project.methods_by_name.setdefault(bare, []).append(
-                    qualname(module, key))
-        for cls in summary.classes:
-            project.classes.setdefault(cls, []).append(module)

@@ -163,13 +163,19 @@ def _decorator_info(node: ast.expr) -> Dict[str, Any]:
             "lineno": node.lineno}
 
 
-def _is_set_expr(node: ast.AST) -> bool:
+def is_set_expr(node: ast.AST) -> bool:
+    """True when iterating ``node`` walks a set in hash order (shared by
+    R002 and R101)."""
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call) and \
             isinstance(node.func, ast.Name) and \
             node.func.id in ("set", "frozenset"):
         return True
+    if isinstance(node, ast.BinOp) and \
+            isinstance(node.op, (ast.BitOr, ast.BitAnd, ast.Sub)):
+        # set algebra (a | b, a & b, a - b) over set expressions
+        return is_set_expr(node.left) or is_set_expr(node.right)
     return False
 
 
@@ -488,7 +494,7 @@ class _FunctionSummarizer:
             return
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             iter_tokens = self._tokens(stmt.iter)
-            if _is_set_expr(stmt.iter):
+            if is_set_expr(stmt.iter):
                 self._add_source("iteration over a set expression",
                                  stmt.iter.lineno)
                 iter_tokens = iter_tokens | {DIRECT}

@@ -28,6 +28,7 @@ from repro.lint.findings import ERROR, Finding
 from repro.lint.flow.callgraph import CallGraph, resolve_site
 from repro.lint.flow.project import Project, split_qualname
 from repro.lint.flow.summary import DIRECT, FunctionSummary
+from repro.lint.registry import ProjectRule, register
 
 RULE_ID = "R101"
 
@@ -233,3 +234,15 @@ def analyze(project: Project, graph: CallGraph,
                              sanctioned=sanctioned)
     analysis.run()
     return analysis.findings()
+
+
+@register
+class TaintRule(ProjectRule):
+    rule_id = RULE_ID
+    title = "determinism-taint"
+    rationale = ("no nondeterministic value may flow into block hashes, "
+                 "detection rows, checkpoints, or bench JSON")
+
+    def check_project(self, project: Project,
+                      graph: CallGraph) -> List[Finding]:
+        return analyze(project, graph, self.options)

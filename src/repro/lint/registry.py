@@ -1,16 +1,23 @@
 """Rule registry: rules self-register via the :func:`register` decorator.
 
-Keeping registration declarative means the engine, the CLI's
-``--list-rules`` output, and the docs all derive from one table, and a
-new rule is one new module under ``repro.lint.rules``.
+Keeping registration declarative means the engine, ``enable`` and
+``--select``, the CLI's ``--list-rules`` output, the SARIF rule table
+and the docs all derive from one table.  A per-module rule is one new
+module under ``repro.lint.rules``; a whole-program rule is one
+:class:`ProjectRule` next to its analyzer in ``repro.lint.flow``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Type
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator,
+                    List, Type)
 
 from repro.lint.context import ModuleContext
 from repro.lint.findings import ERROR, Finding
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.lint.flow.callgraph import CallGraph
+    from repro.lint.flow.project import Project
 
 _REGISTRY: Dict[str, Type["Rule"]] = {}
 
@@ -45,6 +52,24 @@ class Rule:
         if isinstance(value, (list, tuple)):
             return [str(item) for item in value]
         return list(default)
+
+
+class ProjectRule(Rule):
+    """A rule over the whole linted tree instead of one module.
+
+    The engine summarizes every module it parsed into one
+    :class:`~repro.lint.flow.project.Project` (only when a project rule
+    is enabled), resolves the call graph once, and hands both to
+    :meth:`check_project`.  Its findings pass through the same
+    suppression directives as per-module findings.
+    """
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        return iter(())  # nothing to say about one module alone
+
+    def check_project(self, project: "Project",
+                      graph: "CallGraph") -> List[Finding]:
+        raise NotImplementedError
 
 
 def register(cls: Type[Rule]) -> Type[Rule]:

@@ -1,4 +1,9 @@
-"""Built-in lint rules; importing this package registers them all."""
+"""Built-in lint rules; importing this package registers them all.
+
+The per-module rules live here; the whole-program rules R101–R103 live
+next to their analyzers in :mod:`repro.lint.flow` and register on the
+import below.
+"""
 
 from repro.lint.rules.wei_safety import WeiSafetyRule
 from repro.lint.rules.determinism import DeterminismRule
@@ -7,6 +12,7 @@ from repro.lint.rules.event_schema import EventSchemaRule
 from repro.lint.rules.api_hygiene import ApiHygieneRule
 from repro.lint.rules.silent_except import SilentExceptRule
 from repro.lint.rules.banned_api import BannedApiRule
+from repro.lint.flow import PairingRule, ParallelRule, TaintRule
 
 __all__ = [
     "WeiSafetyRule",
@@ -16,4 +22,7 @@ __all__ = [
     "ApiHygieneRule",
     "SilentExceptRule",
     "BannedApiRule",
+    "TaintRule",
+    "PairingRule",
+    "ParallelRule",
 ]

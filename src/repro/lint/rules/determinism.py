@@ -29,7 +29,7 @@ from typing import Iterator, List, Set
 
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
-from repro.lint.flow.summary import NONDET_ATTRS
+from repro.lint.flow.summary import NONDET_ATTRS, is_set_expr
 from repro.lint.registry import Rule, register
 
 #: ``random`` module attributes that are fine to touch directly.
@@ -137,23 +137,8 @@ class _Visitor(ast.NodeVisitor):
 
     # -- set iteration ------------------------------------------------------
 
-    @staticmethod
-    def _is_set_expr(node: ast.AST) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call) and \
-                isinstance(node.func, ast.Name) and \
-                node.func.id in ("set", "frozenset"):
-            return True
-        if isinstance(node, ast.BinOp) and \
-                isinstance(node.op, (ast.BitOr, ast.BitAnd, ast.Sub)):
-            # set algebra (a | b, a & b, a - b) over set expressions
-            return _Visitor._is_set_expr(node.left) or \
-                _Visitor._is_set_expr(node.right)
-        return False
-
     def _check_iter(self, iter_node: ast.AST) -> None:
-        if self._is_set_expr(iter_node):
+        if is_set_expr(iter_node):
             self._emit(iter_node,
                        "iterating over a set: order depends on hashing "
                        "and breaks seeded determinism; sort it first "

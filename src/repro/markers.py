@@ -11,8 +11,8 @@ without importing anything:
   module (the reference is load-bearing: equivalence tests and the
   bench identity gates replay it);
 * the decorated function actually consults its ``toggle``, so building
-  the world with ``fast_paths=False`` (or ``incremental=False``) really
-  does route through the reference;
+  the world with ``fast_paths=False`` really does route through the
+  reference;
 * some test exercises the pair against each other;
 * no production call site invokes the reference directly, bypassing
   the toggle dispatch.
@@ -41,8 +41,7 @@ def fast_path(reference: Optional[str] = None, *,
     (``None`` for inline pairs where the toggle selects the reference
     behaviour inside the function body, e.g. ``memo={} if fast_paths
     else None``).  ``toggle`` names the attribute or parameter the
-    dispatch consults (``fast_paths``, ``incremental``, ``bounded``,
-    ``memo`` …).  ``tested_by`` optionally pins the equivalence test
+    dispatch consults (``fast_paths``, ``_index``, ``memo`` …).  ``tested_by`` optionally pins the equivalence test
     file; when omitted, R102 searches the test tree for one.
     """
 

@@ -418,21 +418,20 @@ class TestSegmentReader:
         assert reader.resident_epochs == [4, 0]
 
     def test_bounded_matches_unbounded_reference(self, tmp_path):
-        """The manifest-bisect fast path must yield exactly what the
-        ``bounded=False`` reference (``_iter_range_unbounded``) yields,
-        for full, partial, cross-segment, and empty ranges."""
-        store, _ = filled_store(tmp_path, epochs=4, epoch_blocks=3)
-        fast = SegmentReader(store, max_resident=1)
-        reference = SegmentReader(store, bounded=False)
+        """The manifest-bisect reads through a one-segment LRU must
+        yield exactly the spilled block list, for full, partial,
+        cross-segment, and empty ranges."""
+        store, blocks = filled_store(tmp_path, epochs=4, epoch_blocks=3)
+        reader = SegmentReader(store, max_resident=1)
         ranges = [(None, None), (1, 12), (2, 11), (4, 6), (5, 8),
                   (1, 1), (12, 12), (9, 4), (20, 30)]
         for lo, hi in ranges:
-            got = [b.hash for b in fast.iter_range(lo, hi)]
-            want = [b.hash for b in reference.iter_range(lo, hi)]
+            got = [b.hash for b in reader.iter_range(lo, hi)]
+            want = [b.hash for b in blocks
+                    if (lo is None or b.number >= lo)
+                    and (hi is None or b.number <= hi)]
             assert got == want, (lo, hi)
-        # The reference never evicts; the fast path stayed bounded.
-        assert len(fast.resident_epochs) <= 1
-        assert len(reference.resident_epochs) == 4
+        assert len(reader.resident_epochs) <= 1
 
     def test_cold_block_decodes_one_frame(self, tmp_path, decodes):
         store, _ = filled_store(tmp_path, epochs=3, epoch_blocks=5)
@@ -482,7 +481,7 @@ class TestSegmentReader:
 
 class TestSpillingBlockchain:
     def spilled_pair(self, tmp_path, num_blocks=14, epoch_blocks=3,
-                     max_resident=2, bounded=True):
+                     max_resident=2):
         """The same block sequence appended to a plain chain and a
         spilling chain (shared objects; both stamp identical linkage)."""
         blocks = build_blocks(num_blocks)
@@ -490,7 +489,7 @@ class TestSpillingBlockchain:
         store = SegmentStore.create(str(tmp_path / "segs"))
         spilling = SpillingBlockchain(
             store, epoch_blocks=epoch_blocks,
-            max_resident_epochs=max_resident, bounded=bounded)
+            max_resident_epochs=max_resident)
         for block in blocks:
             plain.append(block)
             spilling.append(block)
@@ -528,14 +527,10 @@ class TestSpillingBlockchain:
         assert block.number == 1 and position == 0
         assert spilling.locate_transaction("0x" + "00" * 32) is None
 
-    @pytest.mark.parametrize("bounded", [True, False],
-                             ids=["sliced", "linear"])
-    def test_archive_node_reads_spilled_blocks(self, tmp_path, bounded):
+    def test_archive_node_reads_spilled_blocks(self, tmp_path):
         """The node reads through the chain's ``iter_range`` — spilled
-        segments first, never only the resident tail — over both
-        segment read paths: the LRU's sliced reads and the unbounded
-        reference's linear manifest walk."""
-        plain, spilling = self.spilled_pair(tmp_path, bounded=bounded)
+        segments first, never only the resident tail."""
+        plain, spilling = self.spilled_pair(tmp_path)
         node = ArchiveNode(spilling)
         assert spilling.blocks[0].number > 1  # blocks 1.. were evicted
         assert node.earliest_block_number() == 1

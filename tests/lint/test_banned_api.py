@@ -55,6 +55,14 @@ REMOVED_CHUNK_ENGINE = (
     "CachedExecutor", "SerialExecutor", "make_executor", "ChunkStats",
     "sum_chunk_stats", "artifact_digest", "CACHE_VERSION")
 
+#: the second lint pass, its report and the findings baseline, gone
+#: when R101-R103 became registered rules of the one pass; the
+#: unbounded segment reader, gone with its ``bounded`` toggle
+REMOVED_LINT_PASS = (
+    "run_deep", "DeepReport", "FLOW_RULES", "load_baseline",
+    "write_baseline", "filter_baselined", "load_project", "lint_file",
+    "_iter_range_unbounded")
+
 
 def repo_config():
     from repro.lint.config import load_config
@@ -82,7 +90,8 @@ class TestPositive:
     @pytest.mark.parametrize(
         "name", REMOVED_SOURCE_CLASSES + REMOVED_CONFIG_HELPERS
         + REMOVED_BENCH_HELPERS + REMOVED_SERVE_BUILDERS
-        + REMOVED_READ_INDEX + REMOVED_DEAD_CODE + REMOVED_CHUNK_ENGINE)
+        + REMOVED_READ_INDEX + REMOVED_DEAD_CODE + REMOVED_CHUNK_ENGINE
+        + REMOVED_LINT_PASS)
     def test_removed_source_classes_flagged(self, name):
         findings = run_lint(
             f"""

@@ -9,17 +9,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import LintConfig
-from repro.lint.flow import run_deep
+from repro.lint import LintConfig, lint_paths
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "flow"
 
+PROJECT_RULES = ["R101", "R102", "R103"]
+
 
 def deep(fixture: str, rule_options=None, tests_root=None):
-    config = LintConfig(rule_options=rule_options or {})
-    report = run_deep([FIXTURES / fixture / "proj"], config,
-                      tests_root=tests_root)
-    return report.findings
+    """The fixture's findings from the three project rules."""
+    options = dict(rule_options or {})
+    if tests_root is not None:
+        options["R102"] = {**options.get("R102", {}),
+                           "tests-root": tests_root}
+    config = LintConfig(enable=PROJECT_RULES, rule_options=options)
+    return lint_paths([FIXTURES / fixture / "proj"], config)
 
 
 def by_rule(findings, rule_id):
@@ -42,6 +46,15 @@ class TestR101Taint:
     def test_true_negatives(self, tmp_path):
         findings = deep("r101_tn", tests_root=str(tmp_path))
         assert by_rule(findings, "R101") == []
+
+    def test_set_algebra_iteration_reaches_the_sink(self, tmp_path):
+        """``for x in a | b`` walks hash order exactly like a set
+        literal; R101 shares R002's set-expression check."""
+        findings = by_rule(deep("r101_setops", tests_root=str(tmp_path)),
+                           "R101")
+        assert len(findings) == 1
+        assert "iteration over a set expression" in findings[0].message
+        assert "hash_of" in findings[0].message
 
     def test_sanctioned_list_silences_a_source(self, tmp_path):
         options = {"R101": {
@@ -132,25 +145,40 @@ class TestR103Parallel:
         assert findings[0].path.endswith("engine.py")
 
 
-class TestRepoIsDeepClean:
-    def test_src_tree_has_no_deep_findings(self):
-        repo_root = Path(__file__).resolve().parents[2]
-        from repro.lint import load_config
-        config = load_config(pyproject=repo_root / "pyproject.toml")
-        report = run_deep(
-            [repo_root / "src"], config,
-            tests_root=str(repo_root / "tests"))
-        assert report.findings == []
-        # all four registered fast-path modules were seen
-        assert report.modules > 50
-        assert report.functions > 500
+@pytest.fixture(scope="module")
+def src_pass():
+    """Findings and the :class:`Project` of one all-rules pass over
+    ``src/`` with the repo's config (R102's tests root is relative)."""
+    import repro.lint.engine as engine
+    from repro.lint import load_config
+    repo_root = Path(__file__).resolve().parents[2]
+    built = []
 
-    def test_all_known_pairs_are_registered(self):
+    class Recording(engine.Project):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "Project", Recording)
+        patch.chdir(repo_root)
+        config = load_config(pyproject=repo_root / "pyproject.toml")
+        findings = lint_paths([repo_root / "src"], config)
+    assert len(built) == 1
+    return findings, built[0]
+
+
+class TestRepoIsDeepClean:
+    def test_src_tree_has_no_deep_findings(self, src_pass):
+        findings, project = src_pass
+        assert findings == []
+        # all four registered fast-path modules were seen
+        assert len(project.modules) > 50
+        assert len(project.functions) > 500
+
+    def test_all_known_pairs_are_registered(self, src_pass):
         """The PR-5 pairs must carry @fast_path markers (R102 scope)."""
-        repo_root = Path(__file__).resolve().parents[2]
-        from repro.lint import LintConfig as Cfg
-        from repro.lint.flow.project import load_project
-        project = load_project([repo_root / "src"], Cfg())
+        _, project = src_pass
         marked = set()
         for name, fn in project.functions.items():
             if any(d.get("name") == "fast_path"

@@ -1,27 +1,27 @@
-"""Deep-mode infrastructure: suppressions, SARIF, baseline, CLI."""
+"""Project-rule infrastructure: one pass, suppressions, SARIF, CLI."""
 
+import ast
 import json
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.lint import LintConfig
+import repro.lint.engine as engine
+from repro.lint import LintConfig, all_rules, lint_paths
+from repro.lint.cli import _rules_meta
 from repro.lint.cli import main as lint_main
 from repro.lint.findings import Finding
-from repro.lint.flow import (
-    FLOW_RULES,
-    filter_baselined,
-    load_baseline,
-    run_deep,
-    write_baseline,
-)
 from repro.lint.reporters import render_sarif
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "flow"
 
 R103_OPTIONS = {"R103": {"roots": ["proj.engine:Runner.run_chunk"],
                          "allow-globals": []}}
+
+ALL_RULES = ["R001", "R002", "R003", "R004", "R005", "R006", "R007",
+             "R101", "R102", "R103"]
 
 
 def write_proj(tmp_path, name, source):
@@ -46,9 +46,9 @@ class TestDeepSuppression:
         proj = write_proj(tmp_path, "engine.py",
                           self.UNSAFE.replace("@DIRECTIVE@",
                                               directive))
-        config = LintConfig(rule_options=R103_OPTIONS)
-        return run_deep([proj], config,
-                        tests_root=str(tmp_path)).findings
+        config = LintConfig(enable=ALL_RULES,
+                            rule_options=R103_OPTIONS)
+        return lint_paths([proj], config)
 
     def test_finding_without_directive(self, tmp_path):
         findings = self.run(tmp_path)
@@ -64,7 +64,8 @@ class TestSarif:
     def test_document_shape(self):
         findings = [Finding(path="src/x.py", line=3, rule_id="R101",
                             severity="error", message="tainted", col=4)]
-        meta = dict(FLOW_RULES)
+        meta = {rule_id: entry for rule_id, entry in _rules_meta().items()
+                if rule_id.startswith("R1")}
         document = json.loads(render_sarif(findings, meta))
         assert document["version"] == "2.1.0"
         run = document["runs"][0]
@@ -81,55 +82,24 @@ class TestSarif:
         assert document["runs"][0]["results"] == []
 
 
-class TestBaseline:
-    def test_round_trip_and_filter(self, tmp_path):
-        old = Finding(path="a.py", line=10, rule_id="R103",
-                      message="known issue")
-        new = Finding(path="a.py", line=20, rule_id="R101",
-                      message="fresh issue")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, [old])
-        accepted = load_baseline(baseline_path)
-        remaining = filter_baselined([old, new], accepted)
-        assert remaining == [new]
-
-    def test_line_drift_does_not_resurrect(self, tmp_path):
-        old = Finding(path="a.py", line=10, rule_id="R103",
-                      message="known issue")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, [old])
-        moved = Finding(path="a.py", line=99, rule_id="R103",
-                        message="known issue")
-        accepted = load_baseline(baseline_path)
-        assert filter_baselined([moved], accepted) == []
-
-    def test_bad_baseline_raises(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"version": 99}))
-        with pytest.raises(ValueError):
-            load_baseline(bad)
-
-
 class TestDeepCli:
-    def test_deep_findings_fail_the_run(self, tmp_path, capsys):
+    def test_deep_findings_fail_the_run(self, capsys):
         code = lint_main([str(FIXTURES / "r101_tp" / "proj"),
-                          "--deep", "--no-config",
-                          "--tests-root", str(tmp_path)])
+                          "--no-config", "--select", "R101"])
         out = capsys.readouterr()
         assert code == 1
         assert "R101" in out.out
-        assert "deep-lint:" in out.err  # stats on stderr, not stdout
+        assert out.err == ""
 
-    def test_clean_fixture_exits_zero(self, tmp_path):
+    def test_clean_fixture_exits_zero(self):
         code = lint_main([str(FIXTURES / "r101_tn" / "proj"),
-                          "--deep", "--no-config",
-                          "--tests-root", str(tmp_path)])
+                          "--no-config", "--select", "R101,R103"])
         assert code == 0
 
-    def test_sarif_output_parses(self, tmp_path, capsys):
+    def test_sarif_output_parses(self, capsys):
         code = lint_main([str(FIXTURES / "r101_tp" / "proj"),
-                          "--deep", "--no-config", "--format", "sarif",
-                          "--tests-root", str(tmp_path)])
+                          "--no-config", "--format", "sarif",
+                          "--select", "R101"])
         out = capsys.readouterr().out
         document = json.loads(out)
         assert code == 1
@@ -138,28 +108,67 @@ class TestDeepCli:
                   for r in document["runs"][0]["tool"]["driver"]["rules"]}
         assert {"R101", "R102", "R103"} <= listed
 
-    def test_baseline_workflow(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        args = [str(FIXTURES / "r101_tp" / "proj"), "--deep",
-                "--no-config", "--tests-root", str(tmp_path),
-                "--baseline", str(baseline)]
-        assert lint_main(args + ["--write-baseline"]) == 0
-        capsys.readouterr()
-        # identical findings now baselined: the run is clean
-        assert lint_main(args) == 0
-        out = capsys.readouterr()
-        assert "no findings" in out.out
-
-    def test_write_baseline_requires_baseline(self, capsys):
-        assert lint_main(["--write-baseline"]) == 2
-        assert "--baseline" in capsys.readouterr().err
-
     def test_list_rules_includes_flow_analyzers(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("R101", "R102", "R103"):
             assert rule_id in out
-        assert "--deep" in out
+        assert "--deep" not in out
+
+    @pytest.mark.parametrize("flag", [
+        ["--deep"], ["--baseline", "lint-baseline.json"],
+        ["--write-baseline"], ["--tests-root", "tests"]])
+    def test_removed_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            lint_main(["--no-config", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestOnePass:
+    def test_each_file_is_parsed_once(self, monkeypatch):
+        """Per-module and project rules share one parse per file."""
+        parsed = Counter()
+        parse = ast.parse
+
+        def counting(source, filename="<unknown>", *args, **kwargs):
+            parsed[filename] += 1
+            return parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting)
+        proj = FIXTURES / "r101_tp" / "proj"
+        findings = lint_paths([proj], LintConfig(enable=ALL_RULES))
+        files = sorted(proj.glob("*.py"))
+        assert len(parsed) == len(files) == 4
+        assert set(parsed.values()) == {1}
+        assert {Path(name).name for name in parsed} == \
+            {path.name for path in files}
+        assert [f.rule_id for f in findings] == ["R101", "R101"]
+
+    def test_select_runs_a_project_rule_alone(self, capsys):
+        code = lint_main([str(FIXTURES / "r102_tp" / "proj"),
+                          "--no-config", "--select", "R101"])
+        assert code == 0
+        assert "no findings" in capsys.readouterr().out
+
+    def test_per_module_rules_build_no_project(self, monkeypatch,
+                                                capsys):
+        def refuse():
+            raise AssertionError("Project built for per-module rules")
+
+        monkeypatch.setattr(engine, "Project", refuse)
+        code = lint_main([str(FIXTURES / "r101_tp" / "proj"),
+                          "--no-config", "--select", "R001"])
+        assert code == 0
+        assert lint_paths([FIXTURES / "r103_tp" / "proj"],
+                          LintConfig()) == []
+
+    def test_every_rule_comes_from_the_registry(self, capsys):
+        assert lint_main(["--list-rules"]) == 0
+        listed = {line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()}
+        assert listed == set(all_rules()) == set(_rules_meta()) \
+            == set(ALL_RULES)
 
 
 class TestMarkerRuntime:
