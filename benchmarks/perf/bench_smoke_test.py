@@ -1,17 +1,18 @@
 """Smoke test for the benchmark harness (quick scenario).
 
-Asserts the report's schema and the identity invariants — parallel ≡
-serial, indexed reads ≡ linear scan — not any wall-clock number:
-speed depends on the machine, correctness never does.
+Asserts the report's schema and every identity gate — parallel ≡
+serial, indexed reads ≡ linear scan, stream, serve and shard — not
+any wall-clock number: speed depends on the machine, correctness
+never does.
 """
 
 import json
 
-from repro.bench import BENCH_VERSION, render_report, run_bench, \
-    write_report
+from repro.bench import BENCH_VERSION, GATES, render_report, \
+    run_bench, write_report
 
 EXPECTED_STAGES = {"simulate", "detection_indexed", "detection_linear",
-                   "stream"}
+                   "stream", "serve", "shard"}
 
 
 class TestBenchSmoke:
@@ -19,8 +20,10 @@ class TestBenchSmoke:
         report = run_bench(quick=True, workers=(1, 2))
 
         assert report["version"] == BENCH_VERSION
-        assert report["parallel_identical"] is True
-        assert report["indexed_matches_linear"] is True
+        for key, _ in GATES:
+            assert report[key] is True, key
+        assert report["serve"] is not None
+        assert report["shard"]["scope"] == "full"
         assert report["machine"]["cpu_count"] >= 1
         assert "world_cache" not in report  # deleted in v9
 
@@ -48,5 +51,5 @@ class TestBenchSmoke:
         assert json.loads(out.read_text(encoding="utf-8")) == report
 
         summary = render_report(report)
-        assert "parallel_identical: yes" in summary
-        assert "indexed_matches_linear: yes" in summary
+        for key, _ in GATES:
+            assert f"{key}: yes" in summary

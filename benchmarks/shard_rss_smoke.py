@@ -2,8 +2,8 @@
 """Large-scenario spilling smoke: O(epoch) memory, measured for real.
 
 Simulates a ~100k-block scenario with the segment store attached
-(overlapped background spill writes and the flat-GC long-run regime by
-default, like production runs), then asserts the four properties that
+(overlapped background spill writes and the flat-GC long-run regime,
+like production runs), then asserts the four properties that
 make million-block windows feasible:
 
 1. **Residency bound** — the in-memory block list never exceeds
@@ -24,8 +24,6 @@ make million-block windows feasible:
 
 Exits nonzero on any violation.  CI runs this at workers 1 and 2; run
 it locally with smaller ``--blocks`` for a quick check.
-``--no-overlap-io`` spills synchronously — segment files are
-byte-identical either way (tests/chain/test_overlap.py pins that).
 """
 
 import argparse
@@ -74,12 +72,6 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--ceiling-mb", type=int, default=900,
                         help="peak-RSS ceiling asserted after the run")
-    parser.add_argument("--overlap-io",
-                        action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="write segments on a background thread "
-                             "(default on; --no-overlap-io spills "
-                             "synchronously)")
     args = parser.parse_args(argv)
 
     config = ScenarioConfig(blocks_per_month=args.bpm, seed=args.seed,
@@ -97,7 +89,7 @@ def main(argv=None):
         store = SegmentStore.create(os.path.join(root, "segments"))
         world.attach_segment_store(
             store, max_resident_epochs=args.max_resident_epochs,
-            overlap_io=args.overlap_io)
+            overlap_io=True)
         flat_gc = world.install_flat_gc()
 
         # Epoch-by-epoch so throughput is a per-epoch series, not one
@@ -133,8 +125,7 @@ def main(argv=None):
             f"resident blocks {resident} exceed bound {bound}"
         spilled = len(store.segments)
         print(f"simulated {args.blocks} blocks in {elapsed:.1f}s "
-              f"({args.blocks / elapsed:.0f} blocks/s, overlap_io="
-              f"{'on' if args.overlap_io else 'off'}); "
+              f"({args.blocks / elapsed:.0f} blocks/s); "
               f"{spilled} segments spilled, {resident} blocks resident "
               f"(bound {bound})")
 

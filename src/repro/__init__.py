@@ -204,7 +204,6 @@ def quick_study(blocks_per_month: int = 60, seed: int = 7,
                 blocks: Optional[int] = None,
                 max_resident_epochs: Optional[int] = None,
                 segment_dir: Union[str, Path, None] = None,
-                overlap_io: bool = True,
                 **config_overrides) -> Study:
     """Simulate the study window and measure it, in one call.
 
@@ -215,11 +214,9 @@ def quick_study(blocks_per_month: int = 60, seed: int = 7,
     (default 2) stay in memory — peak residency is O(epoch), which is
     what makes ``repro run --blocks 100000 --epoch-blocks 5000``
     feasible on a small box.  Spilled runs write segments on a
-    background thread and use the flat-GC long-run regime by default
-    (``overlap_io=False`` restores fully synchronous spills; the files
-    are byte-identical either way).  The run re-simulates from genesis,
-    so any store already in ``segment_dir`` is wiped first and a rerun
-    leaves the same store as the first run.
+    background thread and use the flat-GC long-run regime.  The run
+    re-simulates from genesis, so any store already in ``segment_dir``
+    is wiped first and a rerun leaves the same store as the first run.
     """
     config = ScenarioConfig(blocks_per_month=blocks_per_month, seed=seed,
                             **config_overrides)
@@ -231,7 +228,7 @@ def quick_study(blocks_per_month: int = 60, seed: int = 7,
             SegmentStore.create(str(segment_dir)),
             max_resident_epochs=max_resident_epochs
             if max_resident_epochs is not None else 2,
-            overlap_io=overlap_io)
+            overlap_io=True)
         flat_gc = world.install_flat_gc()
     try:
         result = world.run(blocks=blocks)

@@ -15,8 +15,6 @@ Usage::
     python -m repro serve --follow --fault-profile reorg  # live follow
     python -m repro serve --follow --smoke          # identity smoke gate
     python -m repro bench [--quick]                 # wall-clock benchmark
-    python -m repro bench --serve                   # + HTTP load replay
-    python -m repro bench --shard                   # + epoch-shard gate
     python -m repro run --bpm 5000 --blocks 100000 --epoch-blocks 5000 \\
         --segment-dir segments/                     # O(epoch) memory
     python -m repro lint [PATHS ...] [OPTIONS]      # invariant linter
@@ -146,14 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "segment files in DIR so peak memory is "
                      "O(epoch), not O(world); required for "
                      "million-block scenarios")
-            command.add_argument(
-                "--overlap-io", action=argparse.BooleanOptionalAction,
-                default=True,
-                help="with --segment-dir: write segment files on a "
-                     "background thread so the simulation never "
-                     "blocks on disk (default on; --no-overlap-io "
-                     "spills synchronously — byte-identical files "
-                     "either way)")
     stream = sub.add_parser(
         "stream",
         help="follow the chain through a (possibly hostile) block "
@@ -246,33 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "top-25 cumulative tables to "
                             "<output>.profile.txt (inflates wall "
                             "times; for attribution, not comparison)")
-    bench.add_argument("--serve", action="store_true",
-                       help="add the query-service stage: feed a "
-                            "store live from the stream engine, gate "
-                            "on byte-identical responses vs the "
-                            "batch-built store, then replay a seeded "
-                            "HTTP load mix (p50/p99/qps)")
-    bench.add_argument("--serve-requests", type=int, default=300,
-                       metavar="N",
-                       help="requests in the serve replay mix "
-                            "(default 300)")
-    bench.add_argument("--shard", action="store_true",
-                       help="add the epoch-shard stage: seal the "
-                            "serial world at epoch boundaries, "
-                            "re-simulate every epoch independently "
-                            "from its seal across workers, splice, "
-                            "and gate on a bit-identical block/tx "
-                            "hash sequence (shard_identical)")
-    bench.add_argument("--shard-workers", type=_at_least_one, default=2,
-                       metavar="N",
-                       help="worker count for the epoch "
-                            "re-simulation fan-out (default 2)")
-    bench.add_argument("--shard-prefix", type=_at_least_one,
-                       default=None,
-                       metavar="K",
-                       help="re-simulate only the first K epochs "
-                            "(sampled-prefix gate for scenarios too "
-                            "large to reference in full)")
     # Listed for --help only: main() forwards everything after
     # ``lint`` verbatim to repro.lint.cli, the one lint option table.
     sub.add_parser("lint", add_help=False,
@@ -347,7 +310,6 @@ def _study(args: argparse.Namespace) -> Study:
                        max_resident_epochs=getattr(
                            args, "max_resident_epochs", None),
                        segment_dir=segment_dir,
-                       overlap_io=getattr(args, "overlap_io", True),
                        **scenario_overrides)
 
 
@@ -644,8 +606,8 @@ async def _serve_until_interrupted(server) -> int:
 def run_bench_command(args: argparse.Namespace) -> int:
     """Run the wall-clock benchmark; nonzero exit on divergence.
 
-    Every identity gate in :data:`repro.bench.GATES` that reads
-    ``False`` — a parallel run not bit-identical to the serial one, an
+    Every identity gate in :data:`repro.bench.GATES` that is not
+    ``True`` — a parallel run not bit-identical to the serial one, an
     optimized simulation off the naive reference paths, and so on — is
     a correctness failure, not a performance number.  Each failed gate
     is named on stderr; CI gates on the exit code.
@@ -658,22 +620,18 @@ def run_bench_command(args: argparse.Namespace) -> int:
           + (", quick" if args.quick else "") + ") …", file=sys.stderr)
     report = run_bench(bpm=args.bpm, seed=args.seed, workers=workers,
                        chunk_size=args.chunk_size, quick=args.quick,
-                       profile=args.profile, serve=args.serve,
-                       serve_requests=args.serve_requests,
-                       shard=args.shard,
-                       shard_workers=args.shard_workers,
-                       shard_prefix_epochs=args.shard_prefix)
+                       profile=args.profile)
     write_report(report, args.output)
     print(render_report(report))
     print(f"wrote {args.output}")
     if args.profile:
         profile_path = args.output + ".profile.txt"
         with open(profile_path, "w", encoding="utf-8") as stream:
-            for stage, table in report.get("profile", {}).items():
+            for stage, table in report["profile"].items():
                 stream.write(f"===== {stage} =====\n{table}\n")
         print(f"wrote {profile_path}")
     failed = [(key, message) for key, message in GATES
-              if report.get(key) is False]
+              if report[key] is not True]
     for key, message in failed:
         print(f"ERROR: {key}: {message}", file=sys.stderr)
     return 1 if failed else 0

@@ -109,7 +109,17 @@ def load_config(pyproject: Optional[Path] = None,
     table = data.get("tool", {}).get("repro-lint", {})
     if not isinstance(table, dict):
         return LintConfig()
-    return from_mapping(table)
+    config = from_mapping(table)
+    # Relative paths in the file name places in the project, so they
+    # resolve against the pyproject's directory, not the working one.
+    base = path.resolve().parent
+    if config.events_path:
+        config.events_path = str(base / config.events_path)
+    pairing = config.rule_options.get("R102", {})
+    tests_root = pairing.get("tests-root")
+    if isinstance(tests_root, str) and tests_root:
+        pairing["tests-root"] = str(base / tests_root)
+    return config
 
 
 def common_search_root(paths: Sequence[Path]) -> Path:

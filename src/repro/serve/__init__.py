@@ -28,7 +28,7 @@ endpoint's response over the final canonical chain is byte-identical
 whether the store was built from a batch dataset or fed live by the
 streaming engine through reorgs — enforced by
 :func:`~repro.serve.service.responses_identical`, the serve test
-suite, and the ``serve_identical`` gate of ``repro bench --serve``.
+suite, and the ``serve_identical`` gate of ``repro bench``.
 """
 
 from repro.serve.builders import (

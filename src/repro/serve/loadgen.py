@@ -11,7 +11,7 @@ socket (:class:`~repro.serve.http.MevHttpServer`) and drives the mix
 over a handful of persistent keep-alive connections, timing each
 request wall-to-wall (write → full body read).  The resulting
 :class:`LoadReport` (p50/p99 latency, qps, per-endpoint counts) is
-what ``repro bench --serve`` folds into ``BENCH_pipeline.json``.
+what ``repro bench`` folds into ``BENCH_pipeline.json``.
 
 The *mix* is bit-deterministic per seed; the *latencies* are honest
 wall-clock measurements and are the one sanctioned nondeterminism in
@@ -25,13 +25,13 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.serve.http import MevHttpServer
 from repro.serve.service import MevQueryService
 
-__all__ = ["LoadReport", "build_mix", "probe_once", "replay",
-           "serve_and_replay"]
+__all__ = ["LoadReport", "build_mix", "nearest_rank", "probe_once",
+           "replay", "serve_and_replay"]
 
 #: (kind, weight) — the traffic shape of the replay mix
 MIX_WEIGHTS: Tuple[Tuple[str, int], ...] = (
@@ -185,10 +185,9 @@ async def replay(host: str, port: int, mix: List[Dict[str, Any]],
     report.requests = len(latencies)
     report.qps = report.requests / report.duration_s
     if latencies:
-        ordered = sorted(latencies)
-        report.p50_ms = _nearest_rank(ordered, 50) * 1000.0
-        report.p99_ms = _nearest_rank(ordered, 99) * 1000.0
-        report.max_ms = ordered[-1] * 1000.0
+        report.p50_ms = nearest_rank(latencies, 50) * 1000.0
+        report.p99_ms = nearest_rank(latencies, 99) * 1000.0
+        report.max_ms = max(latencies) * 1000.0
     return report
 
 
@@ -239,9 +238,13 @@ def _cursor_in(body: bytes) -> Optional[str]:
     return body[start:end].decode("ascii")
 
 
-def _nearest_rank(ordered: List[float], pct: int) -> float:
-    """Nearest-rank percentile over an already-sorted sample."""
-    rank = max(1, -(-len(ordered) * pct // 100))
+def nearest_rank(samples: Sequence[Any], pct: int) -> Any:
+    """Nearest-rank percentile: the sample itself, never an
+    interpolation (``None`` when there are no samples)."""
+    if not samples:
+        return None
+    ordered = sorted(samples)
+    rank = max(1, -(-len(ordered) * pct // 100))  # ceil
     return ordered[min(rank, len(ordered)) - 1]
 
 

@@ -159,13 +159,34 @@ class TestCli:
         for rule_id in ("R001", "R002", "R003", "R004", "R005"):
             assert rule_id in out
 
-    def test_repo_source_tree_is_clean(self, monkeypatch):
+    def test_repo_source_tree_is_clean(self):
         """The merged tree must lint clean under every rule."""
         from tests.lint.conftest import REPO_ROOT
-        monkeypatch.chdir(REPO_ROOT)  # R102's tests root is relative
         config = load_config(pyproject=REPO_ROOT / "pyproject.toml")
         findings = lint_paths([REPO_ROOT / "src"], config)
         assert findings == [], render_text(findings)
+
+    def test_lint_from_another_directory_finds_the_tests(self,
+                                                         monkeypatch,
+                                                         capsys):
+        """R102 reads the tests root the pyproject names, wherever
+        the linter is started from."""
+        from tests.lint.conftest import REPO_ROOT
+        monkeypatch.chdir(REPO_ROOT / "src")
+        assert lint_main(["repro", "--select", "R102"]) == 0, \
+            capsys.readouterr().out
+
+    def test_relative_config_paths_resolve_against_pyproject(
+            self, tmp_path, monkeypatch):
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.repro-lint]\nevents_path = "src/events.py"\n'
+            '[tool.repro-lint.rules.R102]\ntests-root = "tests"\n')
+        monkeypatch.chdir(tmp_path.parent)
+        config = load_config(pyproject=tmp_path / "pyproject.toml")
+        base = tmp_path.resolve()
+        assert config.events_path == str(base / "src" / "events.py")
+        assert config.options_for("R102")["tests-root"] == \
+            str(base / "tests")
 
 
 class TestDegeneratePackages:

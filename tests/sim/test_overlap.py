@@ -141,6 +141,7 @@ class TestOverlapIdentity:
         names = sorted(os.listdir(sync_store.root))
         assert names == sorted(os.listdir(overlap_store.root))
         assert any(name.startswith("seg-") for name in names)
+        assert any(name.startswith("seal-") for name in names)
         for name in names:
             sync_bytes = open(
                 os.path.join(sync_store.root, name), "rb").read()

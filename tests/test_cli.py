@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench import GATES
 from repro.cli import build_parser, main
+from tests.bench import complete_report
 
 
 BPM = ["--bpm", "8", "--seed", "3"]
@@ -38,25 +39,18 @@ class TestParser:
         assert args.max_resident_epochs == 3
         assert args.segment_dir == "segs"
 
-    def test_shard_flags(self):
-        args = build_parser().parse_args(["bench", "--shard",
-                                          "--shard-workers", "3",
-                                          "--shard-prefix", "4"])
-        assert args.shard is True
-        assert args.shard_workers == 3
-        assert args.shard_prefix == 4
-        defaults = build_parser().parse_args(["bench"])
-        assert defaults.shard is False
-        assert defaults.shard_workers == 2
-        assert defaults.shard_prefix is None
-
-    @pytest.mark.parametrize("prefix", ["0", "-2"])
-    def test_shard_prefix_below_one_is_a_usage_error(self, prefix,
-                                                     capsys):
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--serve"], ["bench", "--shard"],
+        ["bench", "--serve-requests", "80"],
+        ["bench", "--shard-workers", "2"],
+        ["bench", "--shard-prefix", "1"],
+        ["run", "--no-overlap-io"], ["run", "--overlap-io"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["bench", "--shard", "--shard-prefix", prefix])
+            main(argv)
         assert exit_info.value.code == 2
-        assert "--shard-prefix" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_world_cache_flag_is_gone(self):
         with pytest.raises(SystemExit):
@@ -81,12 +75,11 @@ class TestParser:
          "--max-resident-epochs"),
         (["run", "--bpm", "5", "--blocks", "0"], "--blocks"),
         (["run", "--bpm", "5", "--blocks", "-3"], "--blocks"),
-        (["bench", "--shard", "--shard-workers", "0"], "--shard-workers"),
     ], ids=["run-workers", "run-chunk-size", "run-follow-confirm-depth",
             "stream-confirm-depth", "serve-follow-confirm-depth",
             "bench-workers", "bench-chunk-size", "run-bpm",
             "run-epoch-blocks", "run-max-resident-epochs", "run-blocks-0",
-            "run-blocks-negative", "bench-shard-workers"])
+            "run-blocks-negative"])
     def test_out_of_range_number_is_a_usage_error(self, argv, flag,
                                                   capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -104,27 +97,9 @@ class TestParser:
         assert "--resume" in err and "--checkpoint" in err
 
 
-def _gate_report(**gates):
-    """A minimal benchmark document with every gate true or None."""
-    report = {
-        "version": 9,
-        "scenario": {"blocks": 10, "blocks_per_month": 1, "seed": 7,
-                     "chunks": 1, "chunk_size": 10, "quick": True},
-        "machine": {"cpu_count": 1},
-        "simulate_s": 0.1,
-        "stages": [],
-        "end_to_end": [],
-        "sim_identical": True, "parallel_identical": True,
-        "indexed_matches_linear": True, "stream_identical": True,
-        "serve_identical": None, "shard_identical": None,
-    }
-    report.update(gates)
-    return report
-
-
 class TestBenchGates:
-    """``repro bench`` exits 1 naming every gate that reads False, and
-    0 when each gate is true or did not run (None)."""
+    """``repro bench`` exits 1 naming every gate that is not true, and
+    0 when every gate is."""
 
     @staticmethod
     def run(monkeypatch, tmp_path, report):
@@ -137,31 +112,41 @@ class TestBenchGates:
     @pytest.mark.parametrize("gate", [key for key, _ in GATES])
     def test_one_false_gate_fails_and_is_named(self, gate, monkeypatch,
                                                tmp_path, capsys):
-        report = _gate_report(**{gate: False})
+        report = complete_report(**{gate: False})
         assert self.run(monkeypatch, tmp_path, report) == 1
         err = capsys.readouterr().err
         assert f"ERROR: {gate}: {dict(GATES)[gate]}" in err
         assert err.count("ERROR:") == 1
 
+    @pytest.mark.parametrize("gate", [key for key, _ in GATES])
+    def test_one_unrun_gate_fails_and_is_named(self, gate, monkeypatch,
+                                               tmp_path, capsys):
+        report = complete_report(**{gate: None})
+        assert self.run(monkeypatch, tmp_path, report) == 1
+        captured = capsys.readouterr()
+        assert f"ERROR: {gate}: {dict(GATES)[gate]}" in captured.err
+        assert captured.err.count("ERROR:") == 1
+        assert f"  {gate}: NO" in captured.out
+
     def test_every_failed_gate_is_named(self, monkeypatch, tmp_path,
                                         capsys):
-        report = _gate_report(sim_identical=False,
-                              shard_identical=False)
+        report = complete_report(sim_identical=False,
+                                 shard_identical=False)
         assert self.run(monkeypatch, tmp_path, report) == 1
         err = capsys.readouterr().err
         assert "ERROR: sim_identical:" in err
         assert "ERROR: shard_identical:" in err
 
-    @pytest.mark.parametrize("optional", [None, True])
+    @pytest.mark.parametrize("optional", [True])
     def test_true_or_unrun_gates_pass(self, optional, monkeypatch,
                                       tmp_path, capsys):
-        report = _gate_report(serve_identical=optional,
-                              shard_identical=optional)
+        report = complete_report(serve_identical=optional,
+                                 shard_identical=optional)
         assert self.run(monkeypatch, tmp_path, report) == 0
         captured = capsys.readouterr()
         assert "ERROR" not in captured.err
         for key, _ in GATES:
-            assert f"  {key}: " in captured.out
+            assert f"  {key}: yes" in captured.out
 
 
 class TestLintCommand:
