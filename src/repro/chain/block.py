@@ -22,7 +22,7 @@ from repro.chain.transaction import Transaction
 from repro.chain.types import Address, Hash32, hash_of
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     """A mined block: header fields plus ordered transactions/receipts."""
 

@@ -6,6 +6,12 @@ transaction metadata, mirroring how the paper's scripts crawl ERC-20
 ``FlashLoan`` events from an archive node.  Substrate modules (DEX, lending)
 emit them during execution; the block builder stamps them with their
 inclusion coordinates.
+
+These classes are the schema between emitters and heuristics, and they
+check it themselves: every class is keyword-only and slotted, and no
+payload field has a default.  Building an event with a missing, unknown
+or positional field raises :class:`TypeError`; writing an undeclared
+attribute raises :class:`AttributeError`.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Optional
 from repro.chain.types import Address, Hash32
 
 
-@dataclass
+@dataclass(kw_only=True, slots=True)
 class EventLog:
     """Base class for all event logs.
 
@@ -39,17 +45,17 @@ class EventLog:
         self.log_index = log_index
 
 
-@dataclass
+@dataclass(kw_only=True, slots=True)
 class TransferEvent(EventLog):
     """ERC-20 ``Transfer(from, to, value)``."""
 
-    token: str = ""
-    sender: Address = ""
-    recipient: Address = ""
-    amount: int = 0
+    token: str
+    sender: Address
+    recipient: Address
+    amount: int
 
 
-@dataclass
+@dataclass(kw_only=True, slots=True)
 class SwapEvent(EventLog):
     """DEX ``Swap``: ``taker`` traded ``amount_in`` of ``token_in`` for
     ``amount_out`` of ``token_out`` on the pool at ``address``.
@@ -58,68 +64,68 @@ class SwapEvent(EventLog):
     venue registry — the paper's heuristics are venue-aware.
     """
 
-    venue: str = ""
-    taker: Address = ""
-    recipient: Address = ""
-    token_in: str = ""
-    token_out: str = ""
-    amount_in: int = 0
-    amount_out: int = 0
+    venue: str
+    taker: Address
+    recipient: Address
+    token_in: str
+    token_out: str
+    amount_in: int
+    amount_out: int
 
 
-@dataclass
+@dataclass(kw_only=True, slots=True)
 class SyncEvent(EventLog):
     """Uniswap-V2 style ``Sync(reserve0, reserve1)`` after every swap."""
 
-    token0: str = ""
-    token1: str = ""
-    reserve0: int = 0
-    reserve1: int = 0
+    token0: str
+    token1: str
+    reserve0: int
+    reserve1: int
 
 
-@dataclass
+@dataclass(kw_only=True, slots=True)
 class LiquidationEvent(EventLog):
     """Lending-platform liquidation: ``liquidator`` repaid ``debt_repaid`` of
     ``debt_token`` on behalf of ``borrower`` and seized
     ``collateral_seized`` of ``collateral_token``."""
 
-    platform: str = ""
-    liquidator: Address = ""
-    borrower: Address = ""
-    debt_token: str = ""
-    debt_repaid: int = 0
-    collateral_token: str = ""
-    collateral_seized: int = 0
+    platform: str
+    liquidator: Address
+    borrower: Address
+    debt_token: str
+    debt_repaid: int
+    collateral_token: str
+    collateral_seized: int
 
 
-@dataclass
+@dataclass(kw_only=True, slots=True)
 class FlashLoanEvent(EventLog):
     """Flash-loan completion: emitted only when the loan was repaid within
     the same transaction (Wang et al.'s detection anchor)."""
 
-    platform: str = ""
-    initiator: Address = ""
-    token: str = ""
-    amount: int = 0
-    fee: int = 0
+    platform: str
+    initiator: Address
+    token: str
+    amount: int
+    fee: int
 
 
-@dataclass
+@dataclass(kw_only=True, slots=True)
 class BorrowEvent(EventLog):
     """Lending-platform borrow (used for loan-book reconstruction)."""
 
-    platform: str = ""
-    borrower: Address = ""
-    debt_token: str = ""
-    amount: int = 0
-    collateral_token: str = ""
-    collateral_amount: int = 0
+    platform: str
+    borrower: Address
+    debt_token: str
+    amount: int
+    collateral_token: str
+    collateral_amount: int
 
 
-@dataclass
+@dataclass(kw_only=True, slots=True)
 class OracleUpdateEvent(EventLog):
     """Price-oracle update: the on-chain event that can *create* a
     liquidation opportunity, making it a backrun target (Definition 3)."""
 
-    token: str = ""
-    price_wei: int = 0
+    token: str
+    price_wei: int

@@ -16,7 +16,7 @@ from repro.chain.transaction import TxIntent
 from repro.chain.types import Address
 
 
-@dataclass
+@dataclass(slots=True)
 class TokenTransferIntent(TxIntent):
     """Transfer ``amount`` of ``token`` from the tx sender to ``recipient``."""
 
@@ -36,7 +36,7 @@ class TokenTransferIntent(TxIntent):
         return ExecutionOutcome(success=True, gas_used=self.base_gas)
 
 
-@dataclass
+@dataclass(slots=True)
 class CoinbaseTipIntent(TxIntent):
     """Pay the block's miner directly (a Flashbots-style tip transaction)."""
 
@@ -48,7 +48,7 @@ class CoinbaseTipIntent(TxIntent):
         return ExecutionOutcome(success=True, gas_used=self.base_gas)
 
 
-@dataclass
+@dataclass(slots=True)
 class SequenceIntent(TxIntent):
     """Run several intents in order within one transaction.
 
@@ -71,7 +71,7 @@ class SequenceIntent(TxIntent):
                                 return_data=result)
 
 
-@dataclass
+@dataclass(slots=True)
 class FailingIntent(TxIntent):
     """An intent that always reverts — used for failure-injection tests and
     for modelling the faulty searcher contracts behind Section 5.2."""

@@ -9,7 +9,7 @@ from repro.chain.events import EventLog
 from repro.chain.types import Address, Hash32
 
 
-@dataclass
+@dataclass(slots=True)
 class Receipt:
     """Execution record for one included transaction.
 

@@ -55,8 +55,9 @@ from repro.durable import RecordLog, write_atomic
 #: On-disk layout version.  Bumped whenever the manifest schema or the
 #: segment file layout changes; stores written by other versions are
 #: rejected with a clear message, not a pickle error.  Format 3 is the
-#: append-only manifest log.
-SEGMENT_FORMAT = 3
+#: append-only manifest log; format 4 frames pickle the slotted chain
+#: records, which cannot load format 3's instance-dict frames.
+SEGMENT_FORMAT = 4
 
 MANIFEST_NAME = "manifest.log"
 #: The whole-document manifest of formats 1 and 2.
@@ -93,6 +94,7 @@ class _Manifest(RecordLog):
     """The store's manifest log: one :class:`SegmentInfo` per line."""
 
     error = SegmentIntegrityError
+    remedy = " — delete the store and re-simulate"
 
 
 def _materialize_hashes(blocks: Sequence[Block]) -> None:

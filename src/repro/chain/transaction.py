@@ -72,8 +72,12 @@ class TxIntent:
 
     Implementations mutate world state through the
     :class:`~repro.chain.execution.ExecutionContext` and either return an
-    outcome or raise :class:`~repro.chain.execution.Revert`.
+    outcome or raise :class:`~repro.chain.execution.Revert`.  The
+    implementations are slotted dataclasses; the empty ``__slots__`` here
+    keeps them free of an instance ``__dict__``.
     """
+
+    __slots__ = ()
 
     #: intrinsic gas estimate for this intent type; refined per-instance
     base_gas: int = 21_000
@@ -86,7 +90,7 @@ class TxIntent:
         return self.base_gas
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     """A simulated Ethereum transaction.
 

@@ -17,7 +17,7 @@ from repro.chain.transaction import TxIntent
 from repro.chain.types import Address
 
 
-@dataclass
+@dataclass(slots=True)
 class SwapIntent(TxIntent):
     """Swap an exact input on a single pool with slippage protection."""
 
@@ -42,7 +42,7 @@ class SwapIntent(TxIntent):
                                 return_data=amount_out)
 
 
-@dataclass
+@dataclass(slots=True)
 class ArbitrageIntent(TxIntent):
     """A closed-cycle trade: start and end in the same token, atomically.
 
@@ -84,7 +84,7 @@ class ArbitrageIntent(TxIntent):
                                 return_data=profit)
 
 
-@dataclass
+@dataclass(slots=True)
 class SwapAllIntent(TxIntent):
     """Swap the sender's *entire current balance* of ``token_in``.
 

@@ -76,6 +76,9 @@ class RecordLog:
 
     #: what every unreadable, malformed or foreign log raises
     error: Type[Exception] = ValueError
+    #: appended to the message for a log written for another header:
+    #: what the caller should do about it
+    remedy = ""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
@@ -140,7 +143,7 @@ class RecordLog:
         if header is not None and found != header:
             raise self.error(
                 f"{self.path} was written for {_describe(found, header)}; "
-                f"this run needs {_describe(header, header)}")
+                f"this run needs {_describe(header, header)}{self.remedy}")
         if not newline:
             raise self.error(f"{self.path} has no complete header line")
         records: Records = {}

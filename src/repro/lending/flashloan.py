@@ -52,7 +52,7 @@ class FlashLoanProvider:
         return amount * self.fee_bps // BPS
 
 
-@dataclass
+@dataclass(slots=True)
 class FlashLoanIntent(TxIntent):
     """Borrow, run an inner intent, repay with fee — atomically.
 

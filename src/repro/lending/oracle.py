@@ -86,7 +86,7 @@ class PriceOracle:
         return amount * price // PRICE_SCALE
 
 
-@dataclass
+@dataclass(slots=True)
 class OracleUpdateIntent(TxIntent):
     """A price-feed update transaction (the backrunnable trigger)."""
 

@@ -226,7 +226,7 @@ class LendingPool:
         return seized
 
 
-@dataclass
+@dataclass(slots=True)
 class BorrowIntent(TxIntent):
     """Open a collateralized loan on a lending pool."""
 
@@ -246,7 +246,7 @@ class BorrowIntent(TxIntent):
                                 return_data=loan.loan_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class LiquidationIntent(TxIntent):
     """Liquidate an unhealthy loan (the MEV transaction itself)."""
 

@@ -3,10 +3,12 @@
 The simulator and measurement pipeline rest on invariants that plain
 tests cannot guard (they hold *by construction* until someone edits the
 wrong file): value stays integer wei inside the EVM state, seeded runs
-replay exactly, heuristics never peek at ground truth, heuristics and
-emitters agree on the event schema, and the public measurement API is
-typed.  Each invariant is a rule; R001–R007 check one module at a
-time, R101–R103 (:mod:`repro.lint.flow`) check the whole linted tree:
+replay exactly, heuristics never peek at ground truth, and the public
+measurement API is typed.  Each invariant is a rule; R001–R007 check
+one module at a time, R101–R103 (:mod:`repro.lint.flow`) check the
+whole linted tree.  The event schema between emitters and heuristics
+needs no rule: the event classes are keyword-only and slotted, so
+Python itself rejects a missing, unknown or positional field.
 
 =====  ====================  =======================================
 Rule   Name                  Guards
@@ -14,7 +16,6 @@ Rule   Name                  Guards
 R001   wei-safety            no floats/true division in value math
 R002   determinism           no ambient entropy or hash-order loops
 R003   layering              measurement blind to simulator truth
-R004   event-schema          emitters/readers match events.py
 R005   public-api-hygiene    typed public functions in repro.core
 R006   no-silent-except      no handler that swallows an error
 R007   banned-api            retired identifiers stay gone

@@ -33,9 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.lint",
         description="AST-based linter for this repo's domain "
                     "invariants: wei-safety (R001), determinism "
-                    "(R002), layering (R003), event-schema (R004), "
-                    "public-API hygiene (R005), no silent except "
-                    "(R006), banned APIs (R007), and the "
+                    "(R002), layering (R003), public-API hygiene "
+                    "(R005), no silent except (R006), banned APIs "
+                    "(R007), and the "
                     "whole-program rules R101 (determinism taint), "
                     "R102 (fast-path pairing), R103 (parallel "
                     "safety), all in one pass.")

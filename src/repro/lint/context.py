@@ -2,9 +2,8 @@
 
 A :class:`ModuleContext` bundles everything a rule needs to inspect one
 file: the parsed AST, the dotted module name (so layer rules can reason
-about package membership), the source root (so cross-file rules like the
-event-schema check can locate sibling modules), and a finding factory
-that stamps path/line automatically.
+about package membership), and a finding factory that stamps path/line
+automatically.
 """
 
 from __future__ import annotations
@@ -77,7 +76,6 @@ class ModuleContext:
     tree: ast.Module
     suppressions: SuppressionIndex
     config: LintConfig
-    src_root: Optional[Path] = None
     findings: List[Finding] = field(default_factory=list)
 
     def in_package(self, *packages: str) -> bool:

@@ -94,7 +94,7 @@ def _parse(source: str, path: Path, config: LintConfig,
     return ModuleContext(
         path=path, display_path=display, module=module, source=source,
         tree=tree, suppressions=extend_index(build_index(source), tree),
-        config=config, src_root=src_root)
+        config=config)
 
 
 def _check(ctx: ModuleContext, rules: List[Rule]) -> List[Finding]:

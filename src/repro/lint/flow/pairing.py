@@ -1,9 +1,9 @@
 """R102 — fast-path / reference pairing.
 
-PR-5 established the repo's identity rule informally: every optimized
-code path keeps its naive reference implementation alive, stays
-bit-identical to it, and is exercised against it by tests and bench
-gates.  R102 makes the rule declarative and machine-checked.
+The repo's identity rule: every optimized code path keeps its naive
+reference implementation alive, stays bit-identical to it, and is
+exercised against it by tests and bench gates.  R102 checks the rule
+from declarations.
 
 A fast path announces itself with ``@fast_path(reference="...",
 toggle="...")`` (see :mod:`repro.markers`).  For every marker the

@@ -8,7 +8,6 @@ import below.
 from repro.lint.rules.wei_safety import WeiSafetyRule
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.layering import LayeringRule
-from repro.lint.rules.event_schema import EventSchemaRule
 from repro.lint.rules.api_hygiene import ApiHygieneRule
 from repro.lint.rules.silent_except import SilentExceptRule
 from repro.lint.rules.banned_api import BannedApiRule
@@ -18,7 +17,6 @@ __all__ = [
     "WeiSafetyRule",
     "DeterminismRule",
     "LayeringRule",
-    "EventSchemaRule",
     "ApiHygieneRule",
     "SilentExceptRule",
     "BannedApiRule",

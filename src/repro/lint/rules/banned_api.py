@@ -1,12 +1,11 @@
 """R007 — banned APIs: names removed after deprecation stay removed.
 
 A deprecation cycle only ends when the old spelling cannot quietly
-reappear.  ``shield_sources`` (the PR 2 name for
-:func:`repro.reliability.shield`) warned for two releases and was
-deleted in 1.5.0; this rule flags any definition, import, or use of a
-banned identifier so a rebase or copy-paste cannot resurrect it.  The
-banned list is configuration (``[tool.repro-lint.rules.R007]
-banned``), so future removals get the same guard by adding one string.
+reappear.  This rule flags any definition, import, or use of a banned
+identifier so a rebase or copy-paste cannot resurrect it.  The banned
+list is configuration (``[tool.repro-lint.rules.R007] banned``), so a
+removal gets the guard by adding one string; the built-in default is
+``shield_sources``, the old name of :func:`repro.reliability.shield`.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """R006 — no silent exception swallows.
 
-The reliability layer (PR 2) makes data-source failures *visible*:
+The reliability layer makes data-source failures *visible*:
 retries are counted, breaker trips reported, gaps labelled.  A bare
 ``except:`` or a broad ``except Exception: pass`` anywhere in the
 package undoes that — it converts exactly the faults the pipeline is

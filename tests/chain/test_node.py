@@ -79,6 +79,37 @@ def chain_of(*blocks_logs, first=1):
     return chain
 
 
+# Event builders: every field by keyword (the event classes have no
+# payload defaults); tests vary only the arguments.
+
+def transfer_event(address, amount):
+    return TransferEvent(address=address, token="DAI", sender=A,
+                         recipient=B, amount=amount)
+
+
+def swap_event(address, venue, amount_in=0):
+    return SwapEvent(address=address, venue=venue, taker=A, recipient=A,
+                     token_in="WETH", token_out="DAI",
+                     amount_in=amount_in, amount_out=0)
+
+
+def liquidation_event(address, platform, debt_repaid=0):
+    return LiquidationEvent(address=address, platform=platform,
+                            liquidator=A, borrower=B, debt_token="DAI",
+                            debt_repaid=debt_repaid,
+                            collateral_token="WETH", collateral_seized=0)
+
+
+def flash_loan_event(address, platform, amount=0):
+    return FlashLoanEvent(address=address, platform=platform,
+                          initiator=A, token="DAI", amount=amount, fee=0)
+
+
+def oracle_update_event(address, token, price_wei=0):
+    return OracleUpdateEvent(address=address, token=token,
+                             price_wei=price_wei)
+
+
 class TestBlockchain:
     def test_height_tracks_appends(self):
         chain = build_chain(3)
@@ -177,9 +208,9 @@ class TestIterRange:
 
 class TestGetLogs:
     def test_subclass_matching_mirrors_isinstance(self):
-        liq = LiquidationEvent(POOL, platform="AaveV2")
-        oracle = OracleUpdateEvent(POOL, token="WETH")
-        swap = SwapEvent(POOL, venue="UniswapV2")
+        liq = liquidation_event(POOL, "AaveV2")
+        oracle = oracle_update_event(POOL, "WETH")
+        swap = swap_event(POOL, "UniswapV2")
         chain = chain_of([liq], [oracle, swap])
         node = ArchiveNode(chain)
         # A base-type query returns every subclass, in traversal order.
@@ -189,19 +220,19 @@ class TestGetLogs:
         assert node.get_logs(OracleUpdateEvent) == [oracle]
 
     def test_returns_the_log_objects_themselves(self):
-        swap = SwapEvent(POOL, venue="SushiSwap")
+        swap = swap_event(POOL, "SushiSwap")
         chain = chain_of([swap])
         (found,) = ArchiveNode(chain).get_logs(SwapEvent)
         assert found is swap
 
     def test_append_is_visible_to_the_next_query(self):
-        chain = chain_of([TransferEvent(POOL, amount=1)],
-                         [TransferEvent(POOL, amount=2)])
+        chain = chain_of([transfer_event(POOL, 1)],
+                         [transfer_event(POOL, 2)])
         node = ArchiveNode(chain)
         assert [log.amount for log in node.get_logs(TransferEvent)] \
             == [1, 2]
         chain.append(make_block(
-            3, [make_receipt(3, 0, [TransferEvent(POOL, amount=3)])]))
+            3, [make_receipt(3, 0, [transfer_event(POOL, 3)])]))
         assert [log.amount for log in node.get_logs(TransferEvent)] \
             == [1, 2, 3]
         assert [b.number for b in node.iter_blocks(3, 3)] == [3]
@@ -266,19 +297,17 @@ class TestIterBlocksEdgeCases:
 def _random_log(rng):
     choice = rng.randrange(5)
     if choice == 0:
-        return TransferEvent(POOL, amount=rng.randrange(1000))
+        return transfer_event(POOL, rng.randrange(1000))
     if choice == 1:
-        return SwapEvent(POOL, venue=rng.choice(["UniswapV2",
-                                                 "SushiSwap"]),
-                         amount_in=rng.randrange(1000))
+        return swap_event(POOL, rng.choice(["UniswapV2", "SushiSwap"]),
+                          amount_in=rng.randrange(1000))
     if choice == 2:
-        return LiquidationEvent(POOL, platform="AaveV2",
-                                debt_repaid=rng.randrange(1000))
+        return liquidation_event(POOL, "AaveV2",
+                                 debt_repaid=rng.randrange(1000))
     if choice == 3:
-        return FlashLoanEvent(POOL, platform="Aave",
-                              amount=rng.randrange(1000))
-    return OracleUpdateEvent(POOL, token="WETH",
-                             price_wei=rng.randrange(1000))
+        return flash_loan_event(POOL, "Aave", amount=rng.randrange(1000))
+    return oracle_update_event(POOL, "WETH",
+                               price_wei=rng.randrange(1000))
 
 
 def _isinstance_walk(chain, event_type, lo, hi):

@@ -275,6 +275,21 @@ class TestFormatRejection:
                                  f"needs format={SEGMENT_FORMAT}"):
             SegmentStore(str(root))
 
+    def test_format_3_manifest_log_is_refused(self, tmp_path):
+        """A format-3 store (the same manifest log, but frames that
+        pickled instance dicts) is refused by its header line, with the
+        remedy in the message."""
+        root = tmp_path / "v3"
+        root.mkdir()
+        write_manifest(root, {"format": 3})
+        with pytest.raises(SegmentIntegrityError,
+                           match=f"format=3; this run needs "
+                                 f"format={SEGMENT_FORMAT} — delete the "
+                                 f"store and re-simulate"):
+            SegmentStore(str(root))
+        store = SegmentStore.create(str(root))
+        assert store.segments == []
+
     def test_format_1_store_is_rejected_then_wiped(self, tmp_path):
         """A whole-epoch-pickle store (format 1) is refused by name, and
         create() answers it with a fresh store."""

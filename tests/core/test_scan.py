@@ -8,12 +8,6 @@ over every read path (sliced, linear, segment-backed).
 
 import pytest
 
-from repro.chain.events import (
-    FlashLoanEvent,
-    LiquidationEvent,
-    OracleUpdateEvent,
-    SwapEvent,
-)
 from repro.chain.node import ArchiveNode, Blockchain
 from repro.chain.segments import SegmentStore
 from repro.core.heuristics import (
@@ -33,16 +27,24 @@ from repro.core.heuristics import (
 from repro.core.scan import BlockView, Detector
 from repro.sim import ScenarioConfig, build_paper_scenario
 
-from tests.chain.test_node import chain_of, make_block, make_receipt
+from tests.chain.test_node import (
+    chain_of,
+    flash_loan_event,
+    liquidation_event,
+    make_block,
+    make_receipt,
+    oracle_update_event,
+    swap_event,
+)
 
 
 class TestBlockView:
     def test_buckets_follow_receipt_status(self):
-        swap = SwapEvent("0xpool", venue="UniswapV2")
-        liq = LiquidationEvent("0xlending", platform="AaveV2")
-        flash_ok = FlashLoanEvent("0xaave", platform="Aave")
-        flash_failed = FlashLoanEvent("0xaave", platform="Aave")
-        swap_failed = SwapEvent("0xpool", venue="UniswapV2")
+        swap = swap_event("0xpool", "UniswapV2")
+        liq = liquidation_event("0xlending", "AaveV2")
+        flash_ok = flash_loan_event("0xaave", "Aave")
+        flash_failed = flash_loan_event("0xaave", "Aave")
+        swap_failed = swap_event("0xpool", "UniswapV2")
         block = make_block(1, [
             make_receipt(1, 0, [swap, liq, flash_ok]),
             make_receipt(1, 1, [swap_failed, flash_failed],
@@ -58,8 +60,7 @@ class TestBlockView:
 
     def test_swapless_receipts_are_dropped(self):
         block = make_block(1, [
-            make_receipt(1, 0, [LiquidationEvent("0xl",
-                                                 platform="AaveV2")]),
+            make_receipt(1, 0, [liquidation_event("0xl", "AaveV2")]),
             make_receipt(1, 1, []),
         ])
         view = BlockView.of(block)
@@ -68,7 +69,7 @@ class TestBlockView:
 
     def test_unrelated_events_ignored(self):
         block = make_block(1, [make_receipt(1, 0, [
-            OracleUpdateEvent("0xl", token="WETH")])])
+            oracle_update_event("0xl", "WETH")])])
         view = BlockView.of(block)
         assert view.swap_receipts == []
         assert view.liquidations == []

@@ -1,8 +1,7 @@
 """Shared helpers for the linter's own test suite.
 
 ``run_lint`` lints an inline snippet while *posing* as a given dotted
-module (rule applicability is package-based), against the real event
-schema in ``src/repro/chain/events.py``.
+module (rule applicability is package-based).
 """
 
 import textwrap
@@ -14,14 +13,13 @@ import pytest
 from repro.lint import Finding, LintConfig, lint_source, make_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-EVENTS_PATH = REPO_ROOT / "src" / "repro" / "chain" / "events.py"
 
 
 def run_lint(source: str, module: str,
              rules: Optional[Sequence[str]] = None,
              config: Optional[LintConfig] = None) -> List[Finding]:
     if config is None:
-        config = LintConfig(events_path=str(EVENTS_PATH))
+        config = LintConfig()
     rule_objs = make_rules(rules if rules is not None else config.enable,
                            config.options_for)
     return lint_source(textwrap.dedent(source),
@@ -38,9 +36,7 @@ def rule_ids(findings: Sequence[Finding]) -> List[str]:
 def fixture_tree(tmp_path):
     """Build a mini ``src/repro`` tree in tmp_path for engine/CLI tests.
 
-    Returns a writer: ``add("repro/chain/mod.py", source)``; the tree
-    ships the real ``events.py`` so R004 resolves its schema from the
-    tree itself (no ``events_path`` override).
+    Returns a writer: ``add("repro/chain/mod.py", source)``.
     """
     src = tmp_path / "src"
 
@@ -56,5 +52,4 @@ def fixture_tree(tmp_path):
         path.write_text(textwrap.dedent(source))
         return path
 
-    add("repro/chain/events.py", EVENTS_PATH.read_text())
     return add

@@ -45,17 +45,6 @@ class TestEngine:
         config = LintConfig(enable=["R002"])
         assert lint_paths([tmp_path / "src"], config) == []
 
-    def test_event_schema_resolved_from_tree(self, fixture_tree,
-                                             tmp_path):
-        fixture_tree("repro/core/heuristics/bad.py", """
-            from repro.chain.events import SwapEvent
-
-            def gain(event: SwapEvent) -> int:
-                return event.amount_inn
-            """)
-        findings = lint_paths([tmp_path / "src"], LintConfig())
-        assert [f.rule_id for f in findings] == ["R004"]
-
 
 class TestReporters:
     @pytest.fixture
@@ -153,11 +142,22 @@ class TestCli:
         assert code == 2
         assert "unknown rule id" in capsys.readouterr().err
 
+    def test_retired_event_schema_rule_is_unknown(self, fixture_tree,
+                                                  tmp_path, capsys):
+        """R004 was retired: the event classes check their own schema
+        (keyword-only, slotted, no payload defaults)."""
+        fixture_tree("repro/chain/bad.py", BAD_WEI)
+        code = lint_main([str(tmp_path / "src"), "--no-config",
+                          "--select", "R004"])
+        assert code == 2
+        assert "unknown rule id" in capsys.readouterr().err
+
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R001", "R002", "R003", "R004", "R005"):
+        for rule_id in ("R001", "R002", "R003", "R005", "R006", "R007"):
             assert rule_id in out
+        assert "R004" not in out
 
     def test_repo_source_tree_is_clean(self):
         """The merged tree must lint clean under every rule."""
@@ -179,12 +179,10 @@ class TestCli:
     def test_relative_config_paths_resolve_against_pyproject(
             self, tmp_path, monkeypatch):
         (tmp_path / "pyproject.toml").write_text(
-            '[tool.repro-lint]\nevents_path = "src/events.py"\n'
             '[tool.repro-lint.rules.R102]\ntests-root = "tests"\n')
         monkeypatch.chdir(tmp_path.parent)
         config = load_config(pyproject=tmp_path / "pyproject.toml")
         base = tmp_path.resolve()
-        assert config.events_path == str(base / "src" / "events.py")
         assert config.options_for("R102")["tests-root"] == \
             str(base / "tests")
 
@@ -233,7 +231,7 @@ class TestDegeneratePackages:
     def test_deep_mode_skips_unparseable_and_survives(self, tmp_path,
                                                       capsys):
         code = lint_main([str(self.build(tmp_path)), "--no-config",
-                          "--select", "R001,R002,R003,R004,R005,"
+                          "--select", "R001,R002,R003,R005,"
                                       "R006,R007,R101,R102,R103"])
         out = capsys.readouterr().out
         assert code == 1

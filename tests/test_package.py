@@ -1,6 +1,8 @@
 """Package-level API tests: exports, quick_study, version."""
 
 import importlib
+import re
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -21,19 +23,28 @@ class TestTopLevel:
         """
         pyproject = Path(__file__).resolve().parent.parent \
             / "pyproject.toml"
-        try:
-            import tomllib
-        except ImportError:  # Python < 3.11
-            text = pyproject.read_text(encoding="utf-8")
-            assert 'dynamic = ["version"]' in text
-            assert 'attr = "repro.__version__"' in text
-            return
         document = tomllib.loads(
             pyproject.read_text(encoding="utf-8"))
         assert "version" not in document["project"]
         assert document["project"]["dynamic"] == ["version"]
         dynamic = document["tool"]["setuptools"]["dynamic"]
         assert dynamic["version"] == {"attr": "repro.__version__"}
+
+    def test_python_floor_is_tested_in_ci(self):
+        """The oldest interpreter ``requires-python`` admits is one the
+        CI ``tests`` job runs, so the floor is a tested claim."""
+        root = Path(__file__).resolve().parent.parent
+        pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+        floor = re.search(r'^requires-python = ">=(\d+\.\d+)"$',
+                          pyproject, re.M).group(1)
+        ci = (root / ".github" / "workflows" / "ci.yml").read_text(
+            encoding="utf-8")
+        # The tests job runs from its key to the next top-level job.
+        job = re.search(r"^  tests:\n(.*?)(?=^  \S)", ci,
+                        re.M | re.S).group(1)
+        matrix = re.search(r"python-version: \[([^\]]*)\]", job).group(1)
+        versions = [item.strip().strip('"') for item in matrix.split(",")]
+        assert floor in versions, (floor, versions)
 
     def test_quick_study_end_to_end(self):
         study = repro.quick_study(blocks_per_month=6, seed=2)
