@@ -150,6 +150,7 @@ def main(argv=None):
         # Full walk off the spilled store: contiguous and parent-linked.
         previous = None
         count = 0
+        walk_started = time.perf_counter()
         for block in chain.iter_range():
             count += 1
             assert block.number == count, (block.number, count)
@@ -157,11 +158,12 @@ def main(argv=None):
                 assert block.parent_hash == previous.hash, block.number
             previous = block
         assert count == args.blocks, count
+        walk_s = time.perf_counter() - walk_started
         for number in (1, args.epoch_blocks, args.epoch_blocks + 1,
                        args.blocks // 2, args.blocks):
             found = chain.block_by_number(number)
             assert found is not None and found.number == number, number
-        print(f"segment-backed walk ok: {count} blocks, "
+        print(f"segment-backed walk ok: {count} blocks in {walk_s:.2f}s, "
               f"linkage verified")
 
         # Sampled-prefix shard identity against the spilled reference.

@@ -209,8 +209,8 @@ def quick_study(blocks_per_month: int = 60, seed: int = 7,
 
     ``blocks`` caps the simulation at that many blocks instead of the
     whole study window.  ``segment_dir`` attaches a spillable
-    :class:`repro.chain.SegmentStore` before the run, so completed
-    epochs land on disk and only the newest ``max_resident_epochs``
+    :class:`repro.chain.segments.SegmentStore` before the run, so
+    completed epochs land on disk and only the newest ``max_resident_epochs``
     (default 2) stay in memory — peak residency is O(epoch), which is
     what makes ``repro run --blocks 100000 --epoch-blocks 5000``
     feasible on a small box.  Spilled runs write segments on a

@@ -1,4 +1,10 @@
-"""Ethereum-like chain substrate: state, transactions, blocks, mempool."""
+"""Ethereum-like chain substrate: state, transactions, blocks, mempool.
+
+The spillable segment store (:mod:`repro.chain.segments`) and its frame
+codec (:mod:`repro.chain.frames`) are imported by their module paths:
+the codec lists the DEX and lending intents, so importing it here would
+make the substrate import the packages built on it.
+"""
 
 from repro.chain.block import Block, BlockBuilder
 from repro.chain.events import (
@@ -29,14 +35,6 @@ from repro.chain.mempool import Mempool
 from repro.chain.node import ArchiveNode, Blockchain
 from repro.chain.p2p import GossipNetwork, MempoolObserver
 from repro.chain.receipt import Receipt
-from repro.chain.segments import (
-    SEGMENT_FORMAT,
-    SegmentIntegrityError,
-    SegmentInfo,
-    SegmentReader,
-    SegmentStore,
-    SpillingBlockchain,
-)
 from repro.chain.state import InsufficientBalance, WorldState
 from repro.chain.transaction import EIP1559, LEGACY, Transaction, TxIntent
 from repro.chain.types import (
@@ -63,9 +61,7 @@ __all__ = [
     "FailingIntent", "FlashLoanEvent", "ForkSchedule", "GossipNetwork",
     "GWEI", "Hash32", "InsufficientBalance", "LEGACY", "LiquidationEvent",
     "MAINNET_FORKS", "Mempool", "MempoolObserver", "OracleUpdateEvent",
-    "Receipt", "Revert", "SEGMENT_FORMAT", "SegmentIntegrityError",
-    "SegmentInfo", "SegmentReader", "SegmentStore", "SequenceIntent",
-    "SpillingBlockchain", "SwapEvent", "SyncEvent",
+    "Receipt", "Revert", "SequenceIntent", "SwapEvent", "SyncEvent",
     "TokenTransferIntent",
     "Transaction", "TransferEvent", "TxIntent", "WEI", "WorldState",
     "ZERO_ADDRESS", "address_from_label", "ether", "execute_transaction",

@@ -7,8 +7,11 @@ segment's block range and content fingerprint.  The manifest is a
 spill, so a spill costs one appended line however many segments the
 store holds, and a re-spilled epoch's last line wins.  A segment file
 is a header, a per-block index of ``(number, hash, tx_count, offset,
-length)`` entries, and then one pickle frame per block, so a read
-decodes only the blocks it asks for.  :class:`SpillingBlockchain` is a
+length)`` entries, and then one frame per block, so a read decodes only
+the blocks it asks for.  A frame is a pickle that writes every chain
+record positionally, as its schema id and field values
+(:mod:`repro.chain.frames`); the manifest header names the schema by
+its digest next to the format.  :class:`SpillingBlockchain` is a
 drop-in :class:`~repro.chain.node.Blockchain` that spills every
 completed epoch to the store and evicts old epochs from memory, so a
 simulation's peak block residency is O(epoch) rather than O(world).
@@ -24,8 +27,9 @@ frame is used, the index must reproduce the manifest fingerprint and
 its frames must tile the rest of the file exactly; every decoded frame
 must then match its index entry on number, hash and transaction count.
 *Any* anomaly (missing or truncated file, an index that overruns the
-file, fingerprint mismatch, a corrupt frame, a malformed manifest line,
-unknown manifest format) raises :class:`SegmentIntegrityError` with a
+file, fingerprint mismatch, a corrupt frame or one that names a global
+outside the codec, a malformed manifest line, unknown manifest format
+or record schema) raises :class:`SegmentIntegrityError` with a
 clear message, and callers respond by re-simulating from scratch
 (`SegmentStore.create` wipes the directory first), never by trusting a
 partially readable store.  The one exception is a torn last manifest
@@ -48,6 +52,7 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from repro.chain.block import Block
+from repro.chain.frames import SCHEMA_DIGEST, decode_frame, encode_frames
 from repro.chain.node import Blockchain
 from repro.chain.types import Hash32
 from repro.durable import RecordLog, write_atomic
@@ -55,9 +60,16 @@ from repro.durable import RecordLog, write_atomic
 #: On-disk layout version.  Bumped whenever the manifest schema or the
 #: segment file layout changes; stores written by other versions are
 #: rejected with a clear message, not a pickle error.  Format 3 is the
-#: append-only manifest log; format 4 frames pickle the slotted chain
-#: records, which cannot load format 3's instance-dict frames.
-SEGMENT_FORMAT = 4
+#: append-only manifest log; format 4 frames pickled the slotted chain
+#: records by default; format 5 frames write them positionally
+#: (:mod:`repro.chain.frames`), under the record schema the manifest
+#: header names by its digest.
+SEGMENT_FORMAT = 5
+
+#: The manifest's header line: the layout version and the digest of the
+#: record schema the frames were written under.  A store with any other
+#: header is refused.
+MANIFEST_HEADER = {"format": SEGMENT_FORMAT, "schema": SCHEMA_DIGEST}
 
 MANIFEST_NAME = "manifest.log"
 #: The whole-document manifest of formats 1 and 2.
@@ -128,8 +140,7 @@ def _fingerprint_blocks(blocks: Sequence[Block]) -> str:
 
 def _encode_segment(blocks: Sequence[Block]) -> bytes:
     """Segment file bytes: header, index, one frame per block."""
-    frames = [pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
-              for block in blocks]
+    frames = encode_frames(blocks)
     parts = [_HEADER.pack(_MAGIC, SEGMENT_FORMAT, len(blocks))]
     offset = _HEADER.size + _ENTRY.size * len(blocks)
     for block, frame in zip(blocks, frames):
@@ -208,7 +219,7 @@ class SegmentFile:
 
     :meth:`SegmentStore.open_segment` builds it only after the index
     passed :func:`_verified_index`.  :meth:`read` is the one read
-    primitive over a block range: it unpickles just the frames the
+    primitive over a block range: it decodes just the frames the
     range needs, checks each against its index entry, and keeps them,
     so re-reading a block decodes nothing.
     """
@@ -245,7 +256,7 @@ class SegmentFile:
         number, block_hash, tx_count, offset, length = self._entries[index]
         name = self.info.filename
         try:
-            block = pickle.loads(self._payload[offset:offset + length])
+            block = decode_frame(self._payload[offset:offset + length])
         except _DECODE_ERRORS as exc:
             raise SegmentIntegrityError(
                 f"segment {name} frame of block {number} is unreadable "
@@ -289,8 +300,7 @@ class SegmentStore:
                 f"refusing to adopt a non-empty directory — wipe it "
                 f"or use SegmentStore.create()")
         os.makedirs(root, exist_ok=True)
-        records = self._manifest.open({"format": SEGMENT_FORMAT}, "epoch",
-                                      resume=True)
+        records = self._manifest.open(MANIFEST_HEADER, "epoch", resume=True)
         if fresh:
             self._manifest.start()
         try:
@@ -403,13 +413,15 @@ class SegmentStore:
         the append and their fsyncs happen on the background thread and
         this call returns as soon as the job is queued; jobs complete
         in order, so the log's lines land in the same order, and with
-        the same bytes, as on the synchronous path.  The pickle itself
-        stays on the
-        calling thread: it holds the GIL either way (offloading it buys
-        nothing), and serializing *now* snapshots the blocks before the
-        simulation mutates anything they reference — which, with the
-        hashes forced first, makes the file bytes a pure function of
-        block content, identical to the synchronous path.
+        the same bytes, as on the synchronous path.  The encoding
+        itself stays on the calling thread: it holds the GIL either way
+        (offloading it buys nothing), and serializing *now* snapshots
+        the blocks before the simulation mutates anything they
+        reference — which, with the hashes forced first, makes the file
+        bytes a pure function of block content, identical to the
+        synchronous path.  It is also where a block holding an object
+        outside the frame schema fails (:class:`pickle.PicklingError`),
+        before anything is recorded, written or queued.
         """
         blocks = list(blocks)
         if not blocks:

@@ -2,8 +2,10 @@
 
 A transaction in the simulator carries an ``intent`` — an object implementing
 :class:`TxIntent` — which is what actually runs against world state when the
-transaction is included in a block.  The chain layer knows nothing about
-DEXes or lending pools; those substrates provide intent implementations.
+transaction is included in a block.  The chain layer executes intents
+without knowing DEXes or lending pools; those substrates provide intent
+implementations, and only the segment frame codec
+(:mod:`repro.chain.frames`) lists them.
 
 Ground-truth annotations (who crafted this, which MEV strategy, which victim)
 live in ``Transaction.meta``.  The measurement pipeline in ``repro.core`` is

@@ -11,18 +11,21 @@ spilling chain must serve reads bit-identically to a plain in-memory
 import json
 import os
 import pickle
+import re
 import shutil
 
 import pytest
 
 import repro.chain.segments as segments_module
 from repro.chain.block import BlockBuilder
+from repro.chain.frames import SCHEMA_DIGEST, encode_frames
 from repro.chain.intents import TokenTransferIntent
 from repro.chain.events import TransferEvent
 from repro.chain.node import ArchiveNode, Blockchain
 from repro.chain.segments import (
     _ENTRY,
     _HEADER,
+    MANIFEST_HEADER,
     MANIFEST_NAME,
     SEGMENT_FORMAT,
     SegmentIntegrityError,
@@ -75,7 +78,8 @@ class TestSegmentStore:
         assert [b.hash for b in loaded] == [b.hash for b in blocks[3:6]]
         header, *entries = (tmp_path / "segs" / MANIFEST_NAME) \
             .read_text().splitlines()
-        assert json.loads(header) == {"format": SEGMENT_FORMAT}
+        assert json.loads(header) == {"format": SEGMENT_FORMAT,
+                                      "schema": SCHEMA_DIGEST}
         assert [json.loads(entry)["epoch"] for entry in entries] \
             == [0, 1, 2, 3]
 
@@ -174,6 +178,24 @@ def segment_bytes(store, epoch):
         return info, path, bytearray(handle.read())
 
 
+def replace_frame(store, epoch, position, frame):
+    """Rewrite segment ``epoch`` with frame ``position`` replaced and
+    the index re-tiled around it, so only the frame itself is wrong."""
+    info, path, payload = segment_bytes(store, epoch)
+    entries = _verified_index(info, bytes(payload))
+    frames = [bytes(payload[offset:offset + length])
+              for *_, offset, length in entries]
+    frames[position] = frame
+    rebuilt = bytearray(payload[:_HEADER.size])
+    offset = _HEADER.size + _ENTRY.size * len(frames)
+    for (number, block_hash, tx_count, _, _), body in zip(entries, frames):
+        rebuilt += _ENTRY.pack(number, bytes.fromhex(block_hash[2:]),
+                               tx_count, offset, len(body))
+        offset += len(body)
+    with open(path, "wb") as handle:
+        handle.write(rebuilt + b"".join(frames))
+
+
 def assert_fails_closed(store, epoch, number, match):
     """Both a cold single-block read and the whole-epoch load refuse."""
     with pytest.raises(SegmentIntegrityError, match=match):
@@ -220,21 +242,7 @@ class TestFormat2Integrity:
         layout are consistent, but the decoded block is not the one its
         index entry names."""
         store, blocks = filled_store(tmp_path)
-        info, path, payload = segment_bytes(store, 1)
-        entries = _verified_index(info, bytes(payload))
-        frames = [bytes(payload[offset:offset + length])
-                  for *_, offset, length in entries]
-        frames[1] = pickle.dumps(blocks[0],
-                                 protocol=pickle.HIGHEST_PROTOCOL)
-        rebuilt = bytearray(payload[:_HEADER.size])
-        offset = _HEADER.size + _ENTRY.size * len(frames)
-        for (number, block_hash, tx_count, _, _), frame in zip(entries,
-                                                               frames):
-            rebuilt += _ENTRY.pack(number, bytes.fromhex(block_hash[2:]),
-                                   tx_count, offset, len(frame))
-            offset += len(frame)
-        with open(path, "wb") as handle:
-            handle.write(rebuilt + b"".join(frames))
+        replace_frame(store, 1, 1, encode_frames([blocks[0]])[0])
         assert_fails_closed(store, 1, 5, "does not match its index entry")
 
     def test_index_overruns_file(self, tmp_path):
@@ -269,10 +277,13 @@ class TestFormatRejection:
     def test_future_format_rejected_clearly(self, tmp_path):
         root = tmp_path / "future"
         root.mkdir()
-        write_manifest(root, {"format": SEGMENT_FORMAT + 1})
+        write_manifest(root, {"format": SEGMENT_FORMAT + 1,
+                              "schema": SCHEMA_DIGEST})
         with pytest.raises(SegmentIntegrityError,
-                           match=f"format={SEGMENT_FORMAT + 1}; this run "
-                                 f"needs format={SEGMENT_FORMAT}"):
+                           match=re.escape(
+                               f"format={SEGMENT_FORMAT + 1}, schema="
+                               f"{SCHEMA_DIGEST!r}; this run needs "
+                               f"format={SEGMENT_FORMAT}")):
             SegmentStore(str(root))
 
     def test_format_3_manifest_log_is_refused(self, tmp_path):
@@ -283,9 +294,11 @@ class TestFormatRejection:
         root.mkdir()
         write_manifest(root, {"format": 3})
         with pytest.raises(SegmentIntegrityError,
-                           match=f"format=3; this run needs "
-                                 f"format={SEGMENT_FORMAT} — delete the "
-                                 f"store and re-simulate"):
+                           match=re.escape(
+                               f"format=3, schema=None; this run needs "
+                               f"format={SEGMENT_FORMAT}, schema="
+                               f"{SCHEMA_DIGEST!r} — delete the store "
+                               f"and re-simulate")):
             SegmentStore(str(root))
         store = SegmentStore.create(str(root))
         assert store.segments == []
@@ -354,7 +367,7 @@ class TestFormatRejection:
         the store, and create() wipes it."""
         root = tmp_path / "recover"
         root.mkdir()
-        write_manifest(root, {"format": SEGMENT_FORMAT}, {"epoch": 0})
+        write_manifest(root, MANIFEST_HEADER, {"epoch": 0})
         (root / "seg-000000.pkl").write_bytes(b"stale garbage")
         with pytest.raises(SegmentIntegrityError, match="malformed"):
             SegmentStore(str(root))
@@ -408,15 +421,15 @@ class TestManifestLog:
 
 @pytest.fixture
 def decodes(monkeypatch):
-    """Every frame the segments module unpickles, counted."""
+    """Every frame the segments module decodes, counted."""
     calls = []
-    loads = pickle.loads
+    decode = segments_module.decode_frame
 
-    def counting(data, *args, **kwargs):
-        calls.append(len(data))
-        return loads(data, *args, **kwargs)
+    def counting(frame):
+        calls.append(len(frame))
+        return decode(frame)
 
-    monkeypatch.setattr(segments_module.pickle, "loads", counting)
+    monkeypatch.setattr(segments_module, "decode_frame", counting)
     return calls
 
 
