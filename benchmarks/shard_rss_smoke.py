@@ -16,7 +16,9 @@ make million-block windows feasible:
    throughput; a violation fails naming the offending epoch.
 3. **Segment-backed reads** — a full ``iter_range`` walk off the
    spilled store yields every block, contiguous and parent-linked, and
-   spot lookups resolve through the fingerprint-verified segments.
+   spot lookups resolve through the fingerprint-verified segments.  A
+   seeded sample of cold spot reads, each through a fresh
+   ``SegmentReader`` (segment open plus one frame), prints its median.
 4. **Splice identity (sampled prefix)** — the first epochs are
    re-simulated from their seals across ``--workers`` processes and
    must match the stored chain hash-for-hash (the ``shard_identical``
@@ -28,7 +30,9 @@ it locally with smaller ``--blocks`` for a quick check.
 
 import argparse
 import os
+import random
 import resource
+import statistics
 import sys
 import tempfile
 import time
@@ -36,7 +40,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
                                 "src"))
 
-from repro.chain.segments import SegmentStore
+from repro.chain.segments import SegmentReader, SegmentStore
 from repro.chain.transaction import reset_tx_counter
 from repro.sim import (
     ScenarioConfig,
@@ -49,6 +53,10 @@ from repro.sim.world import activity_saturation_month
 #: Minimum fraction of the first saturated epoch's throughput every
 #: later epoch must hold (same margin as the bench ``scale_flat`` gate).
 FLATNESS = 0.8
+
+#: Spilled blocks read cold, one fresh reader each, for the spot-read
+#: median.
+SPOT_READS = 200
 
 
 def rss_mb():
@@ -165,6 +173,23 @@ def main(argv=None):
             assert found is not None and found.number == number, number
         print(f"segment-backed walk ok: {count} blocks in {walk_s:.2f}s, "
               f"linkage verified")
+
+        # Cold spot reads: a fresh reader opens the segment (header and
+        # index) and reads one frame.
+        if store.segments:
+            spilled_blocks = range(store.first_block,
+                                   store.segments[-1].last_block + 1)
+            spot_us = []
+            for number in random.Random(args.seed).sample(
+                    spilled_blocks, min(SPOT_READS, len(spilled_blocks))):
+                read_started = time.perf_counter()
+                found = SegmentReader(store).block(number)
+                spot_us.append((time.perf_counter() - read_started) * 1e6)
+                assert found is not None and found.number == number, \
+                    number
+            print(f"cold spot read: median "
+                  f"{statistics.median(spot_us):.0f} us over "
+                  f"{len(spot_us)} blocks, a fresh reader each")
 
         # Sampled-prefix shard identity against the spilled reference.
         resumed = time.time()

@@ -3,25 +3,27 @@
 A spilled block is stored as one pickle frame.  Default pickling writes
 each slotted record as its class reference plus a dict of slot names
 to values, and loads it back through a generic ``__setstate__`` loop.
-This codec writes every chain record instead as ``(schema_id, field
-values in dataclasses.fields() order)`` and reads it back through a
-per-class constructor generated from the same fields, the way
+This codec writes every chain record instead as a call of its own
+constructor on its field values in ``dataclasses.fields()`` order.
+The constructors are generated from the same fields, the way
 ``@dataclass`` generates ``__init__``: one attribute store per slot,
 no ``__init__`` or ``__post_init__`` run, as with default pickling.
+Each one is a global of this module, ``_new.<record name>``, so a frame
+names the constructor of every record it holds (once per frame: the
+pickle memo turns repeats into back-references).
 
-The schema is :data:`RECORDS`, a fixed tuple: a record's schema id is
-its position there, and :data:`SCHEMA_DIGEST` covers every record's
-module, qualified name and field names in that order, so it is the
-same in every process whatever the import order or hash seed.  The
-segment manifest header carries it; a store written under another
-schema is refused, never decoded.
+The schema is :data:`RECORDS`, a fixed tuple, and :data:`SCHEMA_DIGEST`
+covers every record's module, qualified name and field names in that
+order, so it is the same in every process whatever the import order or
+hash seed.  The segment manifest header carries it; a store written
+under another schema is refused, never decoded.
 
 Both directions fail closed.  :func:`encode_frames` raises
 :class:`pickle.PicklingError` for any object that is neither a schema
 record nor a builtin value (builtins such as the open
 ``Transaction.meta`` dict are pickled as values).  :func:`decode_frame`
-admits exactly one global, :func:`_rebuild`: a frame that names any
-other raises :class:`pickle.UnpicklingError`.
+admits exactly the generated constructors as globals: a frame that
+names any other raises :class:`pickle.UnpicklingError`.
 
 The records include the DEX and lending intents a transaction carries.
 This module (and :mod:`repro.chain.segments`, its one user) sits above
@@ -35,6 +37,7 @@ import dataclasses
 import hashlib
 import io
 import pickle
+import types
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.chain.block import Block
@@ -50,9 +53,9 @@ from repro.lending.flashloan import FlashLoanIntent
 from repro.lending.oracle import OracleUpdateIntent
 from repro.lending.pool import BorrowIntent, LiquidationIntent
 
-#: Every record a block frame may hold; a record's schema id is its
-#: index.  Any change here, or to a record's fields, changes
-#: :data:`SCHEMA_DIGEST`, so stores written before it are refused.
+#: Every record a block frame may hold.  Any change here, or to a
+#: record's fields, changes :data:`SCHEMA_DIGEST`, so stores written
+#: before it are refused.
 RECORDS: Tuple[type, ...] = (
     Block, Transaction, Receipt,
     EventLog, TransferEvent, SwapEvent, SyncEvent, LiquidationEvent,
@@ -77,51 +80,62 @@ def _field_names(cls: type) -> Tuple[str, ...]:
 
 
 def _digest(records: Sequence[type]) -> str:
-    """Fingerprint of the schema: module, qualname and field names of
-    every record, in schema-id order."""
+    """Fingerprint of the schema: module, qualname (which also names
+    the record's constructor in frames) and field names of every
+    record, in schema order."""
     return hashlib.sha256("".join(
         f"{cls.__module__}:{cls.__qualname__}:"
         f"{','.join(_field_names(cls))};"
         for cls in records).encode()).hexdigest()
 
 
-def _generate(cls: type, schema_id: int, names: Tuple[str, ...],
+#: The generated constructors as attributes named after their records:
+#: pickle resolves a constructor's global name ``_new.<qualname>``
+#: here when it writes a frame.
+_new = types.SimpleNamespace()
+
+
+def _generate(cls: type, names: Tuple[str, ...],
               ) -> Tuple[Callable, Callable]:
-    """``cls``'s reducer (record → ``(_rebuild, (id, *values))``) and
-    its constructor (values → record), compiled from its fields."""
-    namespace = {"rebuild": _rebuild, "new": object.__new__, "cls": cls}
+    """``cls``'s constructor (values → record), a global of this module
+    named ``_new.<qualname>``, and its reducer (record →
+    ``(constructor, values)``), compiled from its fields."""
+    namespace = {"new": object.__new__, "cls": cls}
     if set(names) & {"obj", *namespace}:
         raise TypeError(f"{cls.__qualname__} has a field named like a "
                         f"name the generated code uses")
     params = ", ".join(names)
     reads = "".join(f"obj.{name}, " for name in names)
     stores = "".join(f"    obj.{name} = {name}\n" for name in names)
-    source = (f"def reduce(obj):\n"
-              f"    return rebuild, ({schema_id}, {reads})\n"
-              f"def build({params}):\n"
+    source = (f"def build({params}):\n"
               f"    obj = new(cls)\n"
               f"{stores}"
-              f"    return obj\n")
+              f"    return obj\n"
+              f"def reduce(obj):\n"
+              f"    return build, ({reads})\n")
     exec(compile(source, f"<frame codec {cls.__qualname__}>", "exec"),
          namespace)
-    return namespace["reduce"], namespace["build"]
-
-
-def _rebuild(schema_id: int, *values):
-    """The one global a frame may name: the record ``schema_id`` with
-    ``values`` in field order."""
-    return _CONSTRUCTORS[schema_id](*values)
+    build = namespace["build"]
+    build.__module__ = __name__
+    build.__name__ = cls.__qualname__
+    build.__qualname__ = f"_new.{cls.__qualname__}"
+    return namespace["reduce"], build
 
 
 def _codec(records: Sequence[type],
-           ) -> Tuple[Dict[type, Callable], Tuple[Callable, ...]]:
+           ) -> Tuple[Dict[type, Callable], Dict[str, Callable]]:
+    """Every record's reducer, by class, and constructor, by the name
+    frames give it."""
     reducers: Dict[type, Callable] = {}
-    constructors: List[Callable] = []
-    for schema_id, cls in enumerate(records):
-        reduce, build = _generate(cls, schema_id, _field_names(cls))
+    constructors: Dict[str, Callable] = {}
+    for cls in records:
+        reduce, build = _generate(cls, _field_names(cls))
+        if build.__qualname__ in constructors:
+            raise TypeError(f"two records are named {cls.__qualname__}")
         reducers[cls] = reduce
-        constructors.append(build)
-    return reducers, tuple(constructors)
+        constructors[build.__qualname__] = build
+        setattr(_new, build.__name__, build)
+    return reducers, constructors
 
 
 #: Schema fingerprint written to, and required of, every segment store.
@@ -139,7 +153,8 @@ class _FramePickler(pickle.Pickler):
         reduce = _REDUCERS.get(type(obj))
         if reduce is not None:
             return reduce(obj)
-        if obj is _rebuild:
+        if type(obj) is types.FunctionType \
+                and _CONSTRUCTORS.get(obj.__qualname__) is obj:
             return NotImplemented
         raise pickle.PicklingError(
             f"{type(obj).__module__}.{type(obj).__qualname__} is not a "
@@ -147,14 +162,17 @@ class _FramePickler(pickle.Pickler):
 
 
 class _FrameUnpickler(pickle.Unpickler):
-    """Loads a frame that names no global but :func:`_rebuild`."""
+    """Loads a frame that names no global but the generated
+    constructors."""
 
     def find_class(self, module: str, name: str):
-        if module == __name__ and name == "_rebuild":
-            return _rebuild
+        if module == __name__:
+            build = _CONSTRUCTORS.get(name)
+            if build is not None:
+                return build
         raise pickle.UnpicklingError(
-            f"frame names {module}.{name}, which is not the frame "
-            f"codec's rebuild function")
+            f"frame names {module}.{name}, which is not a block-frame "
+            f"record's constructor")
 
 
 def encode_frames(blocks: Sequence[Block]) -> List[bytes]:

@@ -2,34 +2,41 @@
 
 A :class:`SegmentStore` persists completed epochs of a chain as segment
 files under one directory, indexed by a manifest that records each
-segment's block range and content fingerprint.  The manifest is a
+segment's block range and index fingerprint.  The manifest is a
 :class:`~repro.durable.RecordLog`: a format header, then one line per
 spill, so a spill costs one appended line however many segments the
-store holds, and a re-spilled epoch's last line wins.  A segment file
-is a header, a per-block index of ``(number, hash, tx_count, offset,
+store holds, and a re-spilled epoch's last line wins.  A segment file is
+a header, a per-block index of ``(number, hash, tx_count, offset,
 length)`` entries, and then one frame per block, so a read decodes only
 the blocks it asks for.  A frame is a pickle that writes every chain
-record positionally, as its schema id and field values
-(:mod:`repro.chain.frames`); the manifest header names the schema by
-its digest next to the format.  :class:`SpillingBlockchain` is a
-drop-in :class:`~repro.chain.node.Blockchain` that spills every
+record positionally, as a call of its record's generated constructor on
+its field values (:mod:`repro.chain.frames`); the manifest header names
+the schema by its digest next to the format.  :class:`SpillingBlockchain`
+is a drop-in :class:`~repro.chain.node.Blockchain` that spills every
 completed epoch to the store and evicts old epochs from memory, so a
 simulation's peak block residency is O(epoch) rather than O(world).
 :class:`SegmentReader` serves ranged reads over the spilled portion
 through a bounded LRU of opened segments, found by bisecting the
 manifest (never a directory scan).  An opened segment
-(:class:`SegmentFile`) holds its verified index and decodes each frame
-on first touch: a spot lookup costs one frame rather than an epoch,
-and a sequential walk parses each index once.
+(:class:`SegmentFile`) holds a file descriptor and its verified index,
+and reads and decodes each frame on first touch: opening reads only the
+header and the index, and a spot lookup then reads and decodes one frame
+rather than an epoch, while a sequential walk reads each run of frames
+in one ``os.pread`` and parses each index once.  Reads go by offset
+(``pread``), never through a shared file position, so readers inherited
+by forked workers stay independent; a segment's descriptor closes when
+the reader evicts it, or when the segment is collected.
 
 Integrity follows the fail-closed rule, checked per block.  Before any
-frame is used, the index must reproduce the manifest fingerprint and
-its frames must tile the rest of the file exactly; every decoded frame
-must then match its index entry on number, hash and transaction count.
-*Any* anomaly (missing or truncated file, an index that overruns the
-file, fingerprint mismatch, a corrupt frame or one that names a global
-outside the codec, a malformed manifest line, unknown manifest format
-or record schema) raises :class:`SegmentIntegrityError` with a
+frame is used, the sha256 of the index must equal the manifest
+fingerprint (which so binds every entry's number, hash, transaction
+count, offset and length) and its frames must tile the rest of the file
+exactly; every frame read must be as long as its entry says, and every
+decoded frame must then match its entry on number, hash and transaction
+count.  *Any* anomaly (missing or truncated file, an index that overruns
+the file, fingerprint mismatch, a corrupt frame or one that names a
+global outside the codec, a malformed manifest line, unknown manifest
+format or record schema) raises :class:`SegmentIntegrityError` with a
 clear message, and callers respond by re-simulating from scratch
 (`SegmentStore.create` wipes the directory first), never by trusting a
 partially readable store.  The one exception is a torn last manifest
@@ -46,10 +53,10 @@ import operator
 import os
 import pickle
 import struct
+import weakref
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chain.block import Block
 from repro.chain.frames import SCHEMA_DIGEST, decode_frame, encode_frames
@@ -63,8 +70,10 @@ from repro.durable import RecordLog, write_atomic
 #: append-only manifest log; format 4 frames pickled the slotted chain
 #: records by default; format 5 frames write them positionally
 #: (:mod:`repro.chain.frames`), under the record schema the manifest
-#: header names by its digest.
-SEGMENT_FORMAT = 5
+#: header names by its digest; format 6 frames name each record's own
+#: constructor, and the manifest fingerprint is the sha256 of the
+#: packed index, so opening a segment reads its header and index only.
+SEGMENT_FORMAT = 6
 
 #: The manifest's header line: the layout version and the digest of the
 #: record schema the frames were written under.  A store with any other
@@ -88,8 +97,9 @@ _DECODE_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
                   ImportError, IndexError, KeyError, TypeError,
                   ValueError)
 
-#: One decoded index entry: (number, hash, tx_count, offset, length).
-IndexEntry = Tuple[int, Hash32, int, int, int]
+#: One unpacked index entry: (number, raw 32-byte hash, tx_count,
+#: offset, length).
+IndexEntry = Tuple[int, bytes, int, int, int]
 
 _epoch_of = operator.attrgetter("epoch")
 
@@ -124,33 +134,19 @@ def _materialize_hashes(blocks: Sequence[Block]) -> None:
             tx.hash
 
 
-def _fingerprint(entries: Iterable[Tuple[int, Hash32, int]]) -> str:
-    """Content fingerprint of a run of ``(number, hash, tx_count)``."""
-    return hashlib.sha256("".join(
-        f"{number}:{block_hash}:{tx_count};"
-        for number, block_hash, tx_count in entries).encode()).hexdigest()
-
-
-def _fingerprint_blocks(blocks: Sequence[Block]) -> str:
-    """Content fingerprint of a block run (same scheme as the bench
-    world fingerprint: number, hash, and transaction count per block)."""
-    return _fingerprint((block.number, block.hash, len(block.transactions))
-                        for block in blocks)
-
-
-def _encode_segment(blocks: Sequence[Block]) -> bytes:
-    """Segment file bytes: header, index, one frame per block."""
+def _encode_segment(blocks: Sequence[Block]) -> Tuple[bytes, str]:
+    """Segment file bytes (header, index, one frame per block) and the
+    segment's manifest fingerprint, the sha256 of its index."""
     frames = encode_frames(blocks)
-    parts = [_HEADER.pack(_MAGIC, SEGMENT_FORMAT, len(blocks))]
+    index = bytearray()
     offset = _HEADER.size + _ENTRY.size * len(blocks)
     for block, frame in zip(blocks, frames):
-        parts.append(_ENTRY.pack(block.number,
-                                 bytes.fromhex(block.hash[2:]),
-                                 len(block.transactions), offset,
-                                 len(frame)))
+        index += _ENTRY.pack(block.number, bytes.fromhex(block.hash[2:]),
+                             len(block.transactions), offset, len(frame))
         offset += len(frame)
-    parts.extend(frames)
-    return b"".join(parts)
+    header = _HEADER.pack(_MAGIC, SEGMENT_FORMAT, len(blocks))
+    return (b"".join([header, index, *frames]),
+            hashlib.sha256(index).hexdigest())
 
 
 @dataclass(frozen=True)
@@ -165,40 +161,41 @@ class SegmentInfo:
     tx_count: int
 
 
-def _verified_index(info: SegmentInfo, payload: bytes,
-                    ) -> List[IndexEntry]:
-    """Parse a segment file's index and check it before any frame is
-    used: it must list exactly the manifest's blocks, reproduce the
-    manifest fingerprint, and its frames must tile the rest of the file
-    with nothing missing or left over."""
+def _verified_index(info: SegmentInfo, fd: int) -> List[IndexEntry]:
+    """Read a segment file's header and index and check them before any
+    frame is used: the index must list exactly the manifest's blocks,
+    its sha256 must be the manifest fingerprint, and its frames must
+    tile the rest of the file (as long as ``fstat`` says) with nothing
+    missing or left over."""
     name = info.filename
-    if len(payload) < _HEADER.size:
+    size = os.fstat(fd).st_size
+    expected = info.last_block - info.first_block + 1
+    # One read covers the header and the index the manifest expects.
+    head = os.pread(fd, _HEADER.size + _ENTRY.size * expected, 0)
+    if len(head) < _HEADER.size:
         raise SegmentIntegrityError(
             f"segment {name} is truncated (no header); re-simulate "
             f"from scratch")
-    magic, version, count = _HEADER.unpack_from(payload)
+    magic, version, count = _HEADER.unpack_from(head)
     if magic != _MAGIC or version != SEGMENT_FORMAT:
         raise SegmentIntegrityError(
             f"segment {name} is not a format-{SEGMENT_FORMAT} segment "
             f"file; re-simulate from scratch")
     end = _HEADER.size + _ENTRY.size * count
-    if end > len(payload):
+    if end > size:
         raise SegmentIntegrityError(
             f"segment {name} index of {count} entries overruns the "
-            f"file ({len(payload)} bytes); re-simulate from scratch")
-    expected = info.last_block - info.first_block + 1
+            f"file ({size} bytes); re-simulate from scratch")
     if count != expected:
         raise SegmentIntegrityError(
             f"segment {name} is truncated or malformed: expected "
             f"{expected} blocks, its index lists {count}")
-    entries = [
-        (number, "0x" + raw_hash.hex(), tx_count, offset, length)
-        for number, raw_hash, tx_count, offset, length
-        in _ENTRY.iter_unpack(memoryview(payload)[_HEADER.size:end])]
-    if _fingerprint(entry[:3] for entry in entries) != info.fingerprint:
+    index = memoryview(head)[_HEADER.size:end]
+    if hashlib.sha256(index).hexdigest() != info.fingerprint:
         raise SegmentIntegrityError(
             f"segment {name} fingerprint mismatch; re-simulate from "
             f"scratch")
+    entries = list(_ENTRY.iter_unpack(index))
     for number, _, _, offset, length in entries:
         if offset != end:
             raise SegmentIntegrityError(
@@ -206,39 +203,49 @@ def _verified_index(info: SegmentInfo, payload: bytes,
                 f"(offset {offset}, expected {end}); re-simulate from "
                 f"scratch")
         end = offset + length
-    if end != len(payload):
+    if end != size:
         raise SegmentIntegrityError(
             f"segment {name} is truncated or malformed: its frames end "
-            f"at byte {end} of {len(payload)}; re-simulate from scratch")
+            f"at byte {end} of {size}; re-simulate from scratch")
     return entries
 
 
 class SegmentFile:
-    """One opened segment: its verified index, frames decoded on first
-    touch.
+    """One opened segment: a descriptor and its verified index, frames
+    read and decoded on first touch.
 
     :meth:`SegmentStore.open_segment` builds it only after the index
     passed :func:`_verified_index`.  :meth:`read` is the one read
-    primitive over a block range: it decodes just the frames the
-    range needs, checks each against its index entry, and keeps them,
-    so re-reading a block decodes nothing.
+    primitive over a block range: it reads each run of frames the range
+    needs but does not hold yet in one ``pread``, decodes them, checks
+    each against its index entry, and keeps them, so re-reading a block
+    reads and decodes nothing.  :meth:`close` releases the descriptor;
+    a segment that is collected first closes it then.
     """
 
     def __init__(self, info: SegmentInfo, entries: List[IndexEntry],
-                 payload: bytes) -> None:
+                 fd: Optional[int]) -> None:
         self.info = info
         self._entries = entries
-        self._payload = memoryview(payload)
+        self._fd = fd
         self._blocks: List[Optional[Block]] = [None] * len(entries)
+        #: closes the descriptor once, on :meth:`close` or collection
+        self._closer = None if fd is None \
+            else weakref.finalize(self, os.close, fd)
 
     @classmethod
     def decoded(cls, info: SegmentInfo,
                 blocks: List[Block]) -> "SegmentFile":
         """A segment whose blocks are already in memory (an epoch still
         queued behind the background writer)."""
-        segment = cls(info, [], b"")
+        segment = cls(info, [], None)
         segment._blocks = list(blocks)
         return segment
+
+    def close(self) -> None:
+        """Release the descriptor (a no-op after the first call)."""
+        if self._closer is not None:
+            self._closer()
 
     def read(self, low: Optional[int] = None,
              high: Optional[int] = None) -> List[Block]:
@@ -247,27 +254,55 @@ class SegmentFile:
         start = 0 if low is None else low - first
         stop = len(self._blocks) if high is None else high - first + 1
         blocks = self._blocks
-        for index in range(start, stop):
+        index = start
+        while index < stop:
             if blocks[index] is None:
-                blocks[index] = self._decode(index)
+                run_end = index + 1
+                while run_end < stop and blocks[run_end] is None:
+                    run_end += 1
+                self._load(index, run_end)
+                index = run_end
+            index += 1
         return blocks[start:stop]
 
-    def _decode(self, index: int) -> Block:
-        number, block_hash, tx_count, offset, length = self._entries[index]
+    def _load(self, start: int, stop: int) -> None:
+        """Read frames ``[start, stop)`` in one ``pread`` and decode
+        them."""
+        entries = self._entries
         name = self.info.filename
+        if not self._closer.alive:
+            raise ValueError(f"segment {name} is closed")
+        base = entries[start][3]
+        _, _, _, last_offset, last_length = entries[stop - 1]
+        size = last_offset + last_length - base
         try:
-            block = decode_frame(self._payload[offset:offset + length])
-        except _DECODE_ERRORS as exc:
+            data = memoryview(os.pread(self._fd, size, base))
+        except OSError as exc:
             raise SegmentIntegrityError(
-                f"segment {name} frame of block {number} is unreadable "
-                f"({exc}); re-simulate from scratch")
-        if not isinstance(block, Block) or block.number != number \
-                or block.hash != block_hash \
-                or len(block.transactions) != tx_count:
+                f"segment {name} is unreadable ({exc}); re-simulate "
+                f"from scratch")
+        if len(data) != size:
             raise SegmentIntegrityError(
-                f"segment {name} frame of block {number} does not match "
-                f"its index entry; re-simulate from scratch")
-        return block
+                f"segment {name} is truncated: the frames of blocks "
+                f"{entries[start][0]}..{entries[stop - 1][0]} end past "
+                f"byte {base + len(data)}; re-simulate from scratch")
+        blocks = self._blocks
+        for index in range(start, stop):
+            number, raw_hash, tx_count, offset, length = entries[index]
+            offset -= base
+            try:
+                block = decode_frame(data[offset:offset + length])
+            except _DECODE_ERRORS as exc:
+                raise SegmentIntegrityError(
+                    f"segment {name} frame of block {number} is "
+                    f"unreadable ({exc}); re-simulate from scratch")
+            if not isinstance(block, Block) or block.number != number \
+                    or block.hash != "0x" + raw_hash.hex() \
+                    or len(block.transactions) != tx_count:
+                raise SegmentIntegrityError(
+                    f"segment {name} frame of block {number} does not "
+                    f"match its index entry; re-simulate from scratch")
+            blocks[index] = block
 
 
 class SegmentStore:
@@ -434,11 +469,11 @@ class SegmentStore:
         filename = f"seg-{epoch:06d}.pkl"
         path = os.path.join(self.root, filename)
         _materialize_hashes(blocks)
-        payload = _encode_segment(blocks)
+        payload, fingerprint = _encode_segment(blocks)
         info = SegmentInfo(
             epoch=epoch, first_block=blocks[0].number,
             last_block=blocks[-1].number, filename=filename,
-            fingerprint=_fingerprint_blocks(blocks),
+            fingerprint=fingerprint,
             tx_count=sum(len(b.transactions) for b in blocks))
         self._record(info)
         record = asdict(info)
@@ -463,11 +498,13 @@ class SegmentStore:
 
         Epochs still queued behind the background writer are served
         straight from memory (they have no durable file yet).  For
-        on-disk epochs the file is read and its index verified
-        (:func:`_verified_index`); frames are decoded later, by
-        :meth:`SegmentFile.read`.  Raises :class:`SegmentIntegrityError`
-        on any anomaly: unknown epoch, missing or unreadable file, or an
-        index that does not match the manifest or the file.
+        on-disk epochs the file is opened and only its header and index
+        are read and verified (:func:`_verified_index`); frames are
+        read later, by :meth:`SegmentFile.read`.  The caller owns the
+        returned segment's descriptor (:meth:`SegmentFile.close`).
+        Raises :class:`SegmentIntegrityError` on any anomaly: unknown
+        epoch, missing or unreadable file, or an index that does not
+        match the manifest or the file.
         """
         info = self._by_epoch.get(epoch)
         if info is None:
@@ -478,19 +515,27 @@ class SegmentStore:
             return SegmentFile.decoded(info, pending)
         path = os.path.join(self.root, info.filename)
         try:
-            with open(path, "rb") as handle:
-                payload = handle.read()
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                return SegmentFile(info, _verified_index(info, fd), fd)
+            except BaseException:
+                os.close(fd)
+                raise
         except OSError as exc:
             raise SegmentIntegrityError(
                 f"segment {info.filename} is unreadable ({exc}); "
                 f"re-simulate from scratch")
-        return SegmentFile(info, _verified_index(info, payload), payload)
 
     def load_segment(self, epoch: int) -> List[Block]:
         """Load and verify one whole spilled epoch: the whole-range
-        :meth:`SegmentFile.read` of :meth:`open_segment`, so every
-        frame is decoded and checked against the verified index."""
-        return self.open_segment(epoch).read()
+        :meth:`SegmentFile.read` of :meth:`open_segment` (one read of
+        all its frames, each decoded and checked against the verified
+        index), its descriptor closed before returning."""
+        segment = self.open_segment(epoch)
+        try:
+            return segment.read()
+        finally:
+            segment.close()
 
     # Sidecar files --------------------------------------------------------
     #
@@ -535,8 +580,9 @@ class SegmentReader:
     """Ranged reads over a store's spilled blocks.
 
     Keeps at most ``max_resident`` opened segments in memory (LRU),
-    resolves ranges by bisecting the manifest, and decodes only the
-    blocks a read covers (:meth:`SegmentFile.read`).  The in-memory
+    closing each one it evicts, resolves ranges by bisecting the
+    manifest, and reads and decodes only the blocks a read covers
+    (:meth:`SegmentFile.read`).  The in-memory
     chain the blocks were spilled from is the reference its reads must
     match element for element.
     """
@@ -562,7 +608,7 @@ class SegmentReader:
         segment = self.store.open_segment(epoch)
         self._resident[epoch] = segment
         while len(self._resident) > self.max_resident:
-            self._resident.popitem(last=False)
+            self._resident.popitem(last=False)[1].close()
         return segment
 
     def block(self, number: int) -> Optional[Block]:

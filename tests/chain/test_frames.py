@@ -3,8 +3,8 @@
 Every chain record round-trips through a frame to an equal record; the
 schema digest is the same in every process; a block holding anything
 outside the schema is refused before a byte of its segment is written;
-a frame naming any global but the codec's rebuild function, and a store
-written under another format or schema, are refused on read.
+a frame naming any global but a record's generated constructor, and a
+store written under another format or schema, are refused on read.
 """
 
 import dataclasses
@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.chain.frames as frames_module
 from repro.chain.block import Block
 from repro.chain.events import (
     BorrowEvent,
@@ -330,7 +331,7 @@ class TestReadFailsClosed:
     def test_default_pickled_frame_in_a_segment_is_unreadable(self,
                                                               tmp_path):
         store, blocks = filled_store(tmp_path)
-        replace_frame(store, 1, 1, pickle.dumps(
+        store = replace_frame(store, 1, 1, pickle.dumps(
             blocks[4], protocol=pickle.HIGHEST_PROTOCOL))
         for read in (lambda: SegmentReader(store).block(5),
                      lambda: store.load_segment(1)):
@@ -339,26 +340,51 @@ class TestReadFailsClosed:
                 read()
         assert SegmentReader(store).block(4) == blocks[3]
 
-    def test_frame_with_an_unknown_schema_id_is_unreadable(self, tmp_path):
-        store, _ = filled_store(tmp_path)
-        frame = bytearray(encode_frames(build_blocks(5)[4:])[0])
-        # The block's schema id is the first small int after the
-        # rebuild global: make it point past the schema.
-        marker = frame.index(b"_rebuild")
-        position = frame.index(bytes([pickle.BININT1[0]]), marker)
-        frame[position + 1] = len(RECORDS)
-        replace_frame(store, 1, 1, bytes(frame))
+    def test_frame_naming_a_constructor_outside_the_schema_is_unreadable(
+            self, tmp_path, monkeypatch):
+        """A frame whose block is built by a global in the constructors'
+        namespace that is not a record's constructor: only the names the
+        codec generated are admitted, whatever the namespace holds."""
+        store, blocks = filled_store(tmp_path)
+
+        def forged(*values):
+            return blocks[4]
+
+        forged.__module__ = frames_module.__name__
+        forged.__qualname__ = "_new.Forged"
+        monkeypatch.setattr(frames_module._new, "Forged", forged,
+                            raising=False)
+
+        class Planted:
+            def __reduce__(self):
+                return forged, ()
+
+        frame = pickle.dumps(Planted(), protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"_new.Forged" in frame
+        store = replace_frame(store, 1, 1, frame)
         with pytest.raises(SegmentIntegrityError,
-                           match="block 5 is unreadable"):
+                           match=r"block 5 is unreadable \(frame names "
+                                 r"repro\.chain\.frames\._new\.Forged"):
             SegmentReader(store).block(5)
+
+    def test_frames_name_each_record_constructor(self):
+        """A frame names the constructor of every record it holds, and
+        no other global."""
+        [frame] = encode_frames([block_of_every_record()])
+        names = {record.__qualname__ for record in RECORDS}
+        named = set(re.findall(rb"_new\.(\w+)", frame))
+        assert {name.decode() for name in named} == names
+        assert b"_rebuild" not in frame
 
 
 class TestOldStores:
     @pytest.mark.parametrize("header, found", [
         ({"format": 4}, "format=4, schema=None"),
+        ({"format": 5, "schema": SCHEMA_DIGEST},
+         f"format=5, schema='{SCHEMA_DIGEST}'"),
         ({"format": SEGMENT_FORMAT, "schema": "0" * 64},
          f"format={SEGMENT_FORMAT}, schema='{'0' * 64}'"),
-    ], ids=["format-4", "foreign-digest"])
+    ], ids=["format-4", "format-5", "foreign-digest"])
     def test_refused_with_the_remedy(self, tmp_path, header, found):
         root = tmp_path / "old"
         root.mkdir()

@@ -8,11 +8,14 @@ spilling chain must serve reads bit-identically to a plain in-memory
 :class:`Blockchain` while keeping only a bounded tail resident.
 """
 
+import gc
+import hashlib
 import json
 import os
 import pickle
 import re
 import shutil
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -32,7 +35,6 @@ from repro.chain.segments import (
     SegmentReader,
     SegmentStore,
     SpillingBlockchain,
-    _verified_index,
 )
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
@@ -178,22 +180,36 @@ def segment_bytes(store, epoch):
         return info, path, bytearray(handle.read())
 
 
-def replace_frame(store, epoch, position, frame):
+def index_entries(payload):
+    """The unpacked index entries of a segment file's bytes."""
+    _, _, count = _HEADER.unpack_from(payload)
+    return list(_ENTRY.iter_unpack(
+        payload[_HEADER.size:_HEADER.size + _ENTRY.size * count]))
+
+
+def replace_frame(store, epoch, position, frame, record=True):
     """Rewrite segment ``epoch`` with frame ``position`` replaced and
-    the index re-tiled around it, so only the frame itself is wrong."""
+    the index re-tiled around it.  With ``record``, a manifest line
+    re-records the new index's fingerprint, so only the frame itself is
+    wrong.  Returns the store reopened."""
     info, path, payload = segment_bytes(store, epoch)
-    entries = _verified_index(info, bytes(payload))
+    entries = index_entries(payload)
     frames = [bytes(payload[offset:offset + length])
               for *_, offset, length in entries]
     frames[position] = frame
-    rebuilt = bytearray(payload[:_HEADER.size])
+    index = bytearray()
     offset = _HEADER.size + _ENTRY.size * len(frames)
-    for (number, block_hash, tx_count, _, _), body in zip(entries, frames):
-        rebuilt += _ENTRY.pack(number, bytes.fromhex(block_hash[2:]),
-                               tx_count, offset, len(body))
+    for (number, raw_hash, tx_count, _, _), body in zip(entries, frames):
+        index += _ENTRY.pack(number, raw_hash, tx_count, offset, len(body))
         offset += len(body)
     with open(path, "wb") as handle:
-        handle.write(rebuilt + b"".join(frames))
+        handle.write(payload[:_HEADER.size] + index + b"".join(frames))
+    if record:
+        retiled = replace(info,
+                          fingerprint=hashlib.sha256(index).hexdigest())
+        with open(os.path.join(store.root, MANIFEST_NAME), "a") as handle:
+            handle.write(json.dumps(asdict(retiled)) + "\n")
+    return SegmentStore(store.root)
 
 
 def assert_fails_closed(store, epoch, number, match):
@@ -210,8 +226,8 @@ class TestFormat2Integrity:
 
     def test_corrupt_frame_mid_segment(self, tmp_path):
         store, _ = filled_store(tmp_path)
-        info, path, payload = segment_bytes(store, 1)
-        _, _, _, offset, length = _verified_index(info, bytes(payload))[1]
+        _, path, payload = segment_bytes(store, 1)
+        _, _, _, offset, length = index_entries(payload)[1]
         payload[offset:offset + length] = b"\x00" * length
         with open(path, "wb") as handle:
             handle.write(payload)
@@ -242,8 +258,30 @@ class TestFormat2Integrity:
         layout are consistent, but the decoded block is not the one its
         index entry names."""
         store, blocks = filled_store(tmp_path)
-        replace_frame(store, 1, 1, encode_frames([blocks[0]])[0])
+        store = replace_frame(store, 1, 1, encode_frames([blocks[0]])[0])
         assert_fails_closed(store, 1, 5, "does not match its index entry")
+
+    def test_retiled_index_without_its_manifest_line(self, tmp_path):
+        """The fingerprint is the digest of the whole index, offsets and
+        lengths included: re-tiling a segment around a frame of another
+        length, without re-recording its manifest line, gives it away
+        before any frame is read."""
+        store, blocks = filled_store(tmp_path)
+        store = replace_frame(store, 1, 1, pickle.dumps(
+            blocks[4], protocol=pickle.HIGHEST_PROTOCOL), record=False)
+        assert_fails_closed(store, 1, 4, "fingerprint mismatch")
+
+    def test_file_truncated_after_its_index_was_verified(self, tmp_path):
+        """An open segment reads its frames by offset later: a file cut
+        short in between fails the next frame read, not silently."""
+        store, _ = filled_store(tmp_path)
+        reader = SegmentReader(store)
+        assert reader.block(4).number == 4
+        _, path, payload = segment_bytes(store, 1)
+        os.truncate(path, len(payload) - 5)
+        with pytest.raises(SegmentIntegrityError, match="is truncated"):
+            reader.block(6)
+        assert reader.block(5).number == 5
 
     def test_index_overruns_file(self, tmp_path):
         store, _ = filled_store(tmp_path)
@@ -501,10 +539,110 @@ class TestSegmentReader:
         reader = SegmentReader(store)
         assert reader.block(999) is None
 
+    def test_cold_block_reads_its_index_and_one_frame(self, tmp_path,
+                                                      monkeypatch):
+        """Opening reads the header and the index, never the whole file;
+        the block then costs its own frame's bytes."""
+        store, _ = filled_store(tmp_path, epochs=3, epoch_blocks=5)
+        _, _, payload = segment_bytes(store, 1)
+        entries = index_entries(payload)
+        reads = []
+        pread = os.pread
+
+        def counting(fd, size, offset):
+            data = pread(fd, size, offset)
+            reads.append(len(data))
+            return data
+
+        monkeypatch.setattr(segments_module.os, "pread", counting)
+        assert SegmentReader(store).block(8).number == 8
+        frame = entries[8 - 6][4]
+        assert sum(reads) <= _HEADER.size + _ENTRY.size * len(entries) \
+            + frame
+        assert frame in reads
+        assert sum(reads) < len(payload)
+
+    def test_whole_segment_is_one_frame_read(self, tmp_path, monkeypatch):
+        store, _ = filled_store(tmp_path, epochs=3, epoch_blocks=5)
+        reads = []
+        pread = os.pread
+        monkeypatch.setattr(
+            segments_module.os, "pread",
+            lambda fd, size, offset: reads.append(size)
+            or pread(fd, size, offset))
+        assert [b.number for b in store.load_segment(1)] == \
+            [6, 7, 8, 9, 10]
+        assert len(reads) == 2  # header and index, then every frame
+
     def test_max_resident_must_be_positive(self, tmp_path):
         store, _ = filled_store(tmp_path)
         with pytest.raises(ValueError):
             SegmentReader(store, max_resident=0)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors in /proc/self/fd")
+class TestDescriptors:
+    """Every opened segment holds one descriptor, and every way a
+    segment goes away closes it."""
+
+    @staticmethod
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    def test_cold_reads_keep_at_most_the_resident_segments_open(
+            self, tmp_path):
+        store, blocks = filled_store(tmp_path, epochs=5)
+        start = self.open_fds()
+        reader = SegmentReader(store, max_resident=2)
+        for step in range(200):
+            # Epochs round-robin, so every read misses the LRU.
+            number = (step % 5) * 3 + 1 + (step // 5) % 3
+            assert reader.block(number).hash == blocks[number - 1].hash
+        assert self.open_fds() <= start + 2
+        del reader
+        gc.collect()
+        assert self.open_fds() == start
+
+    def test_load_segment_leaves_nothing_open(self, tmp_path):
+        store, _ = filled_store(tmp_path)
+        start = self.open_fds()
+        for epoch in range(4):
+            store.load_segment(epoch)
+        assert self.open_fds() == start
+
+    def test_eviction_closes_the_segment(self, tmp_path):
+        store, _ = filled_store(tmp_path)
+        start = self.open_fds()
+        reader = SegmentReader(store, max_resident=1)
+        reader.block(1)
+        assert self.open_fds() == start + 1
+        reader.block(4)
+        assert reader.resident_epochs == [1]
+        assert self.open_fds() == start + 1
+
+    def test_closed_segment_refuses_frame_reads(self, tmp_path):
+        """Its descriptor number may already name another file."""
+        store, _ = filled_store(tmp_path)
+        start = self.open_fds()
+        segment = store.open_segment(0)
+        assert segment.read(1, 1)[0].number == 1
+        segment.close()
+        segment.close()
+        assert self.open_fds() == start
+        assert segment.read(1, 1)[0].number == 1  # held, not re-read
+        with pytest.raises(ValueError, match="is closed"):
+            segment.read(2, 2)
+
+    def test_failed_open_leaves_nothing_open(self, tmp_path):
+        store, _ = filled_store(tmp_path)
+        _, path, payload = segment_bytes(store, 0)
+        with open(path, "wb") as handle:
+            handle.write(payload[:-5])
+        start = self.open_fds()
+        with pytest.raises(SegmentIntegrityError):
+            store.load_segment(0)
+        assert self.open_fds() == start
 
 
 class TestSpillingBlockchain:

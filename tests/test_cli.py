@@ -183,12 +183,17 @@ class TestCommands:
                        "Section 6.3", "Goal 2"):
             assert marker in out
 
-    def test_run_spilled_report_matches_in_memory(self, tmp_path,
-                                                  capsys):
+    @pytest.mark.parametrize("detection", [
+        [], ["--workers", "2", "--chunk-size", "7"],
+    ], ids=["serial", "workers-2-chunk-7"])
+    def test_run_spilled_report_matches_in_memory(self, tmp_path, capsys,
+                                                  detection):
         """`repro run --segment-dir` must print byte-identical output
-        to the all-in-memory run of the same scenario."""
+        to the all-in-memory run of the same scenario, also when forked
+        chunk workers read the spilled segments through the readers
+        (and open descriptors) they inherit."""
         from repro.chain.transaction import reset_tx_counter
-        args = BPM + ["--epoch-blocks", "5"]
+        args = BPM + ["--epoch-blocks", "5"] + detection
         reset_tx_counter()
         assert main(["run"] + args) == 0
         in_memory = capsys.readouterr().out
