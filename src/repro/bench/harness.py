@@ -1,9 +1,9 @@
 """Seeded wall-clock benchmarks for the measurement pipeline.
 
-The harness builds one simulated study window, then times the layers
-the paper's crawl spends its time in — the world simulation itself
-(the ``simulate`` stage), detection as the fused single-pass scan vs.
-the four standalone detectors over linear archive reads, and the
+The harness simulates one study window, then times the layers the
+paper's crawl spends its time in — the world simulation itself (the
+``simulate`` stage), detection as the fused single-pass scan vs. the
+four standalone detectors over linear archive reads, and the
 end-to-end pipeline — reporting each as blocks/second.  The end-to-end
 stage runs at several worker counts and *verifies* (not just assumes)
 that every parallel run is bit-identical to the serial one before
@@ -17,6 +17,13 @@ transaction-hash sequence must match the optimized run before the
 serve and shard stages follow, each behind its own identity gate.
 Every run runs every stage, and every identity gate is listed once,
 in :data:`GATES`.
+
+One bench run builds two worlds, the timed one and the reference,
+both under flat GC (``World.install_flat_gc``, the regime production
+long runs use).  The timed ``simulate`` stage runs one epoch at a
+time, sealing every boundary, and records the per-epoch rows the
+advisory ``scale_flat`` verdict judges; ``shard`` re-simulates from
+those seals.
 
 Passing ``profile=True`` wraps each stage in :mod:`cProfile` and
 attaches top-25 cumulative-time tables under ``report["profile"]``.
@@ -39,6 +46,7 @@ import json
 import os
 import platform
 import pstats
+import statistics
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, \
@@ -53,14 +61,15 @@ from repro.engine import RunConfig, effective_workers
 from repro.faults.plan import FaultPlan
 from repro.sim import ScenarioConfig, build_paper_scenario
 from repro.sim.shard import block_sequence
+from repro.sim.world import SimulationResult, activity_saturation_month
 
 #: Schema version of BENCH_pipeline.json; CHANGES.md records what each
 #: version added or removed.
-BENCH_VERSION = 9
+BENCH_VERSION = 10
 
 #: The identity gates, in report order: ``(report key, failure
 #: message)``.  Any gate that is not ``True`` fails ``repro bench``.
-#: ``shard.scale_flat`` is advisory and deliberately not listed.
+#: ``simulate.scale_flat`` is advisory and deliberately not listed.
 GATES: Tuple[Tuple[str, str], ...] = (
     ("sim_identical",
      "optimized simulation diverged from the reference paths"),
@@ -78,10 +87,10 @@ GATES: Tuple[Tuple[str, str], ...] = (
      "sequence"),
 )
 
-#: ``scale_flat`` passes when the last epoch's seal-pass throughput is
-#: at least this fraction of the first saturated epoch's — the
-#: "throughput does not decay with total progress" claim, with room
-#: for machine noise.
+#: ``scale_flat`` passes when the median throughput of the last quarter
+#: of saturated epochs is at least this fraction of the first
+#: quarter's — the "throughput does not decay with total progress"
+#: claim, with room for machine noise.
 SCALE_FLAT_THRESHOLD = 0.8
 
 #: How many rows of each per-stage cProfile table to keep.
@@ -115,31 +124,22 @@ class _Stages:
         self.rows: List[Dict[str, Any]] = []
         self.tables: Dict[str, str] = {}
 
-    def profiled(self, label: str, body: Callable[[], Any]) -> Any:
-        """``body()``, with a top-``PROFILE_TOP_N`` cumulative-time
-        table under ``label`` when profiling."""
-        if not self.profile:
-            return body()
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            return body()
-        finally:
-            profiler.disable()
+    def run(self, label: str, blocks: int, body: Callable[[], Any],
+            workers_requested: int = 1) -> Any:
+        """Time ``body()``, append its stage row, return its value;
+        when profiling, keep a top-``PROFILE_TOP_N`` cumulative-time
+        table under ``label``.  Every row reports both the worker count
+        it *asked for* and the count the host actually granted, so a
+        1-CPU box's numbers are never mistaken for parallel ones."""
+        profiler = cProfile.Profile() if self.profile else None
+        started = _clock()
+        value = profiler.runcall(body) if profiler else body()
+        elapsed_s = _clock() - started
+        if profiler is not None:
             stream = io.StringIO()
             stats = pstats.Stats(profiler, stream=stream)
             stats.sort_stats("cumulative").print_stats(PROFILE_TOP_N)
             self.tables[label] = stream.getvalue()
-
-    def run(self, label: str, blocks: int, body: Callable[[], Any],
-            workers_requested: int = 1) -> Any:
-        """Time (and maybe profile) ``body()``, append its stage row,
-        return its value.  Every row reports both the worker count it
-        *asked for* and the count the host actually granted, so a
-        1-CPU box's numbers are never mistaken for parallel ones."""
-        started = _clock()
-        value = self.profiled(label, body)
-        elapsed_s = _clock() - started
         self.rows.append({
             "stage": label,
             "blocks": blocks,
@@ -178,77 +178,70 @@ def _rss_mb() -> Optional[float]:
         return None
 
 
-def _seal_pass_telemetry(config: ScenarioConfig, stages: _Stages,
-                         ) -> Tuple[Dict[int, Any],
-                                    List[Dict[str, Any]], float]:
-    """The shard gate's serial seal pass, one epoch at a time.
+def _simulate(config: ScenarioConfig, seals: Dict[int, Any],
+              telemetry: List[Dict[str, Any]]) -> SimulationResult:
+    """The timed world, one epoch at a time, under flat GC.
 
-    Equivalent draw for draw to one ``run(collect_seals=...)`` over the
-    window (``run`` only advances the height; stopping at a boundary
-    and resuming reseeds nothing extra), but surfacing what a single
-    timed call hides: per-epoch wall time, throughput, and resident-set
-    size — the curve the ``scale_flat`` gate judges.  Runs under the
-    flat-GC long-run regime, like every production long run.  With
-    profiling enabled, each epoch gets its own ``shard_epoch[N]``
-    table, so late-epoch attribution is not averaged away.
+    The same draws as one ``run()`` (a seal draws nothing), filling
+    ``seals`` for the shard stage and ``telemetry`` with one row per
+    epoch — wall time, throughput, resident set — for ``scale_flat``.
     """
     reset_tx_counter()
     world = build_paper_scenario(config)
-    flat_gc = world.install_flat_gc()
-    seals: Dict[int, Any] = {}
-    telemetry: List[Dict[str, Any]] = []
-    epoch_blocks = config.epoch_blocks or config.blocks_per_month
     total = config.total_blocks
-    pass_started = _clock()
-    try:
-        done = 0
-        while done < total:
-            span = min(epoch_blocks, total - done)
-            epoch = done // epoch_blocks
+    with world.install_flat_gc():
+        for start in range(0, total, world.epoch_blocks):
+            span = min(world.epoch_blocks, total - start)
             started = _clock()
-            stages.profiled(
-                f"shard_epoch[{epoch}]",
-                lambda span=span: world.run(blocks=span,
-                                            collect_seals=seals))
+            world.run(blocks=span, collect_seals=seals)
             elapsed = _clock() - started
             telemetry.append({
-                "epoch": epoch,
+                "epoch": start // world.epoch_blocks,
                 "blocks": span,
                 "elapsed_s": round(elapsed, 6),
                 "blocks_per_s": round(span / elapsed, 3)
                 if elapsed > 0 else None,
                 "rss_mb": _rss_mb(),
             })
-            done += span
-    finally:
-        flat_gc.uninstall()
-    return seals, telemetry, _clock() - pass_started
+    return world.result()
 
 
-def _steady_epochs(telemetry: Sequence[Dict[str, Any]],
-                   epoch_blocks: int, blocks_per_month: int,
-                   ) -> List[Dict[str, Any]]:
-    """The telemetry rows the ``scale_flat`` gate judges: epochs whose
-    *first* block is past the activity ramp's saturation month.
-    Earlier epochs carry less traffic per block, so their higher
-    blocks/s says nothing about scale."""
-    from repro.sim.world import activity_saturation_month
-
+def _scale_flat_windows(telemetry: Sequence[Dict[str, Any]],
+                        epoch_blocks: int, blocks_per_month: int,
+                        ) -> Optional[Tuple[List[Dict[str, Any]],
+                                            List[Dict[str, Any]]]]:
+    """The first and last quarter (at least one epoch each) of the
+    telemetry rows whose *first* block is past the activity ramp's
+    saturation month — earlier epochs carry less traffic per block, so
+    their higher blocks/s says nothing about scale.  ``None`` when
+    fewer than two saturated epochs ran."""
     saturated_block = activity_saturation_month() * blocks_per_month
-    return [row for row in telemetry
-            if row["epoch"] * epoch_blocks >= saturated_block
-            and row["blocks_per_s"]]
-
-
-def _scale_flat_gate(steady: Sequence[Dict[str, Any]],
-                     ) -> Optional[bool]:
-    """Whether per-epoch throughput held flat over total progress: the
-    last steady epoch against the first.  ``None`` (gate not judgeable,
-    never faked) when fewer than two saturated epochs ran."""
+    steady = [row for row in telemetry
+              if row["epoch"] * epoch_blocks >= saturated_block
+              and row["blocks_per_s"]]
     if len(steady) < 2:
         return None
-    return (steady[-1]["blocks_per_s"]
-            >= SCALE_FLAT_THRESHOLD * steady[0]["blocks_per_s"])
+    quarter = max(1, len(steady) // 4)
+    return steady[:quarter], steady[-quarter:]
+
+
+def _median_rate(rows: Sequence[Dict[str, Any]]) -> float:
+    return statistics.median(row["blocks_per_s"] for row in rows)
+
+
+def _scale_flat_gate(telemetry: Sequence[Dict[str, Any]],
+                     epoch_blocks: int, blocks_per_month: int,
+                     ) -> Optional[bool]:
+    """Whether per-epoch throughput held flat over total progress: the
+    median of the last saturated quarter against the first quarter's.
+    ``None`` (not judgeable, never faked) when fewer than two saturated
+    epochs ran."""
+    windows = _scale_flat_windows(telemetry, epoch_blocks,
+                                  blocks_per_month)
+    if windows is None:
+        return None
+    head, tail = windows
+    return _median_rate(tail) >= SCALE_FLAT_THRESHOLD * _median_rate(head)
 
 
 def run_bench(bpm: int = 60, seed: int = 7,
@@ -291,13 +284,13 @@ def run_bench(bpm: int = 60, seed: int = 7,
         chunk_size = max(1, blocks // 8)
     stages = _Stages(profile)
 
-    # Resets the process-wide transaction-uid counter first, so the
-    # timed run produces the same world whether or not other scenarios
-    # were built earlier in the process — and so the reference replay
-    # below compares like with like.
-    reset_tx_counter()
-    result = stages.run("simulate", blocks,
-                        lambda: build_paper_scenario(config).run())
+    # The one timed simulation.  ``_simulate`` resets the process-wide
+    # transaction-uid counter first, so the world is the same whether
+    # or not other scenarios were built earlier in the process.
+    seals: Dict[int, Any] = {}
+    epoch_telemetry: List[Dict[str, Any]] = []
+    result = stages.run("simulate", blocks, lambda: _simulate(
+        config, seals, epoch_telemetry))
     first = result.node.earliest_block_number()
     last = result.node.latest_block_number()
     chunks = plan_chunks(first, last, chunk_size)
@@ -306,10 +299,13 @@ def run_bench(bpm: int = 60, seed: int = 7,
     # Fast-vs-reference world gate: rebuild the same scenario on the
     # naive paths (full mempool re-sorts, no probe memoization) and
     # demand the identical block/tx hash sequence.  The optimized
-    # simulator's speed is only a result once this passes.
+    # simulator's speed is only a result once this passes.  Flat GC,
+    # like the timed run, so the printed ratio compares like with like.
     reset_tx_counter()
     started = _clock()
-    reference = build_paper_scenario(config, fast_paths=False).run()
+    reference_world = build_paper_scenario(config, fast_paths=False)
+    with reference_world.install_flat_gc():
+        reference = reference_world.run()
     sim_reference_s = round(_clock() - started, 6)
     reference_seq = block_sequence(result.blockchain.blocks)
     sim_identical = \
@@ -407,16 +403,12 @@ def run_bench(bpm: int = 60, seed: int = 7,
     load = stages.run("serve", blocks, lambda: asyncio.run(
         serve_and_replay(batch_query, mix, seed=seed)))
 
-    # Epoch-shard gate: a serial pass over the same scenario collects
-    # one seal per epoch boundary, every epoch is re-simulated from its
-    # seal on worker processes, and the spliced chain must reproduce
-    # the benchmarked world bit for bit — the splice-vs-reference
-    # discipline, applied to world generation itself.  Runs last: it
-    # resets the transaction-uid counter and re-simulates, which must
-    # not perturb the stages above.  The stage row times the fan-out
-    # and splice; the serial seal pass is ``shard.seal_pass_s``.
-    seals, epoch_telemetry, seal_pass_s = \
-        _seal_pass_telemetry(config, stages)
+    # Epoch-shard gate: every epoch is re-simulated from the seal the
+    # ``simulate`` stage took at its boundary, on worker processes, and
+    # the spliced chain must reproduce the benchmarked world bit for
+    # bit — the splice-vs-reference discipline, applied to world
+    # generation itself.  Runs last: it re-simulates, which must not
+    # perturb the stages above.
     spliced, shard_info = stages.run(
         "shard", blocks,
         lambda: resimulate_and_splice(config, seals,
@@ -424,10 +416,6 @@ def run_bench(bpm: int = 60, seed: int = 7,
         workers_requested=SHARD_WORKERS)
     shard_identical = bool(reference_seq) and \
         block_sequence(spliced.blockchain.blocks) == reference_seq
-    shard_info["seal_pass_s"] = round(seal_pass_s, 6)
-    shard_info["epoch_telemetry"] = epoch_telemetry
-    shard_info["scale_flat"] = _scale_flat_gate(_steady_epochs(
-        epoch_telemetry, shard_info["epoch_blocks"], bpm))
 
     report: Dict[str, Any] = {
         "version": BENCH_VERSION,
@@ -445,6 +433,11 @@ def run_bench(bpm: int = 60, seed: int = 7,
             "python_version": platform.python_version(),
         },
         "simulate_s": stages.rows[0]["elapsed_s"],
+        "simulate": {
+            "epoch_telemetry": epoch_telemetry,
+            "scale_flat": _scale_flat_gate(
+                epoch_telemetry, shard_info["epoch_blocks"], bpm),
+        },
         "lint_s": round(_lint_self(), 6),
         "sim_reference_s": sim_reference_s,
         "sim_identical": sim_identical,
@@ -519,7 +512,8 @@ def render_report(report: Dict[str, Any]) -> str:
         f"epoch_blocks={shard_info['epoch_blocks']}, workers "
         f"{shard_info['workers_requested']}→"
         f"{shard_info['workers_effective']} effective)")
-    lines.append(_scale_flat_line(shard_info,
+    lines.append(_scale_flat_line(report["simulate"],
+                                  shard_info["epoch_blocks"],
                                   scenario["blocks_per_month"]))
     for key, message in GATES:
         lines.append(f"  {key}: " + ("yes" if report[key] is True
@@ -528,20 +522,25 @@ def render_report(report: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _scale_flat_line(shard_info: Dict[str, Any],
+def _scale_flat_line(simulate: Dict[str, Any], epoch_blocks: int,
                      blocks_per_month: int) -> str:
-    """The advisory ``scale_flat`` verdict, quoting the baseline epoch
-    the gate actually compared against."""
-    scale_flat = shard_info["scale_flat"]
-    if scale_flat is None:
-        return ("  seal-pass throughput scale-flat: skipped "
+    """The advisory ``scale_flat`` verdict, quoting the epochs and the
+    median throughputs the verdict actually compared."""
+    scale_flat = simulate["scale_flat"]
+    windows = _scale_flat_windows(simulate["epoch_telemetry"],
+                                  epoch_blocks, blocks_per_month)
+    if scale_flat is None or windows is None:
+        return ("  simulate throughput scale-flat: skipped "
                 "(fewer than two saturated epochs)")
-    steady = _steady_epochs(shard_info["epoch_telemetry"],
-                            shard_info["epoch_blocks"], blocks_per_month)
-    base, last = steady[0], steady[-1]
-    return ("  seal-pass throughput scale-flat: "
+    head, tail = windows
+    return ("  simulate throughput scale-flat: "
             + ("yes" if scale_flat else "NO")
-            + f" (epoch {base['epoch']}: {base['blocks_per_s']} "
-            f"blocks/s → epoch {last['epoch']}: "
-            f"{last['blocks_per_s']} blocks/s, "
-            f"rss {last['rss_mb']} MB)")
+            + f" ({_window_label(head)}: {_median_rate(head)} blocks/s"
+            f" → {_window_label(tail)}: {_median_rate(tail)} blocks/s,"
+            f" rss {tail[-1]['rss_mb']} MB)")
+
+
+def _window_label(rows: Sequence[Dict[str, Any]]) -> str:
+    first, last = rows[0]["epoch"], rows[-1]["epoch"]
+    return f"epoch {first}" if first == last \
+        else f"epochs {first}–{last} median"

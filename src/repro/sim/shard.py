@@ -9,9 +9,9 @@ its epoch's blocks, and returns them.  :func:`splice_epochs` stitches
 worker output back into one chain that must be **bit-identical** —
 block hash and transaction hash, element for element — to the serial
 reference.  ``repro bench`` enforces that equality as the
-``shard_identical`` gate (schema v7); ``resimulate_and_splice``'s
-``prefix_epochs`` is the sampled-prefix variant for scenarios too
-large to reference in full.
+``shard_identical`` gate, from the seals its timed ``simulate`` stage
+takes while recording its per-epoch rows; ``prefix_epochs`` is the
+sampled-prefix variant for scenarios too large to reference in full.
 
 Epochs run through the same :class:`~repro.engine.ParallelExecutor`
 the detection pipeline uses; as there, worker count is an

@@ -7,11 +7,12 @@ def complete_report(**overrides: Any) -> Dict[str, Any]:
     """A minimal benchmark document with every key ``render_report``
     and ``repro bench`` read, and every gate true."""
     report: Dict[str, Any] = {
-        "version": 9,
+        "version": 10,
         "scenario": {"blocks": 10, "blocks_per_month": 1, "seed": 7,
                      "chunks": 1, "chunk_size": 10, "quick": True},
         "machine": {"cpu_count": 1},
         "simulate_s": 0.1,
+        "simulate": {"epoch_telemetry": [], "scale_flat": None},
         "sim_reference_s": 0.2,
         "lint_s": 0.3,
         "stages": [],
@@ -24,8 +25,7 @@ def complete_report(**overrides: Any) -> Dict[str, Any]:
                   "errors": 0},
         "shard": {"epochs": 1, "resimulated_epochs": 1, "scope": "full",
                   "epoch_blocks": 10, "workers_requested": 2,
-                  "workers_effective": 1, "epoch_telemetry": [],
-                  "scale_flat": None},
+                  "workers_effective": 1},
         "sim_identical": True, "parallel_identical": True,
         "indexed_matches_linear": True, "stream_identical": True,
         "serve_identical": True, "shard_identical": True,
