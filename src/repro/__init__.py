@@ -185,19 +185,6 @@ def follow_inspector(result: SimulationResult,
     return engine.run(feed)
 
 
-def follow_study(blocks_per_month: int = 60, seed: int = 7,
-                 fault_plan: Optional[FaultPlan] = None,
-                 run_config: Optional[RunConfig] = None,
-                 **config_overrides) -> Study:
-    """Simulate the study window and measure it in follow mode."""
-    config = ScenarioConfig(blocks_per_month=blocks_per_month, seed=seed,
-                            **config_overrides)
-    result = build_paper_scenario(config).run()
-    dataset = follow_inspector(result, fault_plan=fault_plan,
-                               config=run_config)
-    return Study(result=result, dataset=dataset)
-
-
 def quick_study(blocks_per_month: int = 60, seed: int = 7,
                 fault_plan: Optional[FaultPlan] = None,
                 run_config: Optional[RunConfig] = None,
@@ -243,4 +230,4 @@ def quick_study(blocks_per_month: int = 60, seed: int = 7,
 __all__ = ["FaultPlan", "RunConfig", "ScenarioConfig", "SimulationResult",
            "Study", "World", "__version__", "build_paper_scenario",
            "follow_engine", "follow_inspector", "follow_reference",
-           "follow_study", "quick_study", "run_inspector"]
+           "quick_study", "run_inspector"]

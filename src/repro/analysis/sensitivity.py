@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.analysis.goals import profit_distribution
+from repro.chain.transaction import reset_tx_counter
 from repro.core import MevInspector, PriceService
 from repro.core.datasets import PRIVACY_PRIVATE
 # Sensitivity sweeps *re-run the simulator* on purpose — they vary its
@@ -29,6 +30,9 @@ from repro.sim import ScenarioConfig, build_paper_scenario  # repro-lint: disabl
 
 
 def _measure(config: ScenarioConfig):
+    # Tx hashes commit to the process-wide uid counter; start each
+    # sweep world from 0 so a point does not depend on what ran before.
+    reset_tx_counter()
     result = build_paper_scenario(config).run()
     inspector = MevInspector(result.node, PriceService(result.oracle),
                              result.flashbots_api, result.observer)

@@ -8,12 +8,10 @@ Usage::
     python -m repro table1 [--bpm N] [--seed S]     # just Table 1
     python -m repro figures [--bpm N] [--seed S]    # figure series
     python -m repro run --workers 4                 # parallel chunks
-    python -m repro run --follow                    # streaming (follow) mode
     python -m repro stream --fault-profile reorg    # hostile-feed follower
+    python -m repro stream --serve                  # ...feeding a served store
     python -m repro export PATH [--bpm N] [--seed S]  # JSONL dataset
     python -m repro serve [--port P]                # HTTP query service
-    python -m repro serve --follow --fault-profile reorg  # live follow
-    python -m repro serve --follow --smoke          # identity smoke gate
     python -m repro bench [--quick]                 # wall-clock benchmark
     python -m repro run --bpm 5000 --blocks 100000 --epoch-blocks 5000 \\
         --segment-dir segments/                     # O(epoch) memory
@@ -25,7 +23,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro import RunConfig, Study, quick_study
 from repro.analysis import (
@@ -42,6 +40,7 @@ from repro.analysis import (
     render_series,
     render_table,
 )
+from repro.core.datasets import MevDataset
 from repro.core.pool_attribution import attribute_private_pools
 from repro.faults import FAULT_PROFILES
 from repro.stream import StreamDivergenceError
@@ -113,16 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
             _add_reliability(command)
         if name == "run":
             command.add_argument(
-                "--follow", action="store_true",
-                help="streaming (follow) mode: replay the chain "
-                     "through the incremental engine instead of one "
-                     "batch pass; bit-identical output")
-            command.add_argument(
-                "--confirm-depth", type=_non_negative, default=3,
-                metavar="K",
-                help="blocks behind the head before a streamed block "
-                     "is confirmed (default 3)")
-            command.add_argument(
                 "--blocks", type=_at_least_one, default=None,
                 metavar="N",
                 help="simulate only the first N blocks of the study "
@@ -170,42 +159,23 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--resume", action="store_true",
                         help="reuse payloads from an existing stream "
                              "checkpoint instead of recomputing")
+    stream.add_argument("--serve", action="store_true",
+                        help="feed an HTTP-served store on 127.0.0.1 "
+                             "live, probing every reorg-retracted "
+                             "height over the socket, and also require "
+                             "byte-identical responses to a batch-built "
+                             "store")
     serve = sub.add_parser(
         "serve",
         help="serve the measured MEV dataset over HTTP (per-block and "
              "per-range rows, Table-1 aggregates, leaderboards, "
              "coverage)")
     _add_common(serve)
-    serve.add_argument("--follow", action="store_true",
-                       help="feed the served store live from the "
-                            "streaming engine instead of snapshotting "
-                            "a completed batch run")
-    serve.add_argument("--fault-profile", choices=("none", "reorg"),
-                       default="none",
-                       help="with --follow: inject seeded faults "
-                            "while serving: reorgs, delays and "
-                            "duplicates into the feed, and the same "
-                            "plan's faults into the Flashbots and "
-                            "mempool label sources (default: none)")
-    serve.add_argument("--fault-seed", type=int, default=0,
-                       help="seed for the injected fault plan "
-                            "(default 0)")
-    serve.add_argument("--confirm-depth", type=_non_negative, default=3,
-                       metavar="K",
-                       help="with --follow: blocks behind the head "
-                            "before a streamed block is confirmed "
-                            "(default 3)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=0,
                        help="bind port (default 0: pick a free port "
                             "and print it)")
-    serve.add_argument("--smoke", action="store_true",
-                       help="with --follow: ingest the whole feed with "
-                            "HTTP probes after every reorg "
-                            "retraction, then exit 0 only if the "
-                            "stream-built store serves byte-identical "
-                            "responses to a batch-built one")
     export = sub.add_parser("export",
                             help="write the detected MEV dataset as "
                                  "JSONL")
@@ -281,17 +251,6 @@ def _announce(args: argparse.Namespace, config: RunConfig) -> None:
 def _study(args: argparse.Namespace) -> Study:
     config = _run_config(args)
     _announce(args, config)
-    if getattr(args, "follow", False):
-        from repro import follow_study
-        if getattr(args, "blocks", None) is not None \
-                or getattr(args, "segment_dir", None) is not None:
-            print("ERROR: --blocks/--segment-dir apply to batch runs, "
-                  "not --follow", file=sys.stderr)
-            raise SystemExit(2)
-        print(f"Following the chain head (streaming mode, "
-              f"confirm depth {config.confirm_depth}) …", file=sys.stderr)
-        return follow_study(blocks_per_month=args.bpm, seed=args.seed,
-                            run_config=config)
     if config.workers > 1:
         print(f"Running chunks across {config.workers} workers …",
               file=sys.stderr)
@@ -433,7 +392,7 @@ def print_ablations(bpm: int, seed: int,
 
 
 def _simulate(args: argparse.Namespace, config: RunConfig):
-    """The study window a follow command measures."""
+    """The study window `stream` follows and `serve` snapshots."""
     from repro import ScenarioConfig, build_paper_scenario
 
     _announce(args, config)
@@ -447,16 +406,27 @@ def run_stream_command(args: argparse.Namespace) -> int:
     The streamed dataset — rows and quality ledger — must be
     bit-identical to :func:`repro.follow_reference`, the batch pipeline
     over the final canonical chain (modulo checkpoint-resume markers).
-    Divergence exits nonzero.
+    ``--serve`` follows into a live, HTTP-served store
+    (:func:`_follow_serving`); its responses must then also be
+    byte-identical to a store built from the same reference, and every
+    mid-stream probe must answer.  Divergence exits nonzero.
     """
+    import asyncio
     from dataclasses import replace
 
     from repro import follow_engine, follow_reference
+    from repro.serve import (live_service, responses_identical,
+                             service_from_dataset)
 
     config = _run_config(args)
     result = _simulate(args, config)
     engine, feed = follow_engine(result, config=config)
-    dataset = engine.run(feed)
+    if args.serve:
+        service = live_service(engine)
+        dataset, probe_errors = asyncio.run(
+            _follow_serving(engine, feed, service))
+    else:
+        dataset = engine.run(feed)
     report = engine.report
     print(render_kv("Stream report", [
         ("blocks", len(result.blockchain.blocks)),
@@ -469,55 +439,42 @@ def run_stream_command(args: argparse.Namespace) -> int:
                            f"{report.retracted_blocks} blocks"),
         ("payloads reused", report.payloads_reused),
         ("rescans skipped", report.rescans_skipped)]))
+    reference = follow_reference(result, config=config)
     settled = replace(dataset, quality=replace(
         dataset.quality, resumed=False, chunks_resumed=0))
-    identical = (settled.fingerprint()
-                 == follow_reference(result, config=config).fingerprint())
+    identical = settled.fingerprint() == reference.fingerprint()
     print("\n" + render_quality(dataset.quality))
     print("\nstreamed identical to batch: "
           + ("yes" if identical else "NO"))
-    if not identical:
-        print("ERROR: streamed dataset diverged from the batch "
-              "pipeline over the canonical chain", file=sys.stderr)
-        return 1
-    return 0
+    errors = [] if identical else [
+        "streamed dataset diverged from the batch pipeline over the "
+        "canonical chain"]
+    if args.serve:
+        served = responses_identical(service_from_dataset(reference),
+                                     service)
+        print("serve responses identical batch vs stream: "
+              + ("yes" if served else "NO"))
+        if probe_errors or not served:
+            errors.append("stream-built store diverged from the "
+                          "batch-built store")
+    for error in errors:
+        print(f"ERROR: {error}", file=sys.stderr)
+    return 1 if errors else 0
 
 
-def run_serve_command(args: argparse.Namespace) -> int:
-    """Serve the measured MEV dataset over HTTP.
+async def _follow_serving(engine, feed, service) -> Tuple[MevDataset, int]:
+    """Drive ``engine`` through ``feed`` while ``service`` answers HTTP.
 
-    Batch mode snapshots :func:`repro.follow_reference` into the store
-    and serves it.  ``--follow`` instead feeds the store live from the
-    :func:`repro.follow_engine` follower — every indexed block, every
-    reorg retraction, and the final label reconcile land in the served
-    rows as they happen.  ``--smoke`` drives a follow run to
-    completion, probing over HTTP after every retraction, and exits 0
-    only if the stream-built store serves byte-identical responses to
-    one built from the reference (the identity rule, end to end over a
-    socket).
+    The server binds 127.0.0.1 on a free port.  The store is shared,
+    not snapshotted: the loop yields after every announcement so
+    in-flight connections are handled between events, and requests
+    each height a reorg just retracted over the socket.  Returns the
+    finalized dataset and how many of those probes failed.
     """
     import asyncio
 
-    from repro import follow_engine, follow_reference
-    from repro.serve import (MevHttpServer, live_service, probe_once,
-                             responses_identical, service_from_dataset)
+    from repro.serve import MevHttpServer, probe_once
     from repro.stream import StreamSubscriber
-
-    if (args.smoke or args.fault_profile != "none") and not args.follow:
-        print("ERROR: --smoke and --fault-profile require --follow",
-              file=sys.stderr)
-        return 2
-
-    config = _run_config(args)
-    result = _simulate(args, config)
-    if not args.follow:
-        service = service_from_dataset(follow_reference(result))
-        try:
-            return asyncio.run(_serve_until_interrupted(
-                MevHttpServer(service, host=args.host,
-                              port=args.port)))
-        except KeyboardInterrupt:
-            return 0
 
     class RetractionLog(StreamSubscriber):
         """Heights whose served rows a reorg just superseded."""
@@ -529,77 +486,57 @@ def run_serve_command(args: argparse.Namespace) -> int:
                             rows_retracted) -> None:
             self.heights.append(height)
 
-    engine, feed = follow_engine(result, config=config)
-    service = live_service(engine)
     retractions = RetractionLog()
     engine.subscribe(retractions)
+    server = MevHttpServer(service, host="127.0.0.1", port=0)
+    await server.start()
+    print(f"serving on {server.base_url}", file=sys.stderr)
+    probed = probe_errors = 0
+    try:
+        for event in feed:
+            engine.ingest(event)
+            await asyncio.sleep(0)
+            for height in retractions.heights[probed:]:
+                probed += 1
+                status, _, _ = await probe_once(
+                    "127.0.0.1", server.port or 0,
+                    f"/v1/blocks/{height}/mev")
+                if status != 200:
+                    probe_errors += 1
+        dataset = engine.finalize()
+    finally:
+        await server.stop()
+    print(f"{probed} mid-stream retraction probes ({probe_errors} "
+          f"errors)", file=sys.stderr)
+    return dataset, probe_errors
 
-    async def follow() -> int:
-        server = MevHttpServer(service, host=args.host, port=args.port)
+
+def run_serve_command(args: argparse.Namespace) -> int:
+    """Serve :func:`repro.follow_reference`'s batch dataset over HTTP
+    until Ctrl-C."""
+    import asyncio
+
+    from repro import follow_reference
+    from repro.serve import MevHttpServer, service_from_dataset
+
+    result = _simulate(args, _run_config(args))
+    server = MevHttpServer(service_from_dataset(follow_reference(result)),
+                           host=args.host, port=args.port)
+
+    async def serve() -> None:
         await server.start()
         print(f"serving on {server.base_url}", file=sys.stderr)
-        probed = 0
-        probe_errors = 0
+        print("try: curl " + server.base_url + "/v1/aggregates/table1",
+              file=sys.stderr)
         try:
-            for event in feed:
-                engine.ingest(event)
-                # Yield so in-flight connections are handled between
-                # announcements — the store is shared, not snapshotted.
-                await asyncio.sleep(0)
-                while probed < len(retractions.heights):
-                    height = retractions.heights[probed]
-                    probed += 1
-                    status, _, _ = await probe_once(
-                        args.host, server.port or 0,
-                        f"/v1/blocks/{height}/mev")
-                    if status != 200:
-                        probe_errors += 1
-            engine.finalize()
-            report = engine.report
-            print(f"followed {report.events} feed events: "
-                  f"{report.reorgs} reorgs, {report.retracted_rows} "
-                  f"rows retracted across {report.retracted_blocks} "
-                  f"blocks; {probed} mid-stream retraction probes "
-                  f"({probe_errors} errors)", file=sys.stderr)
-            if not args.smoke:
-                print("finalized; serving (Ctrl-C to stop)",
-                      file=sys.stderr)
-                await server.serve_forever()
-                return 0
-            identical = responses_identical(
-                service_from_dataset(follow_reference(result,
-                                                      config=config)),
-                service)
-            print("serve responses identical batch vs stream: "
-                  + ("yes" if identical else "NO"))
-            if probe_errors or not identical:
-                print("ERROR: stream-built store diverged from the "
-                      "batch-built store", file=sys.stderr)
-                return 1
-            return 0
-        except KeyboardInterrupt:
-            return 0
+            await server.serve_forever()
         finally:
             await server.stop()
 
     try:
-        return asyncio.run(follow())
-    except KeyboardInterrupt:
-        return 0
-
-
-async def _serve_until_interrupted(server) -> int:
-    """Start ``server`` and block until Ctrl-C."""
-    await server.start()
-    print(f"serving on {server.base_url}", file=sys.stderr)
-    print("try: curl " + server.base_url + "/v1/aggregates/table1",
-          file=sys.stderr)
-    try:
-        await server.serve_forever()
+        asyncio.run(serve())
     except KeyboardInterrupt:
         pass
-    finally:
-        await server.stop()
     return 0
 
 

@@ -8,9 +8,9 @@ its completed chunks.
 
 **Canonical construction.**  This is the one documented way to
 configure an execution surface — ``MevInspector.run``,
-``repro.run_inspector``, ``repro.follow_inspector``,
-``repro.follow_study``, ``repro.quick_study``, and the
-``repro.serve`` builders all take the same object::
+``repro.run_inspector``, ``repro.quick_study`` and the follow wiring
+(``repro.follow_engine``, ``repro.follow_reference``,
+``repro.follow_inspector``) all take the same object::
 
     config = RunConfig(from_block=0, to_block=299, chunk_size=50,
                        workers=4, fault_profile="reorg", fault_seed=1)

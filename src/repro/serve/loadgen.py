@@ -145,7 +145,7 @@ async def probe_once(host: str, port: int, target: str,
     """One ad-hoc GET against a live server, on its own connection.
 
     Returns ``(status, etag, body)`` — the building block for
-    mid-stream probes (``repro serve --smoke``) and for tests that
+    mid-stream probes (``repro stream --serve``) and for tests that
     want a single request without standing up a full replay mix.
     """
     client = _Client(host, port)

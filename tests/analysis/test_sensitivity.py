@@ -24,6 +24,16 @@ class TestTipSweep:
         assert points[1].searcher_fb_mean_eth < \
             points[0].searcher_fb_mean_eth
 
+    def test_point_independent_of_prior_tx_counter(self):
+        """A sweep point is a function of its arguments, not of how
+        many transactions the process minted before it."""
+        from repro.chain.transaction import set_tx_counter
+        set_tx_counter(0)
+        fresh = tip_fraction_sweep([0.6], blocks_per_month=8, seed=5)
+        set_tx_counter(1_000_003)
+        assert tip_fraction_sweep([0.6], blocks_per_month=8,
+                                  seed=5) == fresh
+
 
 class TestObservationSweep:
     @pytest.fixture(scope="class")

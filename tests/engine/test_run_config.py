@@ -4,8 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro import (follow_inspector, follow_study, quick_study,
-                   run_inspector)
+from repro import follow_inspector, quick_study, run_inspector
 from repro.core.pipeline import MevInspector
 from repro.core.profit import PriceService
 from repro.engine import RunConfig
@@ -58,12 +57,10 @@ class TestNoLooseKwargs:
         _inspector_run,
         run_inspector,
         follow_inspector,
-        lambda sim_result, **loose: follow_study(
-            blocks_per_month=12, **loose),
         lambda sim_result, **loose: quick_study(
             blocks_per_month=12, **loose),
     ], ids=["MevInspector.run", "run_inspector", "follow_inspector",
-            "follow_study", "quick_study"])
+            "quick_study"])
     def test_loose_setting_rejected(self, sim_result, entry, loose):
         with pytest.raises(TypeError, match=next(iter(loose))):
             entry(sim_result, **loose)

@@ -1,6 +1,6 @@
-"""End-to-end CLI: ``repro serve --follow --fault-profile reorg``.
+"""End-to-end CLI: ``repro stream --serve --fault-profile reorg``.
 
-The smoke path is the whole serving story in one process: simulate
+The serve path is the whole serving story in one process: simulate
 the window, feed the served store live through seeded reorgs while
 probing retracted heights over real HTTP, finalize, and gate on the
 stream-built store serving byte-identical responses to a batch-built
@@ -16,19 +16,11 @@ SMALL = ["--bpm", "4", "--seed", "5"]
 
 class TestServeCli:
     def test_follow_smoke_gate_passes(self, capsys):
-        code = main(["serve", "--follow", "--fault-profile", "reorg",
-                     "--fault-seed", str(CHAOS_SEED), "--smoke"]
-                    + SMALL)
+        code = main(["stream", "--serve", "--fault-profile", "reorg",
+                     "--fault-seed", str(CHAOS_SEED)] + SMALL)
         captured = capsys.readouterr()
         assert code == 0
+        assert "streamed identical to batch: yes" in captured.out
         assert ("serve responses identical batch vs stream: yes"
                 in captured.out)
         assert "retraction probes (0 errors)" in captured.err
-
-    def test_smoke_requires_follow(self, capsys):
-        assert main(["serve", "--smoke"] + SMALL) == 2
-        assert "--follow" in capsys.readouterr().err
-
-    def test_fault_profile_requires_follow(self, capsys):
-        assert main(["serve", "--fault-profile", "reorg"] + SMALL) == 2
-        assert "--follow" in capsys.readouterr().err

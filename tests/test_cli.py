@@ -45,6 +45,9 @@ class TestParser:
         ["bench", "--shard-workers", "2"],
         ["bench", "--shard-prefix", "1"],
         ["run", "--no-overlap-io"], ["run", "--overlap-io"],
+        ["run", "--follow"], ["run", "--confirm-depth", "3"],
+        ["serve", "--follow"], ["serve", "--smoke"],
+        ["serve", "--fault-profile", "reorg"],
     ], ids=lambda argv: " ".join(argv))
     def test_removed_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -63,9 +66,8 @@ class TestParser:
     @pytest.mark.parametrize("argv,flag", [
         (["run", "--workers", "0"], "--workers"),
         (["run", "--chunk-size", "-5"], "--chunk-size"),
-        (["run", "--follow", "--confirm-depth", "-1"], "--confirm-depth"),
         (["stream", "--confirm-depth", "-1"], "--confirm-depth"),
-        (["serve", "--follow", "--confirm-depth", "-1"],
+        (["stream", "--serve", "--confirm-depth", "-1"],
          "--confirm-depth"),
         (["bench", "--workers", "1", "0"], "--workers"),
         (["bench", "--chunk-size", "-1"], "--chunk-size"),
@@ -75,7 +77,7 @@ class TestParser:
          "--max-resident-epochs"),
         (["run", "--bpm", "5", "--blocks", "0"], "--blocks"),
         (["run", "--bpm", "5", "--blocks", "-3"], "--blocks"),
-    ], ids=["run-workers", "run-chunk-size", "run-follow-confirm-depth",
+    ], ids=["run-workers", "run-chunk-size",
             "stream-confirm-depth", "serve-follow-confirm-depth",
             "bench-workers", "bench-chunk-size", "run-bpm",
             "run-epoch-blocks", "run-max-resident-epochs", "run-blocks-0",
@@ -203,24 +205,13 @@ class TestCommands:
                      "--max-resident-epochs", "1"]) == 0
         assert capsys.readouterr().out == in_memory
 
-    def test_follow_rejects_spilling_flags(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--follow", "--blocks", "10"] + BPM)
-
     def test_follow_with_confirm_depth(self, capsys):
-        from repro.chain.transaction import reset_tx_counter
-        reset_tx_counter()
-        assert main(["run", "--follow"] + BPM) == 0
-        default_depth = capsys.readouterr().out
-        reset_tx_counter()
-        assert main(["run", "--follow", "--confirm-depth", "5"]
-                    + BPM) == 0
-        assert capsys.readouterr().out == default_depth
-
-    def test_follow_with_checkpoint(self, tmp_path):
-        checkpoint = tmp_path / "ck.json"
-        assert main(["run", "--follow", "--checkpoint", str(checkpoint)]
-                    + BPM) == 0
+        """A clean feed never reorgs, so a deeper watermark only delays
+        confirmation: the follower still converges on batch."""
+        assert main(["stream", "--fault-profile", "none",
+                     "--confirm-depth", "5"] + BPM) == 0
+        assert ("streamed identical to batch: yes"
+                in capsys.readouterr().out)
 
     def test_export_round_trips(self, tmp_path, capsys):
         target = tmp_path / "mev.jsonl"
@@ -252,17 +243,10 @@ class TestStreamCommand:
                 in capsys.readouterr().out)
 
     def test_reorg_ledger_matches_run_follow(self, capsys):
-        """`repro stream` and `repro run --follow` are one follow path:
-        under the same plan they label through the same shielded
-        sources and print the same quality ledger."""
-        from repro.chain.transaction import reset_tx_counter
-        reset_tx_counter()
+        """Under the reorg plan `repro stream` labels through the
+        shielded sources, so the Flashbots source saw requests."""
         assert main(["stream", "--fault-profile", "reorg"] + FOLLOW) == 0
         streamed = _quality_ledger(capsys.readouterr().out)
-        reset_tx_counter()
-        assert main(["run", "--follow", "--fault-profile", "reorg"]
-                    + FOLLOW) == 0
-        assert streamed == _quality_ledger(capsys.readouterr().out)
         flashbots = next(line for line in streamed
                          if "flashbots:" in line)
         assert " 0 requests" not in flashbots
@@ -285,9 +269,8 @@ class TestStreamCommand:
 class TestStreamDivergence:
     @pytest.mark.parametrize("argv", [
         ["stream"],
-        ["run", "--follow", "--fault-profile", "reorg"],
-        ["serve", "--follow", "--fault-profile", "reorg", "--smoke"],
-    ], ids=["stream", "run-follow", "serve-follow"])
+        ["stream", "--serve"],  # following into a served store
+    ], ids=["stream", "serve-follow"])
     def test_reorg_below_watermark_is_an_error_line(self, argv, capsys):
         """A reorg deeper than --confirm-depth exits 1 with one
         ``ERROR:`` line, not a traceback."""
